@@ -4,8 +4,8 @@
 //! worker count, scheduler session throughput per worker count (each
 //! with its speedup over one worker), and the PVT corner engine's
 //! grid throughput against a naive per-corner analyze loop, with the
-//! shared-symbolic, verdict-cache, and kill-switch contracts asserted
-//! inline.
+//! shared-symbolic, verdict-cache, and dense/sparse agreement contracts
+//! asserted inline.
 //!
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
@@ -27,7 +27,7 @@ use artisan_resilience::{
     FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
 };
 use artisan_sim::ac::{sweep_with_pool, SweepConfig};
-use artisan_sim::cache::persist::snapshot_dir_from_env;
+use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::mna::{MnaMode, MnaSystem};
@@ -88,6 +88,7 @@ fn main() {
     let reps: usize = (arg_or("--reps", 40usize) / divisor).max(1);
     let n_sessions: usize = arg_or("--sessions", 8usize);
     let out_path: String = arg_or("--out", "BENCH_sim.json".to_string());
+    let snapshot_dir = snapshot_dir_from_env();
 
     let netlist = Topology::nmc_example().elaborate().expect("valid");
     let sys = MnaSystem::new(&netlist).expect("builds");
@@ -280,7 +281,11 @@ fn main() {
         }
         (seconds, perfs, first_session_hits)
     };
-    let (env_cache, preload) = SimCache::from_env(4096, persist_salt);
+    let (env_cache, preload) = match &snapshot_dir {
+        Some(dir) => SimCache::load_from(&dir.join(SNAPSHOT_FILE), 4096, persist_salt),
+        None => (SimCache::new(4096), Default::default()),
+    };
+    let env_cache = Arc::new(env_cache);
     if let Some(warning) = &preload.warning {
         eprintln!("snapshot preload warning: {warning}");
     }
@@ -342,10 +347,9 @@ fn main() {
 
     // Persist for the next process and drop a stats artifact next to
     // the snapshot when the env directory is configured.
-    if let Some(dir) = snapshot_dir_from_env() {
+    if let Some(dir) = &snapshot_dir {
         let saved = env_cache
-            .save_to_env_dir(persist_salt)
-            .expect("env dir is set")
+            .save_to(&dir.join(SNAPSHOT_FILE), persist_salt)
             .expect("snapshot save failed");
         eprintln!(
             "saved {} cache entries ({} bytes) to {}",
@@ -550,7 +554,7 @@ fn main() {
             // Below the crossover the auto path stays dense — the
             // pre-sparse hot path, so small circuits cannot regress.
             assert!(
-                !auto_sparse || !artisan_sim::sparse_enabled_from_env(),
+                !auto_sparse,
                 "dim {dim} auto-selected sparse below the crossover"
             );
         } else {
@@ -597,63 +601,29 @@ fn main() {
         "numeric factor ledger drifted: one factorization per point expected"
     );
 
-    // Kill switch: `ARTISAN_SPARSE=0` must reproduce the default-path
-    // results — bit-identical AnalysisReports on the candidate corpus
-    // (small systems, dense either way by the crossover rule) and
-    // tolerance-identical sweeps on a ladder the auto path solves
-    // sparsely.
-    let saved_sparse_env = std::env::var(artisan_sim::SPARSE_ENV).ok();
-    std::env::remove_var(artisan_sim::SPARSE_ENV);
-    let corpus_reports_on: Vec<Option<artisan_sim::Performance>> = batch_topos
-        .iter()
-        .map(|t| {
-            Simulator::new()
-                .analyze_topology(t)
-                .ok()
-                .map(|r| r.performance)
-        })
-        .collect();
+    // The dim-50 ladder the auto path solves sparsely must sweep to
+    // tolerance-identical results on the forced-dense reference.
     let lad50 = netgen::ladder(50);
-    let auto_on = MnaSystem::new(&lad50).expect("builds");
+    let auto_sys = MnaSystem::new(&lad50).expect("builds");
     assert!(
-        auto_on.is_sparse(),
+        auto_sys.is_sparse(),
         "dim-50 ladder should auto-select sparse"
     );
-    let sweep_on =
-        sweep_with_pool(&auto_on, &sparse_cfg, &ThreadPool::with_workers(1)).expect("sweeps");
-    std::env::set_var(artisan_sim::SPARSE_ENV, "0");
-    let corpus_reports_off: Vec<Option<artisan_sim::Performance>> = batch_topos
-        .iter()
-        .map(|t| {
-            Simulator::new()
-                .analyze_topology(t)
-                .ok()
-                .map(|r| r.performance)
-        })
-        .collect();
-    let auto_off = MnaSystem::new(&lad50).expect("builds");
-    assert!(!auto_off.is_sparse(), "kill switch did not force dense");
-    let sweep_off =
-        sweep_with_pool(&auto_off, &sparse_cfg, &ThreadPool::with_workers(1)).expect("sweeps");
-    match saved_sparse_env {
-        Some(v) => std::env::set_var(artisan_sim::SPARSE_ENV, v),
-        None => std::env::remove_var(artisan_sim::SPARSE_ENV),
-    }
-    assert_eq!(
-        corpus_reports_on, corpus_reports_off,
-        "kill switch changed a candidate-corpus report"
-    );
-    assert_eq!(sweep_on.len(), sweep_off.len());
-    for (a, b) in sweep_on.iter().zip(&sweep_off) {
+    let dense_ref = MnaSystem::with_mode(&lad50, MnaMode::Dense).expect("builds");
+    let one_worker = ThreadPool::with_workers(1);
+    let sweep_auto = sweep_with_pool(&auto_sys, &sparse_cfg, &one_worker).expect("sweeps");
+    let sweep_dense = sweep_with_pool(&dense_ref, &sparse_cfg, &one_worker).expect("sweeps");
+    assert_eq!(sweep_auto.len(), sweep_dense.len());
+    for (a, b) in sweep_auto.iter().zip(&sweep_dense) {
         assert!(
             (a.h - b.h).abs() <= 1e-9 * a.h.abs().max(1e-300),
-            "kill switch drifted the ladder sweep at f = {}: {:?} vs {:?}",
+            "sparse and dense ladder sweeps drift at f = {}: {:?} vs {:?}",
             a.freq,
             a.h,
             b.h
         );
     }
-    let kill_switch_reports_identical = true;
+    let dense_sparse_sweeps_agree = true;
 
     // --- durable session journals: append overhead + crash resume ---
     // The same batch of flaky supervised sessions three ways: detached
@@ -804,54 +774,46 @@ fn main() {
     // Exactly one symbolic factorization per topology: every corner
     // variant adopts the donor's symbolic analysis (same Arc), and all
     // of a grid's numeric refactors flow through that single symbolic's
-    // reuse counter. (Skipped under ARTISAN_SPARSE=0, where dim 50 runs
-    // dense and there is no symbolic to share.)
-    let corner_symbolic_shared = match corner_donor.sparse_symbolic() {
-        Some(donor_symbolic) => {
-            let donor_symbolic = Arc::clone(donor_symbolic);
-            for corner in &corner_points {
-                let scaled = corner.apply(&corner_netlist);
-                let sys = MnaSystem::new_sharing_symbolic(&scaled, &corner_donor)
-                    .expect("corner variant shares the donor symbolic");
-                assert!(
-                    sys.sparse_symbolic()
-                        .is_some_and(|s| Arc::ptr_eq(s, &donor_symbolic)),
-                    "corner {corner:?} grew its own symbolic factorization"
-                );
-            }
-            let factors_before = donor_symbolic.numeric_factor_count();
-            let probe = artisan_sim::corners::evaluate_grid_with_pool(
-                &corner_config,
-                &corner_netlist,
-                corner_cl,
-                nominal_power,
-                &corner_grid,
-                &corner_donor,
-                &corner_pool,
-            );
-            assert!(
-                probe.all_passed(),
-                "default grid failed on the ladder: {probe:?}"
-            );
-            // Early-exit sweeps stop past the unity crossing, so the
-            // exact per-corner solve count is data-dependent; every
-            // corner still factors at least its DC point and the
-            // crossing bracket through the one shared symbolic.
-            let grid_factors = donor_symbolic.numeric_factor_count() - factors_before;
-            assert!(
-                grid_factors >= (corner_count * 4) as u64,
-                "grid numeric work bypassed the shared symbolic: {grid_factors} factors"
-            );
-            true
-        }
-        None => {
-            assert!(
-                !artisan_sim::sparse_enabled_from_env(),
-                "dim-80 donor lost its symbolic with sparse enabled"
-            );
-            false
-        }
-    };
+    // reuse counter.
+    let donor_symbolic = Arc::clone(
+        corner_donor
+            .sparse_symbolic()
+            .expect("dim-80 donor builds sparse"),
+    );
+    for corner in &corner_points {
+        let scaled = corner.apply(&corner_netlist);
+        let sys = MnaSystem::new_sharing_symbolic(&scaled, &corner_donor)
+            .expect("corner variant shares the donor symbolic");
+        assert!(
+            sys.sparse_symbolic()
+                .is_some_and(|s| Arc::ptr_eq(s, &donor_symbolic)),
+            "corner {corner:?} grew its own symbolic factorization"
+        );
+    }
+    let factors_before = donor_symbolic.numeric_factor_count();
+    let probe = artisan_sim::corners::evaluate_grid_with_pool(
+        &corner_config,
+        &corner_netlist,
+        corner_cl,
+        nominal_power,
+        &corner_grid,
+        &corner_donor,
+        &corner_pool,
+    );
+    assert!(
+        probe.all_passed(),
+        "default grid failed on the ladder: {probe:?}"
+    );
+    // Early-exit sweeps stop past the unity crossing, so the
+    // exact per-corner solve count is data-dependent; every
+    // corner still factors at least its DC point and the
+    // crossing bracket through the one shared symbolic.
+    let grid_factors = donor_symbolic.numeric_factor_count() - factors_before;
+    assert!(
+        grid_factors >= (corner_count * 4) as u64,
+        "grid numeric work bypassed the shared symbolic: {grid_factors} factors"
+    );
+    let corner_symbolic_shared = true;
 
     let corner_reps = (reps / 8).max(2);
     let naive_corner_rate = rate(corner_reps, corner_count, || {
@@ -915,32 +877,6 @@ fn main() {
     let warm_wc = warm_corner_report.worst_case.expect("warm verdict");
     assert_eq!(cold_wc, warm_wc, "cached verdict drifted from the cold one");
 
-    // Kill switch: `ARTISAN_CORNERS=0` must reproduce the bare
-    // simulator bit-for-bit — no verdict, no corner billing.
-    let saved_corners_env = std::env::var(artisan_sim::CORNERS_ENV).ok();
-    std::env::set_var(artisan_sim::CORNERS_ENV, "0");
-    let mut off_sim = artisan_sim::CornerSim::from_env(
-        Simulator::with_config(corner_config),
-        corner_grid.clone(),
-    );
-    let off_report = off_sim
-        .analyze_netlist(&corner_netlist)
-        .expect("kill-switch analysis");
-    match saved_corners_env {
-        Some(v) => std::env::set_var(artisan_sim::CORNERS_ENV, v),
-        None => std::env::remove_var(artisan_sim::CORNERS_ENV),
-    }
-    assert!(
-        off_report.worst_case.is_none(),
-        "kill switch leaked a verdict"
-    );
-    assert_eq!(off_sim.ledger().corner_sims(), 0);
-    assert_eq!(
-        off_report.performance, nominal_report.performance,
-        "kill switch changed the nominal report"
-    );
-    let corners_kill_switch_identical = true;
-
     let sparse_rows_json = sparse_rows
         .iter()
         .map(|&(dim, dense_rate, sparse_rate, auto_sparse)| {
@@ -972,7 +908,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1},\n    \"legacy_points_per_sec\": {asm_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"legacy_alloc_points_per_sec\": {solve_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"sweep_threads\": [\n{}\n  ],\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"sparse\": {{\n    \"netlists\": \"behavioural gain ladders (netgen), forced dense vs forced sparse\",\n    \"grid_points\": {},\n    \"dims\": [\n{sparse_rows_json}\n  ],\n    \"speedup_at_dim50\": {speedup_at_dim50:.3},\n    \"hot_loop_allocations\": {hot_loop_allocations},\n    \"numeric_factors_per_sweep\": {hot_loop_factors},\n    \"symbolic_reuse_ok\": true,\n    \"kill_switch_reports_identical\": {kill_switch_reports_identical}\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }},\n  \"corners\": {{\n    \"workload\": \"27-corner default PVT grid, dim-80 loaded ladder, 1e4-1e8 Hz sweep at default density\",\n    \"grid_corners\": {corner_count},\n    \"naive_corner_analyses_per_sec\": {naive_corner_rate:.2},\n    \"engine_corner_evals_per_sec\": {engine_corner_rate:.2},\n    \"speedup_engine_vs_naive\": {corner_speedup:.3},\n    \"corner_symbolic_shared\": {corner_symbolic_shared},\n    \"cold_corner_sims_billed\": {cold_corner_sims},\n    \"warm_corner_sims_billed\": {warm_corner_sims},\n    \"worst_case_identical_cold_vs_warm\": true,\n    \"kill_switch_reports_identical\": {corners_kill_switch_identical}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1},\n    \"legacy_points_per_sec\": {asm_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"legacy_alloc_points_per_sec\": {solve_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"sweep_threads\": [\n{}\n  ],\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"sparse\": {{\n    \"netlists\": \"behavioural gain ladders (netgen), forced dense vs forced sparse\",\n    \"grid_points\": {},\n    \"dims\": [\n{sparse_rows_json}\n  ],\n    \"speedup_at_dim50\": {speedup_at_dim50:.3},\n    \"hot_loop_allocations\": {hot_loop_allocations},\n    \"numeric_factors_per_sweep\": {hot_loop_factors},\n    \"symbolic_reuse_ok\": true,\n    \"dense_sparse_sweeps_agree\": {dense_sparse_sweeps_agree}\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }},\n  \"corners\": {{\n    \"workload\": \"27-corner default PVT grid, dim-80 loaded ladder, 1e4-1e8 Hz sweep at default density\",\n    \"grid_corners\": {corner_count},\n    \"naive_corner_analyses_per_sec\": {naive_corner_rate:.2},\n    \"engine_corner_evals_per_sec\": {engine_corner_rate:.2},\n    \"speedup_engine_vs_naive\": {corner_speedup:.3},\n    \"corner_symbolic_shared\": {corner_symbolic_shared},\n    \"cold_corner_sims_billed\": {cold_corner_sims},\n    \"warm_corner_sims_billed\": {warm_corner_sims},\n    \"worst_case_identical_cold_vs_warm\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
         asm_cached / asm_legacy,
         solve_cached / solve_legacy,

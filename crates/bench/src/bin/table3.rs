@@ -34,9 +34,11 @@
 use artisan_bench::{arg_or, quick_mode};
 use artisan_core::experiment::{ExperimentConfig, RobustnessReport, Table3};
 use artisan_resilience::{expire_terminal, journal_dir_from_env, FaultPlan, Supervisor};
+use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::{AnalysisConfig, SimCache};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn main() {
     let trials: usize = arg_or("--trials", 10);
@@ -85,24 +87,32 @@ fn main() {
         // salt is the default analysis config's salt — the same salt
         // keys the persistent snapshot.
         let salt = config_salt(&AnalysisConfig::default());
-        let (cache, preload) = SimCache::from_env(cache_capacity, salt);
-        if let Some(warning) = &preload.warning {
-            eprintln!("cache snapshot warning: {warning}");
-        }
-        if preload.entries_loaded > 0 {
-            eprintln!(
-                "warm-started from {} cached entries",
-                preload.entries_loaded
-            );
-        }
-        let table = Table3::run_with_cache(&config, Some(std::sync::Arc::clone(&cache)));
-        match cache.save_to_env_dir(salt) {
-            Some(Ok(saved)) => eprintln!(
-                "saved {} cache entries ({} bytes)",
-                saved.entries_saved, saved.bytes
-            ),
-            Some(Err(err)) => eprintln!("cache snapshot save failed: {err}"),
-            None => {}
+        let snapshot = snapshot_dir_from_env().map(|dir| dir.join(SNAPSHOT_FILE));
+        let cache = match &snapshot {
+            Some(path) => {
+                let (cache, preload) = SimCache::load_from(path, cache_capacity, salt);
+                if let Some(warning) = &preload.warning {
+                    eprintln!("cache snapshot warning: {warning}");
+                }
+                if preload.entries_loaded > 0 {
+                    eprintln!(
+                        "warm-started from {} cached entries",
+                        preload.entries_loaded
+                    );
+                }
+                Arc::new(cache)
+            }
+            None => SimCache::shared(cache_capacity),
+        };
+        let table = Table3::run_with_cache(&config, Some(Arc::clone(&cache)));
+        if let Some(path) = &snapshot {
+            match cache.save_to(path, salt) {
+                Ok(saved) => eprintln!(
+                    "saved {} cache entries ({} bytes)",
+                    saved.entries_saved, saved.bytes
+                ),
+                Err(err) => eprintln!("cache snapshot save failed: {err}"),
+            }
         }
         table
     } else {

@@ -183,9 +183,7 @@ pub struct ExperimentConfig {
     /// When set, every trial's backend is wrapped in a [`CornerSim`]
     /// evaluating this PVT grid, so reports carry worst-case verdicts
     /// and supervised validation requires the worst corner to clear the
-    /// spec too. `None` (the default) keeps nominal-only analysis; the
-    /// `ARTISAN_CORNERS=0` kill switch disables the wrapper at runtime
-    /// even when a grid is configured.
+    /// spec too. `None` (the default) keeps nominal-only analysis.
     pub corners: Option<CornerGrid>,
 }
 
@@ -429,7 +427,7 @@ pub fn run_cell_with_cache(
             };
             let cornered: Box<dyn SimBackend> = match &config.corners {
                 Some(grid) if !grid.is_empty() => {
-                    let mut sim = CornerSim::from_env(base, grid.clone());
+                    let mut sim = CornerSim::new(base, grid.clone());
                     if let Some(cache) = cache {
                         sim = sim.with_cache(Arc::clone(cache));
                     }
@@ -844,13 +842,7 @@ mod tests {
         let stats = cached.cache_stats.as_ref().unwrap_or_else(|| {
             panic!("cached run lost its stats");
         });
-        // Under the ARTISAN_SIM_CACHE=0 kill-switch the cached run is a
-        // pure pass-through; the transparency checks below still apply,
-        // but nothing hits and nothing gets cheaper.
-        let enabled = artisan_sim::cache::cache_enabled_from_env();
-        if enabled {
-            assert!(stats.hits > 0, "repeated trials never hit: {stats}");
-        }
+        assert!(stats.hits > 0, "repeated trials never hit: {stats}");
 
         // Same outcomes and metrics, cell for cell: the cache must be
         // observationally transparent.
@@ -887,21 +879,17 @@ mod tests {
             cached_total += b.total_testbed_seconds();
             total_hits += b.total_cache_hits();
         }
-        if enabled {
-            assert!(
-                cached_total < uncached_total,
-                "cached {cached_total} !< uncached {uncached_total}"
-            );
-        }
+        assert!(
+            cached_total < uncached_total,
+            "cached {cached_total} !< uncached {uncached_total}"
+        );
         // Per-trial ledgers agree with the aggregate cache counters.
         assert_eq!(total_hits as u64, stats.hits + stats.coalesced);
 
         // The rendered table surfaces the aggregate and per-cell lines.
         let text = cached.to_string();
         assert!(text.contains("Shared sim cache:"), "{text}");
-        if enabled {
-            assert!(text.contains("cache hit(s)"), "{text}");
-        }
+        assert!(text.contains("cache hit(s)"), "{text}");
     }
 
     #[test]
@@ -988,7 +976,6 @@ mod tests {
 
     #[test]
     fn cornered_cells_attach_worst_case_and_keep_nominal_identity() {
-        use artisan_sim::corners_enabled_from_env;
         // A nominal-only grid is observationally inert: same successes
         // and metrics as the plain cell, with a 1-corner verdict riding
         // on every surviving report.
@@ -1008,19 +995,17 @@ mod tests {
         for (a, b) in plain.trials.iter().zip(&cornered.trials) {
             assert_eq!(a.success, b.success);
             assert_eq!(a.performance.map(|p| p.fom), b.performance.map(|p| p.fom));
-            if corners_enabled_from_env() {
-                let report = b
-                    .session
-                    .as_ref()
-                    .and_then(|s| s.outcome.as_ref())
-                    .and_then(|o| o.report.as_ref())
-                    .unwrap_or_else(|| panic!("cornered trial lost its report"));
-                let wc = report
-                    .worst_case
-                    .unwrap_or_else(|| panic!("no corner verdict on a cornered trial"));
-                assert_eq!(wc.corners, 1);
-                assert_eq!(wc.failing, 0);
-            }
+            let report = b
+                .session
+                .as_ref()
+                .and_then(|s| s.outcome.as_ref())
+                .and_then(|o| o.report.as_ref())
+                .unwrap_or_else(|| panic!("cornered trial lost its report"));
+            let wc = report
+                .worst_case
+                .unwrap_or_else(|| panic!("no corner verdict on a cornered trial"));
+            assert_eq!(wc.corners, 1);
+            assert_eq!(wc.failing, 0);
         }
         // Corner billing can only raise testbed time, never lower it.
         assert!(

@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn batch_design_through_the_cornered_stack_attaches_verdicts() {
         use artisan_math::ThreadPool;
-        use artisan_sim::{corners_enabled_from_env, CachedSim, CornerGrid, CornerSim, SimCache};
+        use artisan_sim::{CachedSim, CornerGrid, CornerSim, SimCache};
         // The corner stack — CornerSim outside the shared report cache —
         // slots into design_batch like any other backend. A nominal-only
         // grid cannot change any validation decision (its worst case IS
@@ -382,7 +382,7 @@ mod tests {
         let cache = SimCache::shared(512);
         let cornered_backends: Vec<CornerSim<CachedSim<Simulator>>> = (0..3)
             .map(|_| {
-                CornerSim::from_env(
+                CornerSim::new(
                     CachedSim::new(Simulator::new(), std::sync::Arc::clone(&cache)),
                     CornerGrid::nominal(),
                 )
@@ -394,21 +394,19 @@ mod tests {
             assert_eq!(a.report.success, b.report.success, "session {}", a.session);
             assert_eq!(a.report.events, b.report.events, "session {}", a.session);
         }
-        if corners_enabled_from_env() {
-            for s in &cornered {
-                assert!(s.backend.grids_evaluated() + s.backend.ledger().cache_hits() > 0);
-                let report = s
-                    .report
-                    .outcome
-                    .as_ref()
-                    .and_then(|o| o.report.as_ref())
-                    .unwrap_or_else(|| panic!("session {} lost its report", s.session));
-                let wc = report
-                    .worst_case
-                    .unwrap_or_else(|| panic!("session {} has no corner verdict", s.session));
-                assert_eq!(wc.corners, 1, "nominal-only grid");
-                assert_eq!(wc.failing, 0);
-            }
+        for s in &cornered {
+            assert!(s.backend.grids_evaluated() + s.backend.ledger().cache_hits() > 0);
+            let report = s
+                .report
+                .outcome
+                .as_ref()
+                .and_then(|o| o.report.as_ref())
+                .unwrap_or_else(|| panic!("session {} lost its report", s.session));
+            let wc = report
+                .worst_case
+                .unwrap_or_else(|| panic!("session {} has no corner verdict", s.session));
+            assert_eq!(wc.corners, 1, "nominal-only grid");
+            assert_eq!(wc.failing, 0);
         }
     }
 

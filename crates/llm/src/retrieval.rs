@@ -3,8 +3,12 @@
 //! The SFT stage's functional payload: after indexing the DesignQA set,
 //! answering a prompter question reduces to retrieving the best-matching
 //! training question and emitting (a perturbed copy of) its answer.
+//!
+//! Every floating-point sum runs in sorted term order, never in hash-map
+//! iteration order, so identical queries score bit-identically across
+//! calls, index builds and processes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A ranked retrieval hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +42,13 @@ pub struct TfIdfIndex {
     /// Normalized tf-idf vectors (built by `finalize`).
     vectors: Vec<HashMap<String, f64>>,
     finalized: bool,
+}
+
+/// Euclidean norm of a term vector, summed in sorted term order.
+fn norm(v: &HashMap<String, f64>) -> f64 {
+    let mut terms: Vec<(&String, &f64)> = v.iter().collect();
+    terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    terms.iter().map(|(_, &x)| x * x).sum::<f64>().sqrt()
 }
 
 fn tokenize(text: &str) -> Vec<String> {
@@ -115,7 +126,7 @@ impl TfIdfIndex {
                         (term.clone(), (1.0 + freq.ln()) * idf)
                     })
                     .collect();
-                let norm = v.values().map(|x| x * x).sum::<f64>().sqrt();
+                let norm = norm(&v);
                 if norm > 0.0 {
                     for x in v.values_mut() {
                         *x /= norm;
@@ -135,7 +146,7 @@ impl TfIdfIndex {
     pub fn query(&self, text: &str, k: usize) -> Vec<Hit> {
         assert!(self.finalized, "finalize the index before querying");
         let n = self.docs.len() as f64;
-        let mut q: HashMap<String, f64> = HashMap::new();
+        let mut q: BTreeMap<String, f64> = BTreeMap::new();
         for w in tokenize(text) {
             *q.entry(w).or_insert(0.0) += 1.0;
         }
@@ -242,6 +253,47 @@ mod tests {
         idx.add_document("a");
         idx.finalize();
         idx.add_document("b");
+    }
+
+    #[test]
+    fn scores_are_bit_identical_across_calls_and_builds() {
+        // Enough distinct terms that hash-order summation would round
+        // differently between maps built with different hash seeds.
+        let words: Vec<String> = (0..40).map(|k| format!("term{k}x")).collect();
+        let build = || {
+            let mut idx = TfIdfIndex::new();
+            for d in 0..12 {
+                let text: Vec<&str> = words
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| (k * 7 + d * 3) % 5 != 0)
+                    .flat_map(|(k, w)| std::iter::repeat_n(w.as_str(), 1 + (k + d) % 4))
+                    .collect();
+                idx.add_document(&text.join(" "));
+            }
+            idx.finalize();
+            idx
+        };
+        let bits = |idx: &TfIdfIndex, query: &str| -> Vec<(usize, u64)> {
+            idx.query(query, 12)
+                .iter()
+                .map(|h| (h.doc_id, h.score.to_bits()))
+                .collect()
+        };
+        let (a, b) = (build(), build());
+        for q in 0..10 {
+            let query: Vec<&str> = words
+                .iter()
+                .skip(q)
+                .step_by(2)
+                .flat_map(|w| std::iter::repeat_n(w.as_str(), 1 + q % 3))
+                .collect();
+            let query = query.join(" ");
+            let first = bits(&a, &query);
+            assert!(!first.is_empty());
+            assert_eq!(first, bits(&a, &query), "same index, query {q}");
+            assert_eq!(first, bits(&b, &query), "second build, query {q}");
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! callers stay deterministic regardless of thread count.
 //!
 //! Worker count comes from `std::thread::available_parallelism()`,
-//! overridable with the `ARTISAN_THREADS` environment variable;
-//! `ARTISAN_THREADS=1` short-circuits to a plain sequential loop (no
-//! threads spawned at all), which test suites use to pin determinism
-//! and CI uses to exercise the fallback path.
+//! overridable with the `ARTISAN_THREADS` environment variable, read
+//! once per process; `ARTISAN_THREADS=1` short-circuits to a plain
+//! sequential loop (no threads spawned at all), which test suites use
+//! to pin determinism and CI uses to exercise the fallback path.
 //!
 //! Work is distributed dynamically: workers pull the next index from a
 //! shared atomic counter, so a slow item (an ill-conditioned solve, a
@@ -32,11 +32,21 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Environment variable overriding the worker count (`1` forces the
 /// sequential fallback).
 pub const THREADS_ENV: &str = "ARTISAN_THREADS";
+
+/// The worker count a [`THREADS_ENV`] value asks for: a positive
+/// integer, or `None` (unset, zero or unparseable) to use the machine's
+/// available parallelism.
+fn parse_workers(value: Option<&str>) -> Option<usize> {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+}
 
 /// A fixed-width scoped-thread pool for order-preserving parallel maps.
 ///
@@ -53,13 +63,14 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// A pool sized from the environment: `ARTISAN_THREADS` when set to
     /// a positive integer, otherwise the machine's available
-    /// parallelism (1 when that cannot be determined).
+    /// parallelism (1 when that cannot be determined). Both are read
+    /// once per process, on the first call.
     pub fn from_env() -> Self {
-        let workers = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()));
+        static WORKERS: OnceLock<usize> = OnceLock::new();
+        let workers = *WORKERS.get_or_init(|| {
+            parse_workers(std::env::var(THREADS_ENV).ok().as_deref())
+                .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+        });
         ThreadPool { workers }
     }
 
@@ -231,17 +242,21 @@ mod tests {
     }
 
     #[test]
-    fn env_override_controls_from_env() {
-        // Serialized within this test: set, read, restore.
-        let prior = std::env::var(THREADS_ENV).ok();
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(ThreadPool::from_env().workers(), 3);
-        std::env::set_var(THREADS_ENV, "not-a-number");
-        assert!(ThreadPool::from_env().workers() >= 1);
-        match prior {
-            Some(v) => std::env::set_var(THREADS_ENV, v),
-            None => std::env::remove_var(THREADS_ENV),
+    fn worker_override_parses_positive_integers_only() {
+        assert_eq!(parse_workers(Some("3")), Some(3));
+        assert_eq!(parse_workers(Some("1")), Some(1));
+        for ignored in [
+            None,
+            Some("0"),
+            Some("not-a-number"),
+            Some(""),
+            Some("-2"),
+            Some(" 4"),
+        ] {
+            assert_eq!(parse_workers(ignored), None, "{ignored:?}");
         }
+        assert!(ThreadPool::from_env().workers() >= 1);
+        assert_eq!(ThreadPool::from_env(), ThreadPool::from_env());
     }
 
     #[test]

@@ -60,9 +60,10 @@
 //! truncation above is belt-and-braces for filesystems that weaken the
 //! rename guarantee under power loss.
 //!
-//! # Environment wiring
+//! # Directory wiring
 //!
-//! When [`JOURNAL_DIR_ENV`] (`ARTISAN_JOURNAL_DIR`) names a directory,
+//! Binaries read [`JOURNAL_DIR_ENV`] (`ARTISAN_JOURNAL_DIR`) once at
+//! entry through [`journal_dir_from_env`] and pass the directory down;
 //! batch runners keep one journal file per session under it, named
 //! [`session_file_name`]`(plan_fingerprint, seed)` — deterministic, so
 //! a restarted process reopens exactly the files its predecessor wrote.
@@ -110,7 +111,7 @@ const RECORD_TERMINAL: u8 = 2;
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The journal directory named by [`JOURNAL_DIR_ENV`], if set (and
-/// non-empty).
+/// non-empty). For binaries to call once at entry.
 pub fn journal_dir_from_env() -> Option<PathBuf> {
     match std::env::var(JOURNAL_DIR_ENV) {
         Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),

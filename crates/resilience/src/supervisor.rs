@@ -193,8 +193,9 @@ impl fmt::Display for SessionReport {
     }
 }
 
-/// Runs design sessions under retry and budget control.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Runs design sessions under retry and budget control; the default
+/// uses the default policies, budget and cost model.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Supervisor {
     /// Retry/backoff policy.
     pub retry: RetryPolicy,
@@ -202,20 +203,6 @@ pub struct Supervisor {
     pub budget: SessionBudget,
     /// Cost model used to project and report testbed seconds.
     pub cost_model: CostModel,
-}
-
-impl Default for Supervisor {
-    /// Default policies and budget with the environment-aware cost
-    /// model, so `ARTISAN_CACHE_HIT_SECONDS` reaches every supervised
-    /// session without plumbing. The environment is constant within a
-    /// process, so replay determinism is unaffected.
-    fn default() -> Self {
-        Supervisor {
-            retry: RetryPolicy::default(),
-            budget: SessionBudget::default(),
-            cost_model: CostModel::from_env(),
-        }
-    }
 }
 
 /// Worst-case cost of one design attempt under `config`: every

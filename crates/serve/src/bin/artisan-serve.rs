@@ -8,7 +8,8 @@
 //!               [--journal-expire-secs S]
 //! ```
 //!
-//! Flags override the `ARTISAN_SERVE_*` environment. The daemon prints
+//! Flags override the `ARTISAN_SERVE_*` environment; a malformed
+//! setting exits with status 2 and a message naming it. The daemon prints
 //! the bound address on stdout (`listening on <addr>`) and serves
 //! until either a client sends a `drain` frame or stdin reaches EOF —
 //! the portable stand-in for SIGTERM in a std-only binary; process
@@ -34,7 +35,13 @@ fn flag(name: &str) -> bool {
 }
 
 fn main() {
-    let mut config = ServerConfig::from_env();
+    let mut config = match ServerConfig::from_env() {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("artisan-serve: {e}");
+            std::process::exit(2);
+        }
+    };
     config.addr = arg_or("--addr", config.addr);
     config.max_inflight = arg_or("--max-inflight", config.max_inflight);
     config.batch_window = Duration::from_millis(arg_or(

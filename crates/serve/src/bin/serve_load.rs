@@ -366,11 +366,9 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // A/B comparison mode. The bench must be hermetic: a populated
-    // journal dir or cache snapshot would let one leg fast-forward
-    // work the other leg performs, voiding the comparison.
-    std::env::remove_var(artisan_resilience::journal::JOURNAL_DIR_ENV);
-    std::env::remove_var("ARTISAN_SIM_CACHE_DIR");
+    // A/B comparison mode. Both legs run default, hermetic servers: a
+    // journal dir or cache snapshot would let one leg fast-forward work
+    // the other leg performs, voiding the comparison.
 
     // The batching win is deterministic (the same jobs dedup the same
     // way every run — the stats pin that), but wall-clock on a shared

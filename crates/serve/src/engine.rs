@@ -36,7 +36,7 @@ use artisan_sim::{
     AnalysisConfig, AnalysisReport, NetlistFingerprint, Result, SimBackend, SimCache, SimError,
     Simulator,
 };
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -87,6 +87,12 @@ impl Slot {
         })
     }
 
+    fn filled(value: Result<AnalysisReport>) -> Arc<Slot> {
+        let slot = Slot::new();
+        slot.fill(value);
+        slot
+    }
+
     fn fill(&self, value: Result<AnalysisReport>) {
         let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
         *guard = Some(value);
@@ -132,8 +138,12 @@ impl EngineShared {
         }
     }
 
+    /// Submits one job; see [`EngineShared::submit_many`].
     fn submit(&self, item: WorkItem) -> Arc<Slot> {
-        self.submit_many(vec![item]).pop().unwrap_or_else(Slot::new)
+        let mut pending = Vec::new();
+        let slot = self.admit(item, &mut pending);
+        self.enqueue(1, pending);
+        slot
     }
 
     /// Submits a set of jobs atomically: cache hits are answered at
@@ -143,27 +153,45 @@ impl EngineShared {
     /// lock, so the batcher sees a whole sweep at once instead of
     /// nibbling it into lease-width micro-batches. A job that misses
     /// here may still hit the cache at drain time if a leader's batch
-    /// completes while it queues — single-flight either way.
-    fn submit_many(&self, items: Vec<WorkItem>) -> Vec<Arc<Slot>> {
-        let mut slots = Vec::with_capacity(items.len());
+    /// completes while it queues — single-flight either way. `Err`
+    /// items were rejected before submission; their slots carry the
+    /// rejection and never reach the engine's counters.
+    fn submit_many(&self, items: Vec<Result<WorkItem>>) -> Vec<Arc<Slot>> {
         let mut pending = Vec::new();
-        let mut served = 0u64;
-        for item in items {
-            let slot = Slot::new();
-            let key = self.fingerprint(&item);
-            let cached = key.and_then(|fp| self.cache.get(fp));
-            if let Some(report) = cached {
-                served += 1;
-                slot.fill(Ok(report));
-            } else {
-                pending.push(Job {
-                    item,
-                    key,
-                    slot: Arc::clone(&slot),
-                });
-            }
-            slots.push(slot);
+        let mut admitted = 0;
+        let slots = items
+            .into_iter()
+            .map(|item| match item {
+                Ok(item) => {
+                    admitted += 1;
+                    self.admit(item, &mut pending)
+                }
+                Err(rejection) => Slot::filled(Err(rejection)),
+            })
+            .collect();
+        self.enqueue(admitted, pending);
+        slots
+    }
+
+    /// Answers `item` from the cache now, or adds its job to `pending`.
+    fn admit(&self, item: WorkItem, pending: &mut Vec<Job>) -> Arc<Slot> {
+        let key = self.fingerprint(&item);
+        if let Some(report) = key.and_then(|fp| self.cache.get(fp)) {
+            return Slot::filled(Ok(report));
         }
+        let slot = Slot::new();
+        pending.push(Job {
+            item,
+            key,
+            slot: Arc::clone(&slot),
+        });
+        slot
+    }
+
+    /// Counts the `admitted` jobs not in `pending` as cache-served and
+    /// queues the rest under one lock.
+    fn enqueue(&self, admitted: usize, pending: Vec<Job>) {
+        let served = (admitted - pending.len()) as u64;
         if served > 0 {
             let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
             stats.jobs += served;
@@ -174,7 +202,6 @@ impl EngineShared {
             queue.extend(pending);
             self.arrived.notify_all();
         }
-        slots
     }
 }
 
@@ -308,14 +335,16 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
     let mut cache_served = 0u64;
     let mut dedup_shared = 0u64;
 
-    // Unique work groups in arrival order: the computation for each
-    // group feeds every slot that coalesced onto it.
+    // Unique work groups in arrival order, indexed by fingerprint: the
+    // computation for each group feeds every slot that coalesced onto
+    // it.
     struct Group {
         key: Option<NetlistFingerprint>,
         item: WorkItem,
         slots: Vec<Arc<Slot>>,
     }
     let mut groups: Vec<Group> = Vec::new();
+    let mut group_of: HashMap<NetlistFingerprint, usize> = HashMap::new();
     for job in batch {
         let key = job.key;
         if let Some(fp) = key {
@@ -324,11 +353,12 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
                 job.slot.fill(Ok(report));
                 continue;
             }
-            if let Some(group) = groups.iter_mut().find(|g| g.key == Some(fp)) {
+            if let Some(&g) = group_of.get(&fp) {
                 dedup_shared += 1;
-                group.slots.push(job.slot);
+                groups[g].slots.push(job.slot);
                 continue;
             }
+            group_of.insert(fp, groups.len());
         }
         groups.push(Group {
             key,
@@ -336,42 +366,12 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
             slots: vec![job.slot],
         });
     }
-
-    // Split unique survivors: topologies fan out through the batch
-    // API (amortized pool + shared sweep machinery), netlists run
-    // individually (rare path — only RemoteSim sends them).
-    let topo_indices: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| matches!(g.item, WorkItem::Topo(_)))
-        .map(|(i, _)| i)
-        .collect();
-    let topos: Vec<Topology> = topo_indices
-        .iter()
-        .filter_map(|&i| match &groups[i].item {
-            WorkItem::Topo(t) => Some(t.clone()),
-            WorkItem::Net(_) => None,
-        })
-        .collect();
     let unique_computed = groups.len() as u64;
-    let topo_results = sim.analyze_batch_with_pool(&topos, pool);
 
-    let mut results: Vec<Option<Result<AnalysisReport>>> = vec![None; groups.len()];
-    for (&group_idx, result) in topo_indices.iter().zip(topo_results) {
-        results[group_idx] = Some(result);
-    }
-    for (i, group) in groups.iter().enumerate() {
-        if results[i].is_none() {
-            if let WorkItem::Net(netlist) = &group.item {
-                results[i] = Some(sim.analyze_netlist(netlist));
-            }
-        }
-    }
-
-    for (group, result) in groups.iter().zip(results) {
-        let result = result.unwrap_or(Err(SimError::NoUnityCrossing));
-        // Only finite successes are cacheable — the same rule the
-        // caching tier applies everywhere.
+    // Feeds one group's result to its slots and, when it is a finite
+    // success, to the shared cache — the same rule the caching tier
+    // applies everywhere.
+    let settle = |group: &Group, result: Result<AnalysisReport>| {
         if let (Some(fp), Ok(report)) = (&group.key, &result) {
             if report.performance.is_finite() {
                 shared.cache.insert(*fp, report.clone());
@@ -379,6 +379,28 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
         }
         for slot in &group.slots {
             slot.fill(result.clone());
+        }
+    };
+
+    // Topologies fan out through the batch API (amortized pool +
+    // shared sweep machinery), one result per topology in order;
+    // netlists run individually (rare path — only RemoteSim sends
+    // them).
+    let topo_groups: Vec<(&Group, &Topology)> = groups
+        .iter()
+        .filter_map(|g| match &g.item {
+            WorkItem::Topo(t) => Some((g, t)),
+            WorkItem::Net(_) => None,
+        })
+        .collect();
+    let topos: Vec<Topology> = topo_groups.iter().map(|(_, t)| (*t).clone()).collect();
+    let topo_results = sim.analyze_batch_with_pool(&topos, pool);
+    for ((group, _), result) in topo_groups.into_iter().zip(topo_results) {
+        settle(group, result);
+    }
+    for group in &groups {
+        if let WorkItem::Net(netlist) = &group.item {
+            settle(group, sim.analyze_netlist(netlist));
         }
     }
 
@@ -417,42 +439,34 @@ impl EngineBackend {
     /// inline and never billed, mirroring the single-item paths; valid
     /// items are billed up front like `analyze_batch`.
     pub fn analyze_items(&mut self, items: Vec<WorkItem>) -> Vec<Result<AnalysisReport>> {
-        let mut out: Vec<Option<Result<AnalysisReport>>> = Vec::with_capacity(items.len());
-        let mut valid = Vec::new();
-        let mut valid_at = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            let reject = match &item {
-                WorkItem::Topo(t) => t
-                    .elaborate()
-                    .err()
-                    .map(|e| SimError::BadNetlist(e.to_string().into())),
-                WorkItem::Net(n) => n
-                    .find("CL")
-                    .is_none()
-                    .then(|| SimError::BadNetlist("netlist has no CL load element".into())),
-            };
-            match reject {
-                Some(err) => out.push(Some(Err(err))),
-                None => {
-                    self.ledger.record_simulation();
-                    valid.push(item);
-                    valid_at.push(i);
-                    out.push(None);
+        let checked: Vec<Result<WorkItem>> = items
+            .into_iter()
+            .map(|item| {
+                let reject = match &item {
+                    WorkItem::Topo(t) => t
+                        .elaborate()
+                        .err()
+                        .map(|e| SimError::BadNetlist(e.to_string().into())),
+                    WorkItem::Net(n) => n
+                        .find("CL")
+                        .is_none()
+                        .then(|| SimError::BadNetlist("netlist has no CL load element".into())),
+                };
+                match reject {
+                    Some(err) => Err(err),
+                    None => {
+                        self.ledger.record_simulation();
+                        Ok(item)
+                    }
                 }
-            }
-        }
-        if !valid.is_empty() {
-            self.ledger.record_batched_solves(valid.len() as u64);
-            let slots = self.shared.submit_many(valid);
-            for (i, slot) in valid_at.into_iter().zip(slots) {
-                out[i] = Some(slot.wait());
-            }
-        }
-        out.into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| Err(SimError::BadNetlist("batch item lost its result".into())))
             })
-            .collect()
+            .collect();
+        let valid = checked.iter().filter(|c| c.is_ok()).count();
+        if valid > 0 {
+            self.ledger.record_batched_solves(valid as u64);
+        }
+        let slots = self.shared.submit_many(checked);
+        slots.iter().map(|slot| slot.wait()).collect()
     }
 }
 
@@ -484,7 +498,10 @@ impl SimBackend for EngineBackend {
             self.ledger.record_simulation();
         }
         self.ledger.record_batched_solves(topos.len() as u64);
-        let items: Vec<WorkItem> = topos.iter().map(|t| WorkItem::Topo(t.clone())).collect();
+        let items = topos
+            .iter()
+            .map(|t| Ok(WorkItem::Topo(t.clone())))
+            .collect();
         let slots = self.shared.submit_many(items);
         slots.iter().map(|slot| slot.wait()).collect()
     }

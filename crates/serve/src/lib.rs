@@ -21,10 +21,11 @@
 //! std-only stand-in for SIGTERM) and `serve_load` (the load
 //! generator behind `BENCH_serve.json`).
 //!
-//! Environment: `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT`,
-//! `ARTISAN_SERVE_BATCH_WINDOW_MS` (see [`server::ServerConfig`]),
-//! plus the workspace-wide `ARTISAN_SIM_CACHE_DIR` /
-//! `ARTISAN_JOURNAL_DIR` for drain persistence.
+//! A server reads no environment variables except the thread pool's
+//! one-time `ARTISAN_THREADS`. The `artisan-serve` daemon reads `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT`,
+//! `ARTISAN_SERVE_BATCH_WINDOW_MS` and the workspace-wide
+//! `ARTISAN_SIM_CACHE_DIR` / `ARTISAN_JOURNAL_DIR` once at entry
+//! ([`server::ServerConfig::from_env`]) and passes them down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,9 +19,18 @@
 //! On a [`Request::Drain`] frame (or stdin EOF in the daemon — the
 //! std-only stand-in for SIGTERM), the server stops admitting, waits
 //! for in-flight sessions to finish, shuts the batch engine down,
-//! snapshots the shared cache via `save_to_env_dir` (the `table3`
-//! warm-start namespace), expires terminal journals when configured,
-//! and only then answers with the final counters and stops accepting.
+//! snapshots the shared cache into [`ServerConfig::cache_dir`] (the
+//! `table3` warm-start namespace), expires terminal journals when
+//! configured, and only then answers with the final counters and stops
+//! accepting.
+//!
+//! ## Configuration
+//!
+//! Apart from the thread pool's one-time `ARTISAN_THREADS` read, a
+//! server reads nothing from the process environment: everything comes
+//! in through [`ServerConfig`], whose default is hermetic (no cache
+//! snapshot, no journals). Binaries build it with
+//! [`ServerConfig::from_env`].
 
 use crate::engine::BatchEngine;
 use crate::proto::{
@@ -33,6 +42,7 @@ use artisan_resilience::journal::{
     SessionJournal,
 };
 use artisan_resilience::{SessionReport, Supervisor};
+use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::wire::fnv1a64;
 use artisan_sim::{AnalysisConfig, SimCache, Simulator};
@@ -51,13 +61,6 @@ pub const ADDR_ENV: &str = "ARTISAN_SERVE_ADDR";
 pub const MAX_INFLIGHT_ENV: &str = "ARTISAN_SERVE_MAX_INFLIGHT";
 /// Batching coalescing window, in milliseconds.
 pub const BATCH_WINDOW_ENV: &str = "ARTISAN_SERVE_BATCH_WINDOW_MS";
-
-fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Everything that shapes a server instance.
 #[derive(Debug, Clone)]
@@ -81,6 +84,12 @@ pub struct ServerConfig {
     pub tenant_testbed_budget: f64,
     /// Expire terminal journals older than this during drain.
     pub journal_expire: Option<Duration>,
+    /// Directory of the persistent cache snapshot: loaded at start,
+    /// written back on drain. `None` keeps the cache in memory only.
+    pub cache_dir: Option<PathBuf>,
+    /// Directory of the per-session write-ahead journals. `None` runs
+    /// sessions unjournaled.
+    pub journal_dir: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -95,24 +104,59 @@ impl Default for ServerConfig {
             tenant_max_inflight: 8,
             tenant_testbed_budget: f64::INFINITY,
             journal_expire: None,
+            cache_dir: None,
+            journal_dir: None,
         }
     }
 }
 
 impl ServerConfig {
-    /// Reads `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT`, and
-    /// `ARTISAN_SERVE_BATCH_WINDOW_MS` over the defaults.
-    pub fn from_env() -> Self {
+    /// The defaults overridden by `ARTISAN_SERVE_ADDR`,
+    /// `ARTISAN_SERVE_MAX_INFLIGHT`, `ARTISAN_SERVE_BATCH_WINDOW_MS`,
+    /// `ARTISAN_SIM_CACHE_DIR` and `ARTISAN_JOURNAL_DIR`. For binaries
+    /// to call once at entry.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when `ARTISAN_SERVE_MAX_INFLIGHT`
+    /// or `ARTISAN_SERVE_BATCH_WINDOW_MS` is not a non-negative
+    /// integer.
+    pub fn from_env() -> Result<Self, String> {
+        Ok(ServerConfig {
+            cache_dir: snapshot_dir_from_env(),
+            journal_dir: journal_dir_from_env(),
+            ..Self::from_lookup(|key| std::env::var(key).ok())?
+        })
+    }
+
+    /// The defaults overridden by the `ARTISAN_SERVE_*` settings that
+    /// `lookup` returns for each variable name; errors as
+    /// [`ServerConfig::from_env`].
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let defaults = ServerConfig::default();
-        ServerConfig {
-            addr: std::env::var(ADDR_ENV).unwrap_or(defaults.addr),
-            max_inflight: env_parse(MAX_INFLIGHT_ENV, defaults.max_inflight),
-            batch_window: Duration::from_millis(env_parse(
-                BATCH_WINDOW_ENV,
-                defaults.batch_window.as_millis() as u64,
-            )),
+        let window_ms = defaults.batch_window.as_millis() as u64;
+        Ok(ServerConfig {
+            addr: lookup(ADDR_ENV).unwrap_or(defaults.addr),
+            max_inflight: parse_count(MAX_INFLIGHT_ENV, &lookup, defaults.max_inflight)?,
+            batch_window: Duration::from_millis(parse_count(BATCH_WINDOW_ENV, &lookup, window_ms)?),
             ..defaults
-        }
+        })
+    }
+}
+
+/// The non-negative integer `lookup` returns for `key`, or `default`
+/// when it returns nothing.
+fn parse_count<T: std::str::FromStr>(
+    key: &str,
+    lookup: &impl Fn(&str) -> Option<String>,
+    default: T,
+) -> Result<T, String> {
+    match lookup(key) {
+        None => Ok(default),
+        Some(raw) => raw
+            .trim()
+            .parse()
+            .map_err(|_| format!("{key}={raw:?} is not a non-negative integer")),
     }
 }
 
@@ -128,7 +172,6 @@ struct ServerShared {
     cache: Arc<SimCache>,
     engine: Option<BatchEngine>,
     supervisor: Supervisor,
-    journal_dir: Option<PathBuf>,
     inflight: AtomicUsize,
     draining: AtomicBool,
     stop: AtomicBool,
@@ -223,15 +266,22 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        // Warm-start from the persistent snapshot when
-        // `ARTISAN_SIM_CACHE_DIR` is set — the same namespace the
-        // drain-time `save_to_env_dir` writes, so a restarted server
-        // serves its previous lifetime's work from cache.
-        let salt = config_salt(&AnalysisConfig::default());
-        let (cache, loaded) = SimCache::from_env(config.cache_capacity, salt);
-        if let Some(warning) = &loaded.warning {
-            eprintln!("serve: {warning}");
-        }
+        // Warm-start from the persistent snapshot when a cache dir is
+        // configured — the same namespace the drain-time save writes,
+        // so a restarted server serves its previous lifetime's work
+        // from cache.
+        let cache = match &config.cache_dir {
+            Some(dir) => {
+                let salt = config_salt(&AnalysisConfig::default());
+                let (cache, loaded) =
+                    SimCache::load_from(&dir.join(SNAPSHOT_FILE), config.cache_capacity, salt);
+                if let Some(warning) = &loaded.warning {
+                    eprintln!("serve: {warning}");
+                }
+                Arc::new(cache)
+            }
+            None => SimCache::shared(config.cache_capacity),
+        };
         let engine = config
             .batching
             .then(|| BatchEngine::start(Arc::clone(&cache), config.batch_window, config.max_batch));
@@ -240,7 +290,6 @@ impl Server {
             cache,
             engine,
             supervisor: Supervisor::default(),
-            journal_dir: journal_dir_from_env(),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
@@ -468,7 +517,7 @@ fn run_session(
     // Journal identity: the plan fingerprint folds the tenant name, so
     // identical (spec, seed) sessions from different tenants never
     // share a WAL file.
-    let mut journal = match &shared.journal_dir {
+    let mut journal = match &shared.config.journal_dir {
         Some(dir) => {
             let salt = agent_config_salt(&AgentConfig::noiseless()) ^ fnv1a64(tenant.as_bytes());
             let fp = plan_fingerprint(spec, &shared.supervisor, salt);
@@ -503,14 +552,16 @@ fn run_drain(shared: &Arc<ServerShared>) -> Response {
     // only shrink); final counters are read after the flush.
     let stats = shared.stats();
     // Snapshot the shared cache into the persistent warm-start
-    // namespace, when `ARTISAN_SIM_CACHE_DIR` is set.
-    let salt = config_salt(&AnalysisConfig::default());
-    if let Some(Err(e)) = shared.cache.save_to_env_dir(salt) {
-        eprintln!("drain: cache snapshot failed: {e}");
+    // namespace, when a cache dir is configured.
+    if let Some(dir) = &shared.config.cache_dir {
+        let salt = config_salt(&AnalysisConfig::default());
+        if let Err(e) = shared.cache.save_to(&dir.join(SNAPSHOT_FILE), salt) {
+            eprintln!("drain: cache snapshot failed: {e}");
+        }
     }
     // Journal janitor: terminal sessions older than the configured age
     // are garbage once their results shipped.
-    if let (Some(dir), Some(age)) = (&shared.journal_dir, shared.config.journal_expire) {
+    if let (Some(dir), Some(age)) = (&shared.config.journal_dir, shared.config.journal_expire) {
         match expire_terminal(dir, age) {
             Ok(outcome) => eprintln!(
                 "drain: journal janitor expired {} of {} terminal journals",
@@ -541,5 +592,49 @@ fn wire_report_of(report: &SessionReport) -> WireReport {
             report: o.report.clone(),
             netlist_text: o.netlist_text.clone(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lookup<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| (*v).to_string())
+        }
+    }
+
+    #[test]
+    fn settings_override_the_defaults() {
+        let config = ServerConfig::from_lookup(lookup(&[
+            (ADDR_ENV, "127.0.0.1:7070"),
+            (MAX_INFLIGHT_ENV, " 4 "),
+            (BATCH_WINDOW_ENV, "0"),
+        ]))
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(config.addr, "127.0.0.1:7070");
+        assert_eq!(config.max_inflight, 4);
+        assert_eq!(config.batch_window, Duration::ZERO);
+        let unset = ServerConfig::from_lookup(lookup(&[])).unwrap_or_else(|e| panic!("{e}"));
+        let defaults = ServerConfig::default();
+        assert_eq!(unset.addr, defaults.addr);
+        assert_eq!(unset.max_inflight, defaults.max_inflight);
+        assert_eq!(unset.batch_window, defaults.batch_window);
+        assert!(unset.cache_dir.is_none() && unset.journal_dir.is_none());
+    }
+
+    #[test]
+    fn malformed_counts_are_errors_naming_the_variable() {
+        for key in [MAX_INFLIGHT_ENV, BATCH_WINDOW_ENV] {
+            for bad in ["", "many", "-1", "2.5"] {
+                let err = ServerConfig::from_lookup(lookup(&[(key, bad)]))
+                    .err()
+                    .unwrap_or_else(|| panic!("{key}={bad:?} was accepted"));
+                assert!(err.contains(key), "{err}");
+            }
+        }
     }
 }

@@ -194,11 +194,7 @@ fn wire_report_matches_solo(context: &str, wire: &WireReport, solo: &SessionRepo
 
 #[test]
 fn batched_server_matches_solo_runs_over_tcp() {
-    // Hermetic: no journaling, no cache snapshot loading (edition 2021,
-    // single-process test — set/remove_var are safe).
-    std::env::remove_var("ARTISAN_JOURNAL_DIR");
-    std::env::remove_var("ARTISAN_SIM_CACHE_DIR");
-
+    // The default config is hermetic: no journaling, no cache snapshot.
     let mut server = Server::start(ServerConfig::default()).unwrap_or_else(|e| panic!("{e}"));
     let addr = server.addr();
 

@@ -46,10 +46,7 @@
 //! cross-session timing, so per-session ledger splits are only
 //! deterministic with per-session caches (or one worker).
 //!
-//! The `ARTISAN_SIM_CACHE` environment variable (`0`/`false`/`off`)
-//! disables caching for wrappers built with [`CachedSim::from_env`] or
-//! [`CachedSim::for_simulator`]; CI runs a leg with the cache off to
-//! catch cached/uncached divergence.
+//! To run without the cache, do not stack the wrapper.
 //!
 //! # Single-flight miss coalescing
 //!
@@ -76,10 +73,9 @@
 //! # Persistence
 //!
 //! [`persist`] adds a versioned, checksummed, atomically-written binary
-//! snapshot format (`SimCache::save_to` / `SimCache::load_from`) plus
-//! `ARTISAN_SIM_CACHE_DIR` wiring so repeated process invocations
-//! warm-start from disk. See the module docs for the format and the
-//! invalidation rules.
+//! snapshot format (`SimCache::save_to` / `SimCache::load_from`) so
+//! repeated process invocations warm-start from disk. See the module
+//! docs for the format and the invalidation rules.
 
 pub mod persist;
 
@@ -94,21 +90,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Environment variable that disables the simulation cache when set to
-/// `0`, `false`, `off`, or `no` (case-insensitive).
-pub const CACHE_ENV: &str = "ARTISAN_SIM_CACHE";
-
-/// Whether the environment enables the simulation cache (the default).
-pub fn cache_enabled_from_env() -> bool {
-    match std::env::var(CACHE_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// Number of independently locked shards. Fingerprints are uniformly
 /// mixed, so lane-0 modulo the shard count spreads keys evenly; 16
@@ -627,30 +608,17 @@ pub struct CachedSim<B> {
     inner: B,
     cache: Arc<SimCache>,
     salt: u64,
-    enabled: bool,
 }
 
 impl<B: SimBackend> CachedSim<B> {
-    /// Wraps `inner` with caching unconditionally enabled and salt 0.
-    /// Use [`CachedSim::with_salt`] (or a dedicated cache) when sharing
-    /// one cache across differently-configured inner backends.
+    /// Wraps `inner` with salt 0. Use [`CachedSim::with_salt`] (or a
+    /// dedicated cache) when sharing one cache across
+    /// differently-configured inner backends.
     pub fn new(inner: B, cache: Arc<SimCache>) -> Self {
         CachedSim {
             inner,
             cache,
             salt: 0,
-            enabled: true,
-        }
-    }
-
-    /// Wraps `inner`, honouring the [`CACHE_ENV`] kill-switch: with
-    /// `ARTISAN_SIM_CACHE=0` every call passes straight through to the
-    /// inner backend. Production entry points use this constructor so
-    /// one environment variable can rule the cache out of any run.
-    pub fn from_env(inner: B, cache: Arc<SimCache>) -> Self {
-        CachedSim {
-            enabled: cache_enabled_from_env(),
-            ..CachedSim::new(inner, cache)
         }
     }
 
@@ -660,12 +628,6 @@ impl<B: SimBackend> CachedSim<B> {
     pub fn with_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
         self
-    }
-
-    /// Whether lookups/insertions are active (false only under the
-    /// [`CACHE_ENV`] kill-switch).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Borrow of the inner backend.
@@ -750,21 +712,17 @@ fn cacheable(result: &Result<AnalysisReport>) -> Option<AnalysisReport> {
 }
 
 impl CachedSim<Simulator> {
-    /// Wraps a [`Simulator`] with the environment-gated cache, salting
-    /// fingerprints with a digest of the simulator's analysis
-    /// configuration — the supported way to share one cache across
-    /// simulators that may have different configs.
+    /// Wraps a [`Simulator`], salting fingerprints with a digest of the
+    /// simulator's analysis configuration — the supported way to share
+    /// one cache across simulators that may have different configs.
     pub fn for_simulator(sim: Simulator, cache: Arc<SimCache>) -> Self {
         let salt = config_salt(sim.config());
-        CachedSim::from_env(sim, cache).with_salt(salt)
+        CachedSim::new(sim, cache).with_salt(salt)
     }
 }
 
 impl<B: SimBackend> SimBackend for CachedSim<B> {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        if !self.enabled {
-            return self.inner.analyze_topology(topo);
-        }
         // A non-elaborating topology has no identity; it takes the real
         // error path (and is billed there) every time.
         let Some(fp) = NetlistFingerprint::of_topology(topo) else {
@@ -775,17 +733,11 @@ impl<B: SimBackend> SimBackend for CachedSim<B> {
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        if !self.enabled {
-            return self.inner.analyze_netlist(netlist);
-        }
         let fp = NetlistFingerprint::of_netlist(netlist).with_salt(self.salt);
         self.coalesced_analyze(fp, |inner| inner.analyze_netlist(netlist))
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        if !self.enabled {
-            return self.inner.analyze_batch(topos);
-        }
         // Partition hits from misses, forward the misses as one smaller
         // batch (keeping the inner backend's parallel fan-out), then
         // merge in input order. Duplicate misses within one batch are
@@ -983,38 +935,6 @@ mod tests {
         small.insert(keys[0], report.clone());
         small.insert(keys[1], report.clone());
         assert!(small.get(keys[0]).is_none() || small.get(keys[1]).is_none());
-    }
-
-    #[test]
-    fn kill_switch_disables_lookup_and_insert() {
-        let mut sim = cached();
-        sim.enabled = false;
-        let topo = Topology::nmc_example();
-        sim.analyze_topology(&topo)
-            .unwrap_or_else(|e| panic!("{e}"));
-        sim.analyze_topology(&topo)
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(sim.ledger().simulations(), 2);
-        assert_eq!(sim.ledger().cache_hits(), 0);
-        assert!(sim.cache().is_empty());
-    }
-
-    #[test]
-    fn env_gate_parses_disabling_values() {
-        // Serialized within this one test: set, read, restore.
-        let prior = std::env::var(CACHE_ENV).ok();
-        for off in ["0", "false", "OFF", " no "] {
-            std::env::set_var(CACHE_ENV, off);
-            assert!(!cache_enabled_from_env(), "{off:?} should disable");
-        }
-        for on in ["1", "true", "anything-else"] {
-            std::env::set_var(CACHE_ENV, on);
-            assert!(cache_enabled_from_env(), "{on:?} should enable");
-        }
-        match prior {
-            Some(v) => std::env::set_var(CACHE_ENV, v),
-            None => std::env::remove_var(CACHE_ENV),
-        }
     }
 
     #[test]

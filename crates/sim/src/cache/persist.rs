@@ -49,12 +49,13 @@
 //! (or a concurrent saver) only ever observes either the old complete
 //! snapshot or the new complete snapshot — never a partial file.
 //!
-//! # Environment wiring
+//! # Directory wiring
 //!
-//! When [`CACHE_DIR_ENV`] (`ARTISAN_SIM_CACHE_DIR`) names a directory,
-//! [`SimCache::from_env`] loads `<dir>/artisan-sim-cache.bin` (empty
-//! cache when absent) and [`SimCache::save_to_env_dir`] writes it back,
-//! giving experiment runners cross-process warm starts with two calls.
+//! Binaries read [`CACHE_DIR_ENV`] (`ARTISAN_SIM_CACHE_DIR`) once at
+//! entry through [`snapshot_dir_from_env`], then load and save
+//! `<dir>/`[`SNAPSHOT_FILE`] with [`SimCache::load_from`] (empty cache
+//! when absent) and [`SimCache::save_to`], giving experiment runners
+//! cross-process warm starts. Library code never reads the variable.
 
 use super::{lock, SimCache};
 use crate::fingerprint::NetlistFingerprint;
@@ -64,10 +65,9 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Environment variable naming the directory that holds the persistent
-/// cache snapshot (see [`SimCache::from_env`]).
+/// cache snapshot (see [`snapshot_dir_from_env`]).
 pub const CACHE_DIR_ENV: &str = "ARTISAN_SIM_CACHE_DIR";
 
 /// File name of the snapshot inside the [`CACHE_DIR_ENV`] directory.
@@ -181,18 +181,12 @@ fn decode(
 }
 
 /// The snapshot directory named by [`CACHE_DIR_ENV`], if set (and
-/// non-empty).
+/// non-empty). For binaries to call once at entry.
 pub fn snapshot_dir_from_env() -> Option<PathBuf> {
     match std::env::var(CACHE_DIR_ENV) {
         Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),
         _ => None,
     }
-}
-
-/// The full snapshot path under the [`CACHE_DIR_ENV`] directory, if
-/// set.
-pub fn snapshot_path_from_env() -> Option<PathBuf> {
-    snapshot_dir_from_env().map(|dir| dir.join(SNAPSHOT_FILE))
 }
 
 /// Per-process counter distinguishing concurrent temp files from the
@@ -328,25 +322,6 @@ impl SimCache {
             ),
         }
     }
-
-    /// A shared cache warm-started from the [`CACHE_DIR_ENV`] snapshot
-    /// when that variable names a directory, or cold otherwise. Pair
-    /// with [`SimCache::save_to_env_dir`] at the end of the run.
-    pub fn from_env(capacity: usize, config_salt: u64) -> (Arc<SimCache>, LoadOutcome) {
-        match snapshot_path_from_env() {
-            Some(path) => {
-                let (cache, outcome) = SimCache::load_from(&path, capacity, config_salt);
-                (Arc::new(cache), outcome)
-            }
-            None => (SimCache::shared(capacity), LoadOutcome::default()),
-        }
-    }
-
-    /// Saves the snapshot into the [`CACHE_DIR_ENV`] directory; `None`
-    /// when the variable is unset (nothing to do).
-    pub fn save_to_env_dir(&self, config_salt: u64) -> Option<io::Result<SaveOutcome>> {
-        snapshot_path_from_env().map(|path| self.save_to(&path, config_salt))
-    }
 }
 
 #[cfg(test)]
@@ -356,6 +331,7 @@ mod tests {
     use crate::{SimBackend, Simulator};
     use artisan_circuit::Topology;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     /// A unique scratch directory per call, under the system temp dir
     /// (no tempfile crate in this workspace).
@@ -530,35 +506,25 @@ mod tests {
     }
 
     #[test]
-    fn env_wiring_round_trips_through_a_directory() {
-        // The only test touching CACHE_DIR_ENV (set, use, restore) —
-        // splitting it would race under the parallel test runner.
-        let dir = scratch_dir("env");
-        let prior = std::env::var(CACHE_DIR_ENV).ok();
-        // Unset: a plain cold shared cache, and nothing to save.
-        std::env::remove_var(CACHE_DIR_ENV);
-        let (cache, outcome) = SimCache::from_env(32, 0);
-        assert!(cache.is_empty());
-        assert_eq!(outcome, LoadOutcome::default());
-        assert!(cache.save_to_env_dir(0).is_none());
-        std::env::set_var(CACHE_DIR_ENV, &dir);
+    fn snapshot_round_trips_through_a_directory() {
+        let dir = scratch_dir("dir");
+        let path = dir.join(SNAPSHOT_FILE);
         let salt = 11u64;
-        let (cold, outcome) = SimCache::from_env(64, salt);
+        // No snapshot yet: a plain cold start without a warning.
+        let (cold, outcome) = SimCache::load_from(&path, 64, salt);
         assert!(cold.is_empty());
-        assert!(outcome.warning.is_none());
+        assert_eq!(outcome, LoadOutcome::default());
         // Warm the cache through a wrapper, then persist.
+        let cold = Arc::new(cold);
         let mut sim = CachedSim::new(Simulator::new(), Arc::clone(&cold));
         sim.analyze_topology(&Topology::nmc_example())
             .unwrap_or_else(|e| panic!("{e}"));
-        let saved = cold
-            .save_to_env_dir(salt)
-            .unwrap_or_else(|| panic!("env dir set but no save"))
-            .unwrap_or_else(|e| panic!("{e}"));
+        let saved = cold.save_to(&path, salt).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(saved.entries_saved, 1);
         // A second "process" warm-starts from the same directory.
-        let (warm, outcome) = SimCache::from_env(64, salt);
+        let (warm, outcome) = SimCache::load_from(&path, 64, salt);
         assert_eq!(outcome.entries_loaded, 1);
-        let mut sim2 = CachedSim::new(Simulator::new(), Arc::clone(&warm));
+        let mut sim2 = CachedSim::new(Simulator::new(), Arc::new(warm));
         let report = sim2
             .analyze_topology(&Topology::nmc_example())
             .unwrap_or_else(|e| panic!("{e}"));
@@ -569,10 +535,6 @@ mod tests {
             sim.analyze_topology(&Topology::nmc_example())
                 .unwrap_or_else(|e| panic!("{e}"))
         );
-        match prior {
-            Some(v) => std::env::set_var(CACHE_DIR_ENV, v),
-            None => std::env::remove_var(CACHE_DIR_ENV),
-        }
         fs::remove_dir_all(&dir).ok();
     }
 }

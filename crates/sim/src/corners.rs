@@ -55,12 +55,8 @@
 //! without the corner layer; the wrapper only *attaches*
 //! [`AnalysisReport::worst_case`] to successful inner reports. The
 //! chaos suite in `artisan-resilience` pins exact replay, field
-//! preservation, and billed-seconds conservation for this stack.
-//!
-//! The `ARTISAN_CORNERS` environment variable (`0`/`false`/`off`/`no`)
-//! is the kill-switch: wrappers built with [`CornerSim::from_env`]
-//! forward everything untouched when it is set, preserving pre-corner
-//! behavior bit-for-bit.
+//! preservation, and billed-seconds conservation for this stack. To run
+//! without corner sign-off, do not stack the wrapper.
 
 use crate::ac::{unity_crossing, Unwrapper};
 use crate::backend::SimBackend;
@@ -76,21 +72,6 @@ use artisan_circuit::units::{Decibels, Degrees, Farads, Hertz, Ohms, Siemens, Wa
 use artisan_circuit::{Element, Netlist, Topology};
 use artisan_math::{Complex64, ThreadPool};
 use std::sync::Arc;
-
-/// Environment variable that disables corner-grid evaluation when set
-/// to `0`, `false`, `off`, or `no` (case-insensitive).
-pub const CORNERS_ENV: &str = "ARTISAN_CORNERS";
-
-/// Whether the environment enables corner evaluation (the default).
-pub fn corners_enabled_from_env() -> bool {
-    match std::env::var(CORNERS_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// Fingerprint salt separating memoized corner verdicts from memoized
 /// [`AnalysisReport`]s and lint verdicts inside a shared [`SimCache`].
@@ -475,14 +456,12 @@ pub struct CornerSim<B> {
     config: AnalysisConfig,
     cache: Option<Arc<SimCache>>,
     salt: u64,
-    enabled: bool,
     grids_evaluated: u64,
 }
 
 impl<B: SimBackend> CornerSim<B> {
-    /// Wraps `inner` with corner evaluation unconditionally enabled,
-    /// the default [`AnalysisConfig`] (matching [`crate::Simulator::new`])
-    /// and no verdict memoization.
+    /// Wraps `inner` with the default [`AnalysisConfig`] (matching
+    /// [`crate::Simulator::new`]) and no verdict memoization.
     pub fn new(inner: B, grid: CornerGrid) -> Self {
         CornerSim {
             inner,
@@ -490,16 +469,8 @@ impl<B: SimBackend> CornerSim<B> {
             config: AnalysisConfig::default(),
             cache: None,
             salt: 0,
-            enabled: true,
             grids_evaluated: 0,
         }
-    }
-
-    /// Wraps `inner`, honouring the [`CORNERS_ENV`] kill-switch.
-    pub fn from_env(inner: B, grid: CornerGrid) -> Self {
-        let mut sim = CornerSim::new(inner, grid);
-        sim.enabled = corners_enabled_from_env();
-        sim
     }
 
     /// Overrides the analysis configuration used for corner sweeps.
@@ -528,19 +499,13 @@ impl<B: SimBackend> CornerSim<B> {
         self
     }
 
-    /// Whether corner evaluation is active (false only via
-    /// [`CORNERS_ENV`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The grid this wrapper evaluates.
     pub fn grid(&self) -> &CornerGrid {
         &self.grid
     }
 
-    /// Number of grids this wrapper computed fresh (cache hits and
-    /// disabled runs excluded).
+    /// Number of grids this wrapper computed fresh (cache hits
+    /// excluded).
     pub fn grids_evaluated(&self) -> u64 {
         self.grids_evaluated
     }
@@ -643,7 +608,7 @@ impl<B: SimBackend> SimBackend for CornerSim<B> {
         // Inner first, unconditionally: exactly one inner call per
         // outer call keeps fault dice and cache patterns untouched.
         let mut report = self.inner.analyze_topology(topo)?;
-        if self.enabled && !self.grid.is_empty() {
+        if !self.grid.is_empty() {
             if let Some((fp, netlist, cl)) = Self::topology_candidate(topo) {
                 self.attach(&mut report, fp, &netlist, cl);
             }
@@ -653,7 +618,7 @@ impl<B: SimBackend> SimBackend for CornerSim<B> {
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
         let mut report = self.inner.analyze_netlist(netlist)?;
-        if self.enabled && !self.grid.is_empty() {
+        if !self.grid.is_empty() {
             if let Some(cl) = netlist.find("CL").map(|e| e.value()) {
                 let fp = NetlistFingerprint::of_netlist(netlist);
                 self.attach(&mut report, fp, netlist, cl);
@@ -664,7 +629,7 @@ impl<B: SimBackend> SimBackend for CornerSim<B> {
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
         let mut results = self.inner.analyze_batch(topos);
-        if !self.enabled || self.grid.is_empty() {
+        if self.grid.is_empty() {
             return results;
         }
         // Gather the candidates that still need a fresh grid; serve
@@ -861,12 +826,6 @@ mod tests {
         }
         text.push_str("CL out 0 10e-12\n.end\n");
         let netlist = Netlist::parse(&text).unwrap();
-        if !crate::mna::sparse_enabled_from_env() {
-            // Under ARTISAN_SPARSE=0 everything builds dense and there
-            // is no symbolic to share; the grid still evaluates (the
-            // other tests cover that leg).
-            return;
-        }
         let donor = MnaSystem::new(&netlist).unwrap();
         assert!(donor.is_sparse());
         let scaled = CornerPoint {
@@ -903,38 +862,6 @@ mod tests {
         assert_eq!(sim.ledger().corner_sims(), 27);
         assert_eq!(sim.ledger().simulations(), 1);
         assert_eq!(sim.grids_evaluated(), 1);
-    }
-
-    #[test]
-    fn kill_switch_leaves_reports_bit_identical() {
-        let topo = Topology::nmc_example();
-        let mut plain = Simulator::new();
-        let nominal = plain.analyze_topology(&topo).unwrap();
-        let mut sim = CornerSim::new(Simulator::new(), CornerGrid::default());
-        sim.enabled = false;
-        let report = sim.analyze_topology(&topo).unwrap();
-        assert_eq!(report, nominal);
-        assert!(report.worst_case.is_none());
-        assert_eq!(sim.ledger().corner_sims(), 0);
-        assert_eq!(sim.grids_evaluated(), 0);
-    }
-
-    #[test]
-    fn env_kill_switch_parses_like_the_screen_one() {
-        // Avoids mutating the process environment (other tests read it
-        // concurrently): from_env is corners_enabled_from_env glue, so
-        // test the parser through the same match arms.
-        for off in ["0", "false", "OFF", " no "] {
-            assert!(
-                matches!(
-                    off.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off" | "no"
-                ),
-                "{off}"
-            );
-        }
-        let sim = CornerSim::from_env(Simulator::new(), CornerGrid::default());
-        assert_eq!(sim.is_enabled(), corners_enabled_from_env());
     }
 
     #[test]

@@ -14,11 +14,6 @@
 use crate::wire;
 use std::fmt;
 
-/// Environment variable overriding [`CostModel::seconds_per_cache_hit`]
-/// for models built with [`CostModel::from_env`]. Values must parse as
-/// non-negative finite seconds; anything else is ignored.
-pub const CACHE_HIT_SECONDS_ENV: &str = "ARTISAN_CACHE_HIT_SECONDS";
-
 /// Testbed-equivalent unit costs, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -120,20 +115,6 @@ impl CostModel {
     pub fn with_corner_sim_seconds(mut self, seconds: f64) -> Self {
         self.seconds_per_corner_sim = Self::valid_or(self.seconds_per_corner_sim, seconds);
         self
-    }
-
-    /// The default model with any [`CACHE_HIT_SECONDS_ENV`] override
-    /// applied. Unparseable, negative, or non-finite values are
-    /// silently ignored — the default survives a bad environment.
-    pub fn from_env() -> Self {
-        let model = CostModel::default();
-        match std::env::var(CACHE_HIT_SECONDS_ENV) {
-            Ok(raw) => match raw.trim().parse::<f64>() {
-                Ok(seconds) => model.with_cache_hit_seconds(seconds),
-                Err(_) => model,
-            },
-            Err(_) => model,
-        }
     }
 }
 
@@ -528,29 +509,6 @@ mod tests {
         assert_eq!(kept.seconds_per_optimizer_step, 1.5);
         // Zero is a legal cost (a free cache hit).
         assert_eq!(kept.with_cache_hit_seconds(0.0).seconds_per_cache_hit, 0.0);
-    }
-
-    #[test]
-    fn cache_hit_seconds_env_override_is_validated() {
-        // Serialized within this one test: set, read, restore.
-        let prior = std::env::var(CACHE_HIT_SECONDS_ENV).ok();
-        std::env::set_var(CACHE_HIT_SECONDS_ENV, " 0.125 ");
-        assert_eq!(CostModel::from_env().seconds_per_cache_hit, 0.125);
-        for bad in ["-2.0", "NaN", "inf", "not-a-number", ""] {
-            std::env::set_var(CACHE_HIT_SECONDS_ENV, bad);
-            let model = CostModel::from_env();
-            assert_eq!(
-                model.seconds_per_cache_hit,
-                CostModel::default().seconds_per_cache_hit,
-                "{bad:?} should be ignored"
-            );
-        }
-        std::env::remove_var(CACHE_HIT_SECONDS_ENV);
-        assert_eq!(CostModel::from_env(), CostModel::default());
-        match prior {
-            Some(v) => std::env::set_var(CACHE_HIT_SECONDS_ENV, v),
-            None => std::env::remove_var(CACHE_HIT_SECONDS_ENV),
-        }
     }
 
     #[test]

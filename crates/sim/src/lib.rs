@@ -67,17 +67,12 @@ pub mod wire;
 pub use backend::{ParallelSimBackend, SimBackend};
 pub use cache::persist::{LoadOutcome, SaveOutcome};
 pub use cache::{CacheStats, CachedSim, SimCache};
-pub use corners::{
-    corners_enabled_from_env, CornerGrid, CornerPoint, CornerSim, CornerSummary, WorstCase,
-    CORNERS_ENV,
-};
+pub use corners::{CornerGrid, CornerPoint, CornerSim, CornerSummary, WorstCase};
 pub use error::{BadNetlistReport, SimError};
 pub use fingerprint::NetlistFingerprint;
 pub use metrics::{Performance, PowerModel};
-pub use mna::{
-    sparse_enabled_from_env, MnaMode, MnaSystem, MnaWorkspace, SPARSE_ENV, SPARSE_MIN_DIM,
-};
-pub use screen::{screen_enabled_from_env, LintVerdict, ScreenedSim, SCREEN_ENV};
+pub use mna::{MnaMode, MnaSystem, MnaWorkspace, SPARSE_MIN_DIM};
+pub use screen::{LintVerdict, ScreenedSim};
 pub use simulator::{AnalysisConfig, AnalysisReport, Simulator};
 pub use spec::{Spec, SpecCheck, SpecReport};
 

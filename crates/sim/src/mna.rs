@@ -25,9 +25,9 @@
 //! unchanged. The static diagonal pivoting of the sparse path can
 //! report singularity where dense partial pivoting would succeed; on
 //! that error the solve falls back to the dense factorization, so
-//! `IllConditioned` verdicts are identical between modes. The
-//! `ARTISAN_SPARSE=0` environment kill switch ([`SPARSE_ENV`]) forces
-//! dense everywhere, mirroring `ARTISAN_SCREEN`.
+//! `IllConditioned` verdicts are identical between modes. The choice
+//! depends only on the system itself; [`MnaSystem::with_mode`] forces
+//! either backend for equivalence tests and benchmarks.
 
 use crate::error::SimError;
 use crate::Result;
@@ -38,26 +38,10 @@ use artisan_math::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Environment variable that disables the sparse MNA path when set to
-/// `0`/`false`/`off`/`no` — the kill switch mirroring `ARTISAN_SCREEN`.
-pub const SPARSE_ENV: &str = "ARTISAN_SPARSE";
-
 /// Below this dimension the dense path always wins (tiny matrices fit in
 /// cache and the dense LU has no indirection); at or above it the sparse
 /// path is used when the pattern is sparse enough (`nnz ≤ dim²/4`).
 pub const SPARSE_MIN_DIM: usize = 16;
-
-/// Reads the [`SPARSE_ENV`] kill switch; sparse is enabled unless the
-/// variable is explicitly set to `0`, `false`, `off` or `no`.
-pub fn sparse_enabled_from_env() -> bool {
-    match std::env::var(SPARSE_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// Which factorization backend an [`MnaSystem`] solves through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,8 +222,7 @@ pub struct MnaSystem {
     /// RHS contributions from capacitances on the input column
     /// (scaled by `s` at assembly).
     rhs_c: Vec<Complex64>,
-    /// CSR + symbolic-LU tier; `None` below the crossover threshold or
-    /// under the `ARTISAN_SPARSE=0` kill switch.
+    /// CSR + symbolic-LU tier; `None` below the crossover threshold.
     sparse: Option<SparseRepr>,
 }
 
@@ -293,7 +276,7 @@ impl MnaSystem {
     }
 
     /// Like [`MnaSystem::new`] but with the dense/sparse choice forced,
-    /// ignoring the crossover rule and the [`SPARSE_ENV`] kill switch.
+    /// ignoring the crossover rule.
     /// Used by equivalence tests and benchmarks that need both backends
     /// on the same netlist.
     ///
@@ -380,14 +363,13 @@ impl MnaSystem {
         }
 
         // Dense/sparse crossover: forced mode wins; otherwise sparse
-        // requires the kill switch open, `dim ≥ SPARSE_MIN_DIM`, and a
-        // pattern no denser than a quarter of the full matrix.
+        // requires `dim ≥ SPARSE_MIN_DIM` and a pattern no denser than
+        // a quarter of the full matrix.
         let build_sparse = match forced {
             Some(MnaMode::Sparse) => true,
             Some(MnaMode::Dense) => false,
             None => {
-                sparse_enabled_from_env()
-                    && dim >= SPARSE_MIN_DIM
+                dim >= SPARSE_MIN_DIM
                     && SparsityPattern::union_of_dense(&[&g, &c])
                         .map(|p| p.nnz() * 4 <= dim * dim)
                         .unwrap_or(false)
@@ -951,23 +933,15 @@ mod tests {
     }
 
     #[test]
-    fn crossover_and_kill_switch_pick_modes() {
-        // NMC is dim 3 — always dense regardless of the env knob.
+    fn crossover_picks_modes() {
+        // NMC is dim 3 — below the crossover, always dense.
         let nmc = Topology::nmc_example().elaborate().unwrap();
         assert!(!MnaSystem::new(&nmc).unwrap().is_sparse());
-        // This test owns the env var: other tests in this binary only
-        // build auto-mode systems below SPARSE_MIN_DIM, which never
-        // consult it.
         let n = ladder(24);
-        std::env::remove_var(SPARSE_ENV);
-        assert!(sparse_enabled_from_env());
         assert!(MnaSystem::new(&n).unwrap().is_sparse());
-        std::env::set_var(SPARSE_ENV, "0");
-        assert!(!sparse_enabled_from_env());
-        assert!(!MnaSystem::new(&n).unwrap().is_sparse());
-        std::env::set_var(SPARSE_ENV, "on");
-        assert!(sparse_enabled_from_env());
-        std::env::remove_var(SPARSE_ENV);
+        assert!(!MnaSystem::with_mode(&n, MnaMode::Dense)
+            .unwrap()
+            .is_sparse());
     }
 
     #[test]

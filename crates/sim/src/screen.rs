@@ -31,11 +31,8 @@
 //! report cache in turn only ever sees gate-clean netlists, which is
 //! exactly the population worth memoizing. [`ScreenedSim::with_cache`]
 //! shares the same [`SimCache`] for verdict memoization under a
-//! disjoint, lint-salted key namespace.
-//!
-//! The `ARTISAN_SCREEN` environment variable (`0`/`false`/`off`/`no`)
-//! is the kill-switch: wrappers built with [`ScreenedSim::from_env`]
-//! forward everything unscreened when it is set.
+//! disjoint, lint-salted key namespace. To run unscreened, do not stack
+//! the wrapper.
 
 use crate::backend::SimBackend;
 use crate::cache::SimCache;
@@ -47,21 +44,6 @@ use crate::Result;
 use artisan_circuit::{Netlist, Topology};
 use artisan_lint::Linter;
 use std::sync::Arc;
-
-/// Environment variable that disables pre-simulation screening when set
-/// to `0`, `false`, `off`, or `no` (case-insensitive).
-pub const SCREEN_ENV: &str = "ARTISAN_SCREEN";
-
-/// Whether the environment enables screening (the default).
-pub fn screen_enabled_from_env() -> bool {
-    match std::env::var(SCREEN_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// Fingerprint salt separating memoized lint verdicts from memoized
 /// [`AnalysisReport`]s inside a shared [`SimCache`]. Applied *on top of*
@@ -103,29 +85,19 @@ pub struct ScreenedSim<B> {
     linter: Linter,
     cache: Option<Arc<SimCache>>,
     salt: u64,
-    enabled: bool,
     screened_out: u64,
 }
 
 impl<B: SimBackend> ScreenedSim<B> {
-    /// Wraps `inner` with screening unconditionally enabled and no
-    /// verdict memoization.
+    /// Wraps `inner` with no verdict memoization.
     pub fn new(inner: B) -> Self {
         ScreenedSim {
             inner,
             linter: Linter::errors_only(),
             cache: None,
             salt: 0,
-            enabled: true,
             screened_out: 0,
         }
-    }
-
-    /// Wraps `inner`, honouring the [`SCREEN_ENV`] kill-switch.
-    pub fn from_env(inner: B) -> Self {
-        let mut screened = ScreenedSim::new(inner);
-        screened.enabled = screen_enabled_from_env();
-        screened
     }
 
     /// Memoizes verdicts in `cache` under the lint namespace (shareable
@@ -146,11 +118,6 @@ impl<B: SimBackend> ScreenedSim<B> {
     pub fn with_salt(mut self, salt: u64) -> Self {
         self.salt = salt;
         self
-    }
-
-    /// Whether screening is active (false only via [`SCREEN_ENV`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of candidates this wrapper screened out.
@@ -208,9 +175,7 @@ impl<B: SimBackend> ScreenedSim<B> {
     /// message, and error equivalence with the bare backend wins over
     /// saving a lint pass on an already-cheap rejection.
     fn reject_netlist(&mut self, netlist: &Netlist) -> Option<SimError> {
-        if !self.enabled || netlist.find("CL").is_none() {
-            return None;
-        }
+        netlist.find("CL")?;
         match self.screen(netlist) {
             LintVerdict::Clean => None,
             LintVerdict::Rejected(report) => {
@@ -225,9 +190,6 @@ impl<B: SimBackend> ScreenedSim<B> {
     /// Elaboration failures are left to the inner backend so its error
     /// mapping (and any fault instrumentation) stays authoritative.
     fn reject_topology(&mut self, topo: &Topology) -> Option<SimError> {
-        if !self.enabled {
-            return None;
-        }
         let netlist = topo.elaborate().ok()?;
         self.reject_netlist(&netlist)
     }
@@ -342,36 +304,6 @@ mod tests {
         assert_eq!(screened.ledger().simulations(), 0);
         assert_eq!(screened.ledger().screen_rejects(), 1);
         assert_eq!(screened.screened_out(), 1);
-    }
-
-    #[test]
-    fn kill_switch_forwards_unscreened() {
-        let mut screened = ScreenedSim::new(Simulator::new());
-        screened.enabled = false;
-        assert!(!screened.is_enabled());
-        let err = screened.analyze_netlist(&island_netlist()).unwrap_err();
-        assert_eq!(err.failure_label(), "Netlist");
-        // The inner gate rejected it — after billing the simulation.
-        assert_eq!(screened.ledger().simulations(), 1);
-        assert_eq!(screened.ledger().screen_rejects(), 0);
-    }
-
-    #[test]
-    fn env_kill_switch_parses_like_the_cache_one() {
-        // Avoids mutating the process environment (other tests read it
-        // concurrently): from_env is just screen_enabled_from_env glue,
-        // so test the parser through the same match arms.
-        for off in ["0", "false", "OFF", " no "] {
-            assert!(
-                matches!(
-                    off.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off" | "no"
-                ),
-                "{off}"
-            );
-        }
-        let screened = ScreenedSim::from_env(Simulator::new());
-        assert_eq!(screened.is_enabled(), screen_enabled_from_env());
     }
 
     #[test]

@@ -638,8 +638,7 @@ proptest! {
     /// A nominal-only corner grid is observationally inert: the wrapped
     /// report reproduces the bare simulator's bit-for-bit (every f64
     /// compared by bit pattern), and the attached verdict's worst case
-    /// *is* the nominal performance. Runs under whatever
-    /// `ARTISAN_SPARSE` leg CI chose, so both solvers get pinned.
+    /// *is* the nominal performance.
     #[test]
     fn nominal_corner_grid_reproduces_plain_report_bitwise(seed in 0u64..2000) {
         use artisan_sim::{CornerGrid, CornerSim};

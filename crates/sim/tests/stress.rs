@@ -238,9 +238,8 @@ fn sparse_sweeps_are_bit_identical_and_share_one_symbolic_under_stress() {
     use artisan_sim::ac::{sweep_with_pool, SweepConfig};
     use artisan_sim::mna::{MnaMode, MnaSystem};
 
-    // A dim-48 behavioural gain ladder, forced sparse so this leg
-    // exercises the CSR + symbolic-LU path regardless of the
-    // `ARTISAN_SPARSE` setting in the environment.
+    // A dim-48 behavioural gain ladder, forced sparse so this test
+    // exercises the CSR + symbolic-LU path whatever the crossover picks.
     let dim = 48usize;
     let mut text = String::from("* stress ladder\n");
     let mut prev = "in".to_string();
