@@ -170,7 +170,7 @@ fn bench_sim_cache(c: &mut Criterion) {
 }
 
 /// The persistent snapshot: serializing a populated cache to the
-/// version-1 byte format and restoring it, as the warm-start path does
+/// snapshot byte format and restoring it, as the warm-start path does
 /// once per process.
 fn bench_snapshot(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);

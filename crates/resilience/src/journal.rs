@@ -4,29 +4,24 @@
 //! A supervised session burns tens of testbed-equivalent minutes per
 //! attempt; a killed worker must never lose paid-for progress. This
 //! module records each attempt boundary in an append-only, versioned,
-//! checksummed journal file (the same format discipline as the
-//! `artisan_sim::cache::persist` snapshot), so a restarted process
+//! checksummed journal file (the `artisan_sim::wire` layout the cache
+//! snapshot and the serve protocol share), so a restarted process
 //! fast-forwards past completed attempts and resumes billing exactly
 //! where the crash left it.
 //!
-//! # File format (version 1, all integers/floats little-endian)
+//! # File format (version 3)
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"ARTSNJL1"` |
-//! | 8      | 4    | format version (`u32`, currently 1) |
-//! | 12     | 8    | plan fingerprint (`u64`) — see invalidation below |
-//! | 20     | 8    | session seed (`u64`) |
-//! | 28     | 8    | FNV-1a 64 checksum of the 28 header bytes |
-//! | 36     | …    | records, appended in session order |
-//!
-//! Each record is a self-checksummed frame:
+//! The shared `artisan_sim::wire` layout: header magic `b"ARTSNJL1"`
+//! and format version 3, then one *identity* frame followed by one
+//! frame per record, appended in session order. The identity payload
+//! is
 //!
 //! | size | field |
 //! |-----:|-------|
-//! | 4    | payload length (`u32`) |
-//! | len  | payload (`[type u8][body…]`) |
-//! | 8    | FNV-1a 64 checksum of the payload |
+//! | 8    | plan fingerprint (`u64`) — see invalidation below |
+//! | 8    | session seed (`u64`) |
+//!
+//! and each record payload is `[type u8][body…]`.
 //!
 //! Record type 1 is one [`AttemptRecord`] — the delta one attempt added
 //! to the session (its events, whether it improved the best-so-far
@@ -39,26 +34,27 @@
 //!
 //! # Invalidation rules — reject, never mis-resume
 //!
-//! A journal file is resumed **only** when the header checksum, magic,
-//! and format version match **and** the header's plan fingerprint and
-//! session seed equal the caller's. Anything else starts the session
-//! fresh with a diagnostic warning — a journal written under a
-//! different spec, retry policy, budget, cost model, agent
+//! A journal file is resumed **only** when the header's magic and
+//! format version match, the identity frame is intact, **and** its plan
+//! fingerprint and session seed equal the caller's. Anything else starts
+//! the session fresh with a diagnostic warning — a journal written under
+//! a different spec, retry policy, budget, cost model, agent
 //! configuration, or fault plan must never splice foreign attempts into
-//! this session. Record frames are checksummed individually: a torn
-//! tail (the crash happened mid-append) is truncated and the intact
-//! prefix resumes, while a checksum-valid record that fails to decode
-//! rejects the whole file (that is corruption FNV happened to miss, not
-//! a clean crash).
+//! this session, and a version-2 file from an older build starts fresh
+//! with a warning naming its version. Record frames are checksummed
+//! individually: a torn tail (the crash happened mid-append) is
+//! truncated and the intact prefix resumes, while a checksum-valid
+//! record that fails to decode rejects the whole file (that is
+//! corruption FNV happened to miss, not a clean crash).
 //!
 //! # Atomicity
 //!
-//! Every append rewrites the full journal to a process-unique temp file
-//! in the destination directory and `rename`s it into place, so a
-//! reader — or the next process after a SIGKILL — only ever observes a
-//! complete previous generation or a complete new one. The torn-tail
-//! truncation above is belt-and-braces for filesystems that weaken the
-//! rename guarantee under power loss.
+//! Every append rewrites the full journal through
+//! `artisan_sim::wire::write_atomic`, so a reader — or the next process
+//! after a SIGKILL — only ever observes a complete previous generation
+//! or a complete new one. The torn-tail truncation above is
+//! belt-and-braces for filesystems that weaken the rename guarantee
+//! under power loss.
 //!
 //! # Directory wiring
 //!
@@ -81,9 +77,8 @@ use artisan_circuit::{
 use artisan_sim::cost::CostLedger;
 use artisan_sim::{wire, Spec};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable naming the directory that holds per-session
 /// journal files.
@@ -94,21 +89,12 @@ const MAGIC: &[u8; 8] = b"ARTSNJL1";
 
 /// Current journal format version. Bump on any layout change: version
 /// mismatches load fresh, never as garbage. Version 2 grew the ledger
-/// wire layout by the corner-sims counter.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// magic + version + plan fingerprint + seed.
-const HEADER_BODY_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Header body plus its trailing checksum.
-const HEADER_LEN: usize = HEADER_BODY_LEN + 8;
+/// wire layout by the corner-sims counter; version 3 moved the header
+/// identity into the shared `wire` frame.
+pub const FORMAT_VERSION: u32 = 3;
 
 const RECORD_ATTEMPT: u8 = 1;
 const RECORD_TERMINAL: u8 = 2;
-
-/// Per-process counter distinguishing concurrent temp files from the
-/// same process.
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// The journal directory named by [`JOURNAL_DIR_ENV`], if set (and
 /// non-empty). For binaries to call once at entry.
@@ -298,14 +284,10 @@ pub struct SessionJournal {
 
 impl SessionJournal {
     fn header_bytes(plan_fingerprint: u64, seed: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN);
-        out.extend_from_slice(MAGIC);
-        wire::push_u32(&mut out, FORMAT_VERSION);
-        wire::push_u64(&mut out, plan_fingerprint);
-        wire::push_u64(&mut out, seed);
-        let checksum = wire::fnv1a64(&out);
-        wire::push_u64(&mut out, checksum);
-        out
+        let mut identity = Vec::with_capacity(16);
+        wire::push_u64(&mut identity, plan_fingerprint);
+        wire::push_u64(&mut identity, seed);
+        wire::framed(MAGIC, FORMAT_VERSION, &identity)
     }
 
     /// A journal that records nothing — the zero-overhead stand-in for
@@ -343,7 +325,7 @@ impl SessionJournal {
     /// identified by `(plan_fingerprint, seed)`.
     ///
     /// A missing file is a fresh session (no warning). A present file
-    /// resumes only when its header checksum, magic, version,
+    /// resumes only when its magic, version, identity frame,
     /// fingerprint, and seed all match — anything else starts fresh
     /// with a warning, and the first append overwrites the rejected
     /// file. A torn tail is truncated to the last intact frame.
@@ -387,29 +369,10 @@ impl SessionJournal {
             warning: Some(format!("session journal rejected: {reason}")),
             ..JournalLoad::default()
         };
-        if raw.len() < HEADER_LEN {
-            return reject(format!("too short ({} bytes) — truncated?", raw.len()));
-        }
-        let (header, rest) = raw.split_at(HEADER_LEN);
-        let (header_body, header_sum) = header.split_at(HEADER_BODY_LEN);
-        let mut sum = [0u8; 8];
-        sum.copy_from_slice(header_sum);
-        if u64::from_le_bytes(sum) != wire::fnv1a64(header_body) {
-            return reject("header checksum mismatch".into());
-        }
-        let mut reader = wire::Reader::new(header_body);
-        match reader.take(8) {
-            Ok(magic) if magic == MAGIC => {}
-            _ => return reject("not an artisan session journal (bad magic)".into()),
-        }
-        let version = reader.u32().unwrap_or(0);
-        if version != FORMAT_VERSION {
-            return reject(format!(
-                "format version {version} != supported {FORMAT_VERSION}"
-            ));
-        }
-        let file_fp = reader.u64().unwrap_or(0);
-        let file_seed = reader.u64().unwrap_or(0);
+        let (file_fp, file_seed, mut rest) = match split_identity(raw) {
+            Ok(identity) => identity,
+            Err(reason) => return reject(reason),
+        };
         if let Some((fp, seed)) = expected {
             if file_fp != fp {
                 return reject(format!(
@@ -429,25 +392,25 @@ impl SessionJournal {
 
         // Frame scan: keep every intact, decodable record; truncate at
         // the first torn frame.
+        let records_start = raw.len() - rest.len();
         let mut records = Vec::new();
-        let mut valid_len = 0usize;
         let mut truncated = None;
-        let mut pos = 0usize;
-        while pos < rest.len() {
-            let Some(frame) = read_frame(&rest[pos..]) else {
-                truncated = Some(format!(
-                    "torn tail truncated at byte {} ({} bytes dropped)",
-                    HEADER_LEN + pos,
-                    rest.len() - pos
-                ));
-                break;
+        while !rest.is_empty() {
+            let (payload, next) = match wire::split_frame(rest) {
+                Ok(frame) => frame,
+                Err(reason) => {
+                    truncated = Some(format!(
+                        "torn tail truncated at byte {} ({} bytes dropped): {reason}",
+                        raw.len() - rest.len(),
+                        rest.len()
+                    ));
+                    break;
+                }
             };
-            let (payload, frame_len) = frame;
             match decode_record(payload) {
                 Ok(record) => {
                     records.push(record);
-                    pos += frame_len;
-                    valid_len = pos;
+                    rest = next;
                 }
                 // Checksum-valid but undecodable: not a torn append —
                 // reject the whole file rather than resume over it.
@@ -474,7 +437,8 @@ impl SessionJournal {
                 }
             }
         }
-        self.bytes.extend_from_slice(&rest[..valid_len]);
+        self.bytes
+            .extend_from_slice(&raw[records_start..raw.len() - rest.len()]);
         let attempts_loaded = records
             .iter()
             .filter(|r| matches!(r, JournalRecord::Attempt(_)))
@@ -574,10 +538,7 @@ impl SessionJournal {
         let mut payload = Vec::with_capacity(256);
         encode_record(&mut payload, &record);
         let before = self.bytes.len();
-        wire::push_u32(&mut self.bytes, payload.len() as u32);
-        let checksum = wire::fnv1a64(&payload);
-        self.bytes.extend_from_slice(&payload);
-        wire::push_u64(&mut self.bytes, checksum);
+        wire::push_frame(&mut self.bytes, &payload);
         self.records.push(record);
         self.appends += 1;
         let record_bytes = self.bytes.len() - before;
@@ -585,8 +546,8 @@ impl SessionJournal {
             record_bytes,
             bytes_written: 0,
         };
-        if let Some(path) = self.path.clone() {
-            self.write_atomic(&path)?;
+        if let Some(path) = &self.path {
+            wire::write_atomic(path, &self.bytes)?;
             outcome.bytes_written = self.bytes.len();
             self.bytes_written += self.bytes.len() as u64;
         }
@@ -601,59 +562,22 @@ impl SessionJournal {
             self.io_errors.push(err.to_string());
         }
     }
-
-    fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(dir) = dir {
-            fs::create_dir_all(dir)?;
-        }
-        let temp_name = format!(
-            ".{}.tmp-{}-{}",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "journal.wal".to_owned()),
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-        );
-        let temp_path = match dir {
-            Some(dir) => dir.join(&temp_name),
-            None => PathBuf::from(&temp_name),
-        };
-        let result = (|| {
-            let mut file = fs::File::create(&temp_path)?;
-            file.write_all(&self.bytes)?;
-            file.sync_all()?;
-            drop(file);
-            fs::rename(&temp_path, path)
-        })();
-        if result.is_err() {
-            // Best-effort cleanup; the original error is what matters.
-            let _ = fs::remove_file(&temp_path);
-        }
-        result
-    }
 }
 
-/// Splits the next `[len][payload][fnv]` frame off `bytes`. `None` when
-/// the frame is incomplete or its checksum fails — the torn-tail case.
-fn read_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    if bytes.len() < 4 {
-        return None;
+/// Checks the header and decodes the identity frame: the plan
+/// fingerprint, the seed, and the record frames that follow.
+fn split_identity(raw: &[u8]) -> Result<(u64, u64, &[u8]), String> {
+    let frames = wire::check_header(raw, MAGIC, FORMAT_VERSION)?;
+    let (payload, records) = wire::split_frame(frames).map_err(|e| format!("header {e}"))?;
+    let mut reader = wire::Reader::new(payload);
+    let (plan_fingerprint, seed) = (reader.u64()?, reader.u64()?);
+    if reader.remaining() != 0 {
+        return Err(format!(
+            "{} trailing bytes in the header frame",
+            reader.remaining()
+        ));
     }
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(&bytes[..4]);
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let frame_len = 4usize.checked_add(len)?.checked_add(8)?;
-    if bytes.len() < frame_len {
-        return None;
-    }
-    let payload = &bytes[4..4 + len];
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&bytes[4 + len..frame_len]);
-    if u64::from_le_bytes(sum) != wire::fnv1a64(payload) {
-        return None;
-    }
-    Some((payload, frame_len))
+    Ok((plan_fingerprint, seed, records))
 }
 
 // ---------------------------------------------------------------------
@@ -1147,7 +1071,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultySim};
     use artisan_sim::Simulator;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static UNIQUE: AtomicU32 = AtomicU32::new(0);
@@ -1247,6 +1171,10 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Header plus the identity frame: everything before the first
+    /// record.
+    const HEADER_LEN: usize = wire::HEADER_LEN + wire::FRAME_OVERHEAD + 16;
+
     #[test]
     fn corrupt_header_or_flipped_bits_never_panic_or_resume() {
         let dir = scratch_dir("corrupt");
@@ -1255,7 +1183,8 @@ mod tests {
         let path = path.unwrap_or_else(|| panic!("durable journal has a path"));
         let bytes = fs::read(&path).unwrap_or_else(|e| panic!("{e}"));
         let fp = journal.plan_fingerprint();
-        // Flip one bit in every header byte: always a full rejection.
+        // Flip one bit in every header and identity-frame byte: always
+        // a full rejection.
         for i in 0..HEADER_LEN {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
@@ -1289,14 +1218,34 @@ mod tests {
         let path = journal.path().map(Path::to_path_buf);
         let path = path.unwrap_or_else(|| panic!("durable journal has a path"));
         let mut bytes = fs::read(&path).unwrap_or_else(|e| panic!("{e}"));
+        // The version sits outside every frame checksum, so only the
+        // version check can reject this file.
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = wire::fnv1a64(&bytes[..HEADER_BODY_LEN]);
-        bytes[HEADER_BODY_LEN..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
         fs::write(&path, &bytes).unwrap_or_else(|e| panic!("{e}"));
         let (reloaded, load) = SessionJournal::open(&path, journal.plan_fingerprint(), 5);
         assert!(reloaded.records().is_empty());
         let warning = load.warning.unwrap_or_else(|| panic!("no warning"));
         assert!(warning.contains("version"), "{warning}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn version_2_journal_starts_fresh_naming_its_version() {
+        let dir = scratch_dir("v2");
+        let path = dir.join(session_file_name(1, 2));
+        // The version-2 header, byte by byte: magic, version, plan
+        // fingerprint, seed, then FNV-1a of those 28 bytes.
+        let mut bytes = b"ARTSNJL1".to_vec();
+        wire::push_u32(&mut bytes, 2);
+        wire::push_u64(&mut bytes, 1);
+        wire::push_u64(&mut bytes, 2);
+        let checksum = wire::fnv1a64(&bytes);
+        wire::push_u64(&mut bytes, checksum);
+        fs::write(&path, &bytes).unwrap_or_else(|e| panic!("{e}"));
+        let (journal, load) = SessionJournal::open(&path, 1, 2);
+        assert!(journal.records().is_empty());
+        let warning = load.warning.unwrap_or_else(|| panic!("no warning"));
+        assert!(warning.contains("version 2"), "{warning}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,9 @@ use crate::proto::{
 use artisan_circuit::{Netlist, Topology};
 use artisan_math::MathError;
 use artisan_sim::cost::CostLedger;
-use artisan_sim::{AnalysisReport, Result, SimBackend, SimError};
+use artisan_sim::{
+    elaborate_for_analysis, load_capacitance, AnalysisReport, Result, SimBackend, SimError,
+};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -55,9 +57,10 @@ impl Client {
 /// A [`SimBackend`] that proxies every analysis to a remote design
 /// server.
 ///
-/// Billing mirrors the local [`artisan_sim::Simulator`] exactly
-/// (structural failures rejected locally and unbilled, one simulation
-/// per analysis, batch billing up front), so a supervised session on a
+/// Candidates that fail [`elaborate_for_analysis`] or
+/// [`load_capacitance`] are rejected locally and unbilled; every other
+/// analysis bills one simulation and batches bill up front, as the local
+/// [`artisan_sim::Simulator`] does, so a supervised session on a
 /// `RemoteSim` produces the same `SessionReport` cost fields as a solo
 /// run. Transport failures and server `busy` replies surface as
 /// *transient* errors ([`MathError::DegenerateInput`], which
@@ -155,20 +158,13 @@ impl RemoteSim {
 
 impl SimBackend for RemoteSim {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        if let Err(e) = topo.elaborate() {
-            // Rejected locally, unbilled — the local simulator's rule.
-            return Err(SimError::BadNetlist(e.to_string().into()));
-        }
+        elaborate_for_analysis(topo)?;
         self.ledger.record_simulation();
         self.analyze_remote(WorkItem::Topo(topo.clone()))
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        if netlist.find("CL").is_none() {
-            return Err(SimError::BadNetlist(
-                "netlist has no CL load element".into(),
-            ));
-        }
+        load_capacitance(netlist)?;
         self.ledger.record_simulation();
         self.analyze_remote(WorkItem::Net(netlist.clone()))
     }

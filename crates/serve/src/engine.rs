@@ -21,8 +21,9 @@
 //!    server's snapshot warm-starts every other consumer.
 //!
 //! Crucially the engine is **billing-invisible**: [`EngineBackend`]
-//! mirrors the plain [`Simulator`]'s ledger discipline exactly (what
-//! gets billed, in what order, and what does not), so a session run
+//! rejects candidates with the simulator's own pre-simulation rules
+//! ([`elaborate_for_analysis`], [`load_capacitance`]) and bills what the
+//! plain [`Simulator`] bills, in the same order, so a session run
 //! through the engine produces a `SessionReport` field-identical to a
 //! solo run — batching and caching only change wall-clock time. The
 //! determinism suite pins this.
@@ -33,8 +34,8 @@ use artisan_math::ThreadPool;
 use artisan_sim::cost::CostLedger;
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::{
-    AnalysisConfig, AnalysisReport, NetlistFingerprint, Result, SimBackend, SimCache, SimError,
-    Simulator,
+    elaborate_for_analysis, load_capacitance, AnalysisConfig, AnalysisReport, NetlistFingerprint,
+    Result, SimBackend, SimCache, Simulator,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -413,10 +414,11 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
 
 /// A per-session [`SimBackend`] over the shared engine.
 ///
-/// Bills its own [`CostLedger`] with **exactly** the plain
-/// [`Simulator`]'s discipline: elaboration / missing-`CL` failures are
-/// rejected locally and unbilled; everything else bills one simulation
-/// before compute; batches bill up front plus the batch counter. Cache
+/// Bills its own [`CostLedger`] as the plain [`Simulator`] does:
+/// candidates that fail [`elaborate_for_analysis`] or
+/// [`load_capacitance`] are rejected locally and unbilled; everything
+/// else bills one simulation before compute; batches bill up front plus
+/// the batch counter. Cache
 /// hits and cross-tenant dedup are *not* billed — they are wall-clock
 /// effects invisible to the cost model, which is what makes batched
 /// session reports field-identical to solo runs.
@@ -434,31 +436,20 @@ impl Drop for EngineBackend {
 impl EngineBackend {
     /// Analyzes a mixed batch of work items through a single atomic
     /// submission, so the batcher sees the whole sweep at once instead
-    /// of one job per blocking round-trip. Per-item pre-simulation
-    /// rejections (elaboration failures, missing `CL`) are answered
-    /// inline and never billed, mirroring the single-item paths; valid
-    /// items are billed up front like `analyze_batch`.
+    /// of one job per blocking round-trip. Items that fail
+    /// [`elaborate_for_analysis`] or [`load_capacitance`] are answered
+    /// inline and never billed, as on the single-item paths; valid items
+    /// are billed up front like `analyze_batch`.
     pub fn analyze_items(&mut self, items: Vec<WorkItem>) -> Vec<Result<AnalysisReport>> {
         let checked: Vec<Result<WorkItem>> = items
             .into_iter()
             .map(|item| {
-                let reject = match &item {
-                    WorkItem::Topo(t) => t
-                        .elaborate()
-                        .err()
-                        .map(|e| SimError::BadNetlist(e.to_string().into())),
-                    WorkItem::Net(n) => n
-                        .find("CL")
-                        .is_none()
-                        .then(|| SimError::BadNetlist("netlist has no CL load element".into())),
-                };
-                match reject {
-                    Some(err) => Err(err),
-                    None => {
-                        self.ledger.record_simulation();
-                        Ok(item)
-                    }
-                }
+                match &item {
+                    WorkItem::Topo(t) => elaborate_for_analysis(t).map(drop),
+                    WorkItem::Net(n) => load_capacitance(n).map(drop),
+                }?;
+                self.ledger.record_simulation();
+                Ok(item)
             })
             .collect();
         let valid = checked.iter().filter(|c| c.is_ok()).count();
@@ -472,21 +463,13 @@ impl EngineBackend {
 
 impl SimBackend for EngineBackend {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        if let Err(e) = topo.elaborate() {
-            // Same pre-simulation rejection (and non-billing) as
-            // `Simulator::analyze_topology`.
-            return Err(SimError::BadNetlist(e.to_string().into()));
-        }
+        elaborate_for_analysis(topo)?;
         self.ledger.record_simulation();
         self.shared.submit(WorkItem::Topo(topo.clone())).wait()
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        if netlist.find("CL").is_none() {
-            return Err(SimError::BadNetlist(
-                "netlist has no CL load element".into(),
-            ));
-        }
+        load_capacitance(netlist)?;
         self.ledger.record_simulation();
         self.shared.submit(WorkItem::Net(netlist.clone())).wait()
     }

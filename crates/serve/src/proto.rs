@@ -1,24 +1,19 @@
 //! The wire protocol: versioned, length-prefixed, checksummed JSON
 //! frames, and codecs for every request/response the server speaks.
 //!
-//! ## Frame layout (all integers little-endian)
+//! ## Frame layout
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"ARTSNSV1"` |
-//! | 8      | 4    | format version (`u32`, currently 1) |
-//! | 12     | 4    | payload length in bytes (`u32`, ≤ 16 MiB) |
-//! | 16     | n    | JSON payload (UTF-8) |
-//! | 16+n   | 8    | FNV-1a 64 checksum of the payload bytes |
-//!
-//! The same discipline as the journal and cache-snapshot formats: a
-//! magic that rejects foreign streams instantly, an explicit version so
-//! incompatible readers fail loudly, and a checksum so corruption is
-//! detected before JSON parsing ever runs. The reader never trusts the
-//! length prefix for allocation: payloads are read through a fixed-size
-//! staging buffer, so a hostile 16 MiB claim costs the attacker 16 MiB
-//! of actual sent bytes, not us 16 MiB of speculative allocation (the
-//! same cap-then-stream rule the cache snapshot loader follows).
+//! Every message is one artifact in the shared `artisan_sim::wire`
+//! layout: header magic `b"ARTSNSV1"` and format version 1, then exactly
+//! one frame whose payload is the UTF-8 JSON message (at most
+//! [`MAX_FRAME_BYTES`]). The magic rejects foreign streams instantly,
+//! the explicit version makes incompatible readers fail loudly, and the
+//! frame checksum detects corruption before JSON parsing ever runs.
+//! [`write_frame`] sends a message in one write. [`read_frame`] never
+//! trusts the length prefix for allocation: the frame is read through a
+//! fixed-size staging buffer, so a hostile 16 MiB claim costs the
+//! attacker 16 MiB of actual sent bytes, not us 16 MiB of speculative
+//! allocation.
 //!
 //! ## Value conventions
 //!
@@ -47,7 +42,7 @@ pub const MAGIC: [u8; 8] = *b"ARTSNSV1";
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Hard cap on a frame payload. Anything larger is a protocol error,
-/// mirroring the journal's frame cap.
+/// rejected before any of it is read.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// Reads are staged through a buffer of this size, so the length
@@ -67,7 +62,7 @@ fn bad(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Writes one frame around `payload`.
+/// Writes one frame around `payload`, in a single write.
 ///
 /// # Errors
 ///
@@ -80,13 +75,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             payload.len()
         )));
     }
-    let mut header = [0u8; 16];
-    header[..8].copy_from_slice(&MAGIC);
-    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&simwire::fnv1a64(payload).to_le_bytes())?;
+    w.write_all(&simwire::framed(&MAGIC, FORMAT_VERSION, payload))?;
     w.flush()
 }
 
@@ -95,32 +84,25 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the peer closes cleanly before a header;
+/// `UnexpectedEof` when the peer closes before a whole frame arrived;
 /// `InvalidData` for any protocol violation.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 16];
-    r.read_exact(&mut header)?;
-    if header[..8] != MAGIC {
-        return Err(bad("bad frame magic".to_string()));
-    }
-    let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if version != FORMAT_VERSION {
-        return Err(bad(format!(
-            "frame version {version} (expected {FORMAT_VERSION})"
-        )));
-    }
-    let len = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
-    if len > MAX_FRAME_BYTES {
-        return Err(bad(format!("frame length {len} over cap")));
-    }
-    let len = len as usize;
-    // Stream the payload through a bounded chunk so the declared
-    // length never pre-allocates more than READ_CHUNK ahead of the
-    // bytes actually received.
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    // The header and the frame's length prefix.
+    let mut head = [0u8; simwire::HEADER_LEN + 4];
+    r.read_exact(&mut head)?;
+    let prefix = simwire::check_header(&head, &MAGIC, FORMAT_VERSION).map_err(bad)?;
+    let len = simwire::payload_len(prefix)
+        .filter(|&len| len <= MAX_FRAME_BYTES as usize)
+        .ok_or_else(|| bad(format!("frame length over the {MAX_FRAME_BYTES}-byte cap")))?;
+    // Stream the payload and checksum through a bounded chunk so the
+    // declared length never pre-allocates more than READ_CHUNK ahead of
+    // the bytes actually received.
+    let frame_len = len + simwire::FRAME_OVERHEAD;
+    let mut frame = Vec::with_capacity(frame_len.min(READ_CHUNK));
+    frame.extend_from_slice(prefix);
     let mut chunk = [0u8; READ_CHUNK];
-    while payload.len() < len {
-        let want = (len - payload.len()).min(READ_CHUNK);
+    while frame.len() < frame_len {
+        let want = (frame_len - frame.len()).min(READ_CHUNK);
         let got = r.read(&mut chunk[..want])?;
         if got == 0 {
             return Err(io::Error::new(
@@ -128,18 +110,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
                 "frame truncated mid-payload",
             ));
         }
-        payload.extend_from_slice(&chunk[..got]);
+        frame.extend_from_slice(&chunk[..got]);
     }
-    let mut sum = [0u8; 8];
-    r.read_exact(&mut sum)?;
-    let expect = u64::from_le_bytes(sum);
-    let actual = simwire::fnv1a64(&payload);
-    if expect != actual {
-        return Err(bad(format!(
-            "frame checksum mismatch: stored {expect:#018x}, computed {actual:#018x}"
-        )));
-    }
-    Ok(payload)
+    let (payload, _) = simwire::split_frame(&frame).map_err(bad)?;
+    Ok(payload.to_vec())
 }
 
 /// One unit of remote simulation work.

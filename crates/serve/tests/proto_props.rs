@@ -20,6 +20,7 @@ use artisan_serve::proto::{
     read_frame, write_frame, Request, Response, WireOutcome, WireReport, WireStats, WorkItem,
     FORMAT_VERSION, MAX_FRAME_BYTES, REMOTE_BUSY_MSG, TRANSPORT_FAILURE_MSG,
 };
+use artisan_sim::wire::fnv1a64;
 use artisan_sim::{AnalysisReport, SimError, Simulator, Spec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -238,7 +239,16 @@ fn torn_reads_resume_correctly() {
 
 #[test]
 fn corrupt_magic_version_length_checksum_rejected() {
-    let good = frame_bytes(&Request::Ping.encode());
+    let payload = Request::Ping.encode();
+    let good = frame_bytes(&payload);
+    // The version-1 bytes: magic, version, payload length, payload,
+    // FNV-1a 64 of the payload — every integer little-endian.
+    let mut layout = b"ARTSNSV1".to_vec();
+    layout.extend_from_slice(&1u32.to_le_bytes());
+    layout.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    layout.extend_from_slice(&payload);
+    layout.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    assert_eq!(good, layout);
 
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;

@@ -3,21 +3,21 @@
 //! warm-start instead of re-paying testbed seconds for netlists already
 //! solved.
 //!
-//! # Snapshot format (version 1, all integers/floats little-endian)
+//! # Snapshot format (version 2)
 //!
-//! | offset | size | field |
-//! |-------:|-----:|-------|
-//! | 0      | 8    | magic `b"ARTSNSC1"` |
-//! | 8      | 4    | format version (`u32`, currently 1) |
-//! | 12     | 8    | config salt (`u64`) — see invalidation below |
-//! | 20     | 8    | entry count (`u64`) |
-//! | 28     | …    | entries, sorted by fingerprint |
-//! | end−8  | 8    | FNV-1a 64 checksum of every preceding byte |
+//! The shared [`crate::wire`] layout: header magic `b"ARTSNSC1"` and
+//! format version 2, then exactly one frame whose payload is
+//!
+//! | size | field |
+//! |-----:|-------|
+//! | 8    | config salt (`u64`) — see invalidation below |
+//! | 8    | entry count (`u64`) |
+//! | …    | entries, sorted by fingerprint |
 //!
 //! Each entry is the exact [`NetlistFingerprint::to_bytes`] key (16
-//! bytes) followed by the report: five `f64` bit patterns (gain, gbw,
-//! pm, power, fom), one stability byte, then pole and zero lists (a
-//! `u32` count followed by `(re, im)` `f64` pairs each). Floats are
+//! bytes) followed by the report in the [`wire::encode_report`] layout:
+//! five `f64` bit patterns (gain, gbw, pm, power, fom), one stability
+//! byte, then `u32`-counted pole and zero `(re, im)` pairs. Floats are
 //! written as [`f64::to_bits`] so a load/save cycle is bit-exact.
 //!
 //! Entries are written in **sorted fingerprint order**, never hash-map
@@ -31,23 +31,25 @@
 //! otherwise yields an *empty* cache plus a diagnostic warning (never a
 //! panic, never a partial load):
 //!
-//! - the trailing checksum matches (rejects truncation and bit flips),
-//! - the magic matches (rejects foreign files),
-//! - the format version matches (rejects snapshots from other code
-//!   generations whose layout may differ),
-//! - the header config salt equals the caller's expected salt (rejects
-//!   snapshots taken under a different analysis configuration — the
-//!   resident keys would silently mis-serve reports for the wrong
+//! - the header's magic and format version match (rejects foreign
+//!   files, and snapshots from other code generations whose layout may
+//!   differ — a version-1 file loads empty with a warning naming its
+//!   version),
+//! - the frame is complete, its checksum matches, and nothing follows
+//!   it (rejects truncation and bit flips),
+//! - the payload's config salt equals the caller's expected salt
+//!   (rejects snapshots taken under a different analysis configuration
+//!   — the resident keys would silently mis-serve reports for the wrong
 //!   sweep), and
 //! - every decoded report has finite metrics (the in-memory cache's
 //!   own admission rule).
 //!
 //! # Atomicity
 //!
-//! [`SimCache::save_to`] writes to a process-unique temporary file in
-//! the destination directory and `rename`s it into place, so a reader
-//! (or a concurrent saver) only ever observes either the old complete
-//! snapshot or the new complete snapshot — never a partial file.
+//! [`SimCache::save_to`] publishes through [`wire::write_atomic`], so a
+//! reader (or a concurrent saver) only ever observes either the old
+//! complete snapshot or the new complete snapshot — never a partial
+//! file.
 //!
 //! # Directory wiring
 //!
@@ -60,11 +62,10 @@
 use super::{lock, SimCache};
 use crate::fingerprint::NetlistFingerprint;
 use crate::simulator::AnalysisReport;
-use crate::wire::{self, fnv1a64, Reader};
+use crate::wire::{self, Reader};
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable naming the directory that holds the persistent
 /// cache snapshot (see [`snapshot_dir_from_env`]).
@@ -77,14 +78,9 @@ pub const SNAPSHOT_FILE: &str = "artisan-sim-cache.bin";
 const MAGIC: &[u8; 8] = b"ARTSNSC1";
 
 /// Current snapshot format version. Bump on any layout change: version
-/// mismatches load as empty, never as garbage.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Fixed header length: magic + version + salt + entry count.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Trailing checksum length.
-const CHECKSUM_LEN: usize = 8;
+/// mismatches load as empty, never as garbage. Version 2 moved the
+/// payload into the shared [`wire`] frame.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Result of writing a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +102,6 @@ pub struct LoadOutcome {
     pub warning: Option<String>,
 }
 
-fn encode_entry(out: &mut Vec<u8>, key: NetlistFingerprint, report: &AnalysisReport) {
-    out.extend_from_slice(&key.to_bytes());
-    wire::encode_report(out, report);
-}
-
 fn decode_entry(reader: &mut Reader<'_>) -> Result<(NetlistFingerprint, AnalysisReport), String> {
     let mut key_bytes = [0u8; 16];
     key_bytes.copy_from_slice(reader.take(16)?);
@@ -125,47 +116,34 @@ fn decode_entry(reader: &mut Reader<'_>) -> Result<(NetlistFingerprint, Analysis
     Ok((key, report))
 }
 
+fn encode(config_salt: u64, entries: &[(NetlistFingerprint, AnalysisReport)]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(16 + entries.len() * 128);
+    wire::push_u64(&mut payload, config_salt);
+    wire::push_u64(&mut payload, entries.len() as u64);
+    for (key, report) in entries {
+        payload.extend_from_slice(&key.to_bytes());
+        wire::encode_report(&mut payload, report);
+    }
+    wire::framed(MAGIC, FORMAT_VERSION, &payload)
+}
+
 fn decode(
     bytes: &[u8],
     expected_salt: u64,
 ) -> Result<Vec<(NetlistFingerprint, AnalysisReport)>, String> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(format!(
-            "snapshot too short ({} bytes) — truncated?",
-            bytes.len()
-        ));
+    let frames = wire::check_header(bytes, MAGIC, FORMAT_VERSION)?;
+    let (payload, rest) = wire::split_frame(frames)?;
+    if !rest.is_empty() {
+        return Err(format!("{} trailing bytes after the snapshot", rest.len()));
     }
-    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    let mut checksum = [0u8; 8];
-    checksum.copy_from_slice(tail);
-    let stored = u64::from_le_bytes(checksum);
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — corrupt or truncated snapshot"
-        ));
-    }
-    let mut reader = Reader::new(body);
-    if reader.take(8)? != MAGIC {
-        return Err("not an artisan sim-cache snapshot (bad magic)".into());
-    }
-    let version = reader.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(format!(
-            "snapshot format version {version} != supported {FORMAT_VERSION}"
-        ));
-    }
-    let mut salt_bytes = [0u8; 8];
-    salt_bytes.copy_from_slice(reader.take(8)?);
-    let salt = u64::from_le_bytes(salt_bytes);
+    let mut reader = Reader::new(payload);
+    let salt = reader.u64()?;
     if salt != expected_salt {
         return Err(format!(
             "snapshot config salt {salt:#018x} != expected {expected_salt:#018x} — taken under a different analysis configuration"
         ));
     }
-    let mut count_bytes = [0u8; 8];
-    count_bytes.copy_from_slice(reader.take(8)?);
-    let count = u64::from_le_bytes(count_bytes);
+    let count = reader.u64()?;
     let mut entries = Vec::new();
     for i in 0..count {
         let entry = decode_entry(&mut reader).map_err(|e| format!("entry {i}/{count}: {e}"))?;
@@ -189,16 +167,9 @@ pub fn snapshot_dir_from_env() -> Option<PathBuf> {
     }
 }
 
-/// Per-process counter distinguishing concurrent temp files from the
-/// same process.
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
 impl SimCache {
-    /// Serializes every resident report into the version-1 snapshot
-    /// format under `config_salt`. Deterministic: entries are sorted by
-    /// fingerprint, so equal contents give equal bytes regardless of
-    /// insertion order or process.
-    pub fn snapshot_bytes(&self, config_salt: u64) -> Vec<u8> {
+    /// Every resident report, sorted by fingerprint.
+    fn sorted_entries(&self) -> Vec<(NetlistFingerprint, AnalysisReport)> {
         let mut entries: Vec<(NetlistFingerprint, AnalysisReport)> = self
             .shards
             .iter()
@@ -211,17 +182,15 @@ impl SimCache {
             })
             .collect();
         entries.sort_by_key(|(key, _)| *key);
-        let mut out = Vec::with_capacity(HEADER_LEN + CHECKSUM_LEN + entries.len() * 128);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&config_salt.to_le_bytes());
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, report) in &entries {
-            encode_entry(&mut out, *key, report);
-        }
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        entries
+    }
+
+    /// Serializes every resident report into the snapshot format under
+    /// `config_salt`. Deterministic: entries are sorted by fingerprint,
+    /// so equal contents give equal bytes regardless of insertion order
+    /// or process.
+    pub fn snapshot_bytes(&self, config_salt: u64) -> Vec<u8> {
+        encode(config_salt, &self.sorted_entries())
     }
 
     /// Restores a cache of `capacity` from snapshot bytes. Any
@@ -257,46 +226,18 @@ impl SimCache {
         }
     }
 
-    /// Atomically writes the snapshot to `path`: the bytes land in a
-    /// process-unique temp file in the same directory, then a `rename`
-    /// publishes them, so concurrent readers and savers never observe a
-    /// partial file. The parent directory is created if missing.
+    /// Atomically writes the snapshot to `path` with
+    /// [`wire::write_atomic`], so concurrent readers and savers never
+    /// observe a partial file. The parent directory is created if
+    /// missing.
     pub fn save_to(&self, path: &Path, config_salt: u64) -> io::Result<SaveOutcome> {
-        let bytes = self.snapshot_bytes(config_salt);
-        // Count from the snapshot itself — the live cache may move
-        // under a concurrent insert between the two reads.
-        let mut count = [0u8; 8];
-        count.copy_from_slice(&bytes[20..28]);
-        let entries_saved = u64::from_le_bytes(count) as usize;
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        if let Some(dir) = dir {
-            fs::create_dir_all(dir)?;
-        }
-        let temp_name = format!(
-            ".{}.tmp-{}-{}",
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| SNAPSHOT_FILE.to_owned()),
-            std::process::id(),
-            TEMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-        );
-        let temp_path = match dir {
-            Some(dir) => dir.join(&temp_name),
-            None => PathBuf::from(&temp_name),
-        };
-        let result = (|| {
-            let mut file = fs::File::create(&temp_path)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-            drop(file);
-            fs::rename(&temp_path, path)
-        })();
-        if result.is_err() {
-            // Best-effort cleanup; the original error is what matters.
-            let _ = fs::remove_file(&temp_path);
-        }
-        result.map(|()| SaveOutcome {
-            entries_saved,
+        // Count from the entries written — the live cache may move
+        // under a concurrent insert.
+        let entries = self.sorted_entries();
+        let bytes = encode(config_salt, &entries);
+        wire::write_atomic(path, &bytes)?;
+        Ok(SaveOutcome {
+            entries_saved: entries.len(),
             bytes: bytes.len(),
         })
     }
@@ -330,7 +271,7 @@ mod tests {
     use crate::cache::CachedSim;
     use crate::{SimBackend, Simulator};
     use artisan_circuit::Topology;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
     /// A unique scratch directory per call, under the system temp dir
@@ -395,8 +336,10 @@ mod tests {
         let cache = warmed_cache();
         let bytes = cache.snapshot_bytes(0);
         // Every truncation point — mid-header, mid-entry, mid-checksum —
-        // must reject cleanly.
-        for cut in [0, 1, HEADER_LEN - 1, HEADER_LEN + 5, bytes.len() - 1] {
+        // must reject cleanly. Entries start after the header, the
+        // length prefix, the salt and the count.
+        let entries = wire::HEADER_LEN + 4 + 16;
+        for cut in [0, 1, wire::HEADER_LEN - 1, entries + 5, bytes.len() - 1] {
             let (loaded, outcome) = SimCache::from_snapshot_bytes(&bytes[..cut], 64, 0);
             assert!(loaded.is_empty(), "cut at {cut} must load empty");
             let warning = outcome
@@ -411,27 +354,26 @@ mod tests {
     fn every_single_bit_flip_is_detected() {
         let cache = warmed_cache();
         let bytes = cache.snapshot_bytes(3);
-        // Flip one bit in every byte position (first bit only, to keep
-        // the test fast at ~1k decodes) — FNV-1a catches each.
-        for i in 0..bytes.len() {
+        // Flip every bit of every byte: the magic and version checks
+        // catch the header, the frame's length and FNV-1a checksum
+        // catch the rest.
+        for bit in 0..bytes.len() * 8 {
             let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x01;
+            corrupt[bit / 8] ^= 1 << (bit % 8);
             let (loaded, outcome) = SimCache::from_snapshot_bytes(&corrupt, 64, 3);
-            assert!(loaded.is_empty(), "flip at byte {i} must load empty");
-            assert!(outcome.warning.is_some(), "flip at byte {i} must warn");
+            assert!(loaded.is_empty(), "flip of bit {bit} must load empty");
+            assert!(outcome.warning.is_some(), "flip of bit {bit} must warn");
         }
     }
 
     #[test]
     fn wrong_version_and_wrong_salt_are_rejected() {
         let cache = warmed_cache();
-        // Wrong version: rewrite the version field and re-checksum so
-        // only the version check can reject it.
+        // Wrong version: rewrite the version field. The header is
+        // outside the frame checksum, so only the version check can
+        // reject it.
         let mut bytes = cache.snapshot_bytes(5);
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let body_len = bytes.len() - CHECKSUM_LEN;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
         let (loaded, outcome) = SimCache::from_snapshot_bytes(&bytes, 64, 5);
         assert!(loaded.is_empty());
         let warning = outcome
@@ -449,10 +391,8 @@ mod tests {
 
     #[test]
     fn foreign_file_is_rejected_not_panicked() {
-        // A checksum-valid file with the wrong magic is "foreign".
-        let mut bytes = b"NOTACACHExxxxxxxxxxxxxxxxxxx".to_vec();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        // A well-framed file with the wrong magic is "foreign".
+        let bytes = wire::framed(b"NOTACACH", FORMAT_VERSION, &[0u8; 16]);
         let (loaded, outcome) = SimCache::from_snapshot_bytes(&bytes, 16, 0);
         assert!(loaded.is_empty());
         let warning = outcome.warning.unwrap_or_else(|| panic!("no warning"));
@@ -461,19 +401,33 @@ mod tests {
 
     #[test]
     fn hostile_entry_count_cannot_over_allocate() {
-        // Claim u64::MAX entries with an otherwise-valid header: the
+        // Claim u64::MAX entries in an otherwise-valid frame: the
         // bounded reader must reject at the first short read, not
         // allocate.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let mut payload = Vec::new();
+        wire::push_u64(&mut payload, 0);
+        wire::push_u64(&mut payload, u64::MAX);
+        let bytes = wire::framed(MAGIC, FORMAT_VERSION, &payload);
         let (loaded, outcome) = SimCache::from_snapshot_bytes(&bytes, 16, 0);
         assert!(loaded.is_empty());
-        assert!(outcome.warning.is_some());
+        let warning = outcome.warning.unwrap_or_else(|| panic!("no warning"));
+        assert!(warning.contains("entry 0/"), "{warning}");
+    }
+
+    #[test]
+    fn version_1_snapshot_loads_empty_naming_its_version() {
+        // The version-1 layout, byte by byte: magic, version, salt,
+        // entry count, then FNV-1a over all of it.
+        let mut bytes = b"ARTSNSC1".to_vec();
+        wire::push_u32(&mut bytes, 1);
+        wire::push_u64(&mut bytes, 9);
+        wire::push_u64(&mut bytes, 0);
+        let checksum = wire::fnv1a64(&bytes);
+        wire::push_u64(&mut bytes, checksum);
+        let (loaded, outcome) = SimCache::from_snapshot_bytes(&bytes, 16, 9);
+        assert!(loaded.is_empty());
+        let warning = outcome.warning.unwrap_or_else(|| panic!("no warning"));
+        assert!(warning.contains("version 1"), "{warning}");
     }
 
     #[test]

@@ -66,7 +66,8 @@ use crate::error::SimError;
 use crate::fingerprint::{config_salt, NetlistFingerprint};
 use crate::metrics::Performance;
 use crate::mna::MnaSystem;
-use crate::simulator::{AnalysisConfig, AnalysisReport};
+use crate::simulator::{load_capacitance, AnalysisConfig, AnalysisReport};
+use crate::wire;
 use crate::Result;
 use artisan_circuit::units::{Decibels, Degrees, Farads, Hertz, Ohms, Siemens, Watts};
 use artisan_circuit::{Element, Netlist, Topology};
@@ -226,20 +227,14 @@ impl CornerGrid {
     /// bit patterns) — folded into corner-verdict cache keys so two
     /// grids can share one [`SimCache`] without cross-talk.
     pub fn salt(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut bytes = Vec::new();
         for axis in [&self.temperature, &self.supply, &self.load] {
-            eat(axis.len() as u64);
+            wire::push_u64(&mut bytes, axis.len() as u64);
             for &v in axis {
-                eat(v.to_bits());
+                wire::push_f64(&mut bytes, v);
             }
         }
-        hash
+        wire::fnv1a64(&bytes)
     }
 }
 
@@ -526,169 +521,52 @@ impl<B: SimBackend> CornerSim<B> {
             .with_salt(self.salt)
     }
 
-    /// One candidate's grid verdict: served from the cache (billing a
-    /// hit) or computed fresh over `pool` (billing
-    /// `record_corner_sims`). Corner verdicts are pure functions of the
-    /// (netlist, grid, config) triple, so — like lint verdicts — every
-    /// outcome is cacheable.
-    fn grid_summary(
-        &mut self,
-        fp: NetlistFingerprint,
-        netlist: &Netlist,
-        cl: f64,
-        nominal_power: Watts,
-        pool: &ThreadPool,
-    ) -> CornerSummary {
-        let key = self.verdict_key(fp);
-        if let Some(cache) = &self.cache {
-            if let Some(summary) = cache.corner_verdict(key) {
-                self.inner.ledger_mut().record_cache_hit();
-                return summary;
-            }
-        }
-        let summary = match MnaSystem::new(netlist) {
-            Ok(donor) => evaluate_grid_with_pool(
-                &self.config,
-                netlist,
-                cl,
-                nominal_power,
-                &self.grid,
-                &donor,
-                pool,
-            ),
-            // The inner analysis succeeded, so this is unreachable in
-            // practice — but a verdict must still exist: all failing.
-            Err(_) => CornerSummary {
-                corners: self.grid.len() as u32,
-                failing: self.grid.len() as u32,
-                worst: None,
-            },
-        };
-        self.grids_evaluated += 1;
-        self.inner
-            .ledger_mut()
-            .record_corner_sims(self.grid.len() as u64);
-        if let Some(cache) = &self.cache {
-            cache.store_corner_verdict(key, summary);
-        }
-        summary
-    }
-
-    /// The (fingerprint, netlist, cl) triple for a topology-path
-    /// candidate, or `None` when it cannot be elaborated (the inner
-    /// backend already reported that case authoritatively).
-    fn topology_candidate(topo: &Topology) -> Option<(NetlistFingerprint, Netlist, f64)> {
-        let fp = NetlistFingerprint::of_topology(topo)?;
-        let netlist = topo.elaborate().ok()?;
-        Some((fp, netlist, topo.skeleton.cl.value()))
-    }
-
-    /// Attaches a grid verdict to one successful single-candidate
-    /// report (topology or netlist path).
-    fn attach(
-        &mut self,
-        report: &mut AnalysisReport,
-        fp: NetlistFingerprint,
-        netlist: &Netlist,
-        cl: f64,
-    ) {
-        let summary = self.grid_summary(
-            fp,
-            netlist,
-            cl,
-            report.performance.power,
-            &ThreadPool::from_env(),
-        );
-        report.worst_case = Some(summary);
-    }
-}
-
-impl<B: SimBackend> SimBackend for CornerSim<B> {
-    fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        // Inner first, unconditionally: exactly one inner call per
-        // outer call keeps fault dice and cache patterns untouched.
-        let mut report = self.inner.analyze_topology(topo)?;
-        if !self.grid.is_empty() {
-            if let Some((fp, netlist, cl)) = Self::topology_candidate(topo) {
-                self.attach(&mut report, fp, &netlist, cl);
-            }
-        }
-        Ok(report)
-    }
-
-    fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        let mut report = self.inner.analyze_netlist(netlist)?;
-        if !self.grid.is_empty() {
-            if let Some(cl) = netlist.find("CL").map(|e| e.value()) {
-                let fp = NetlistFingerprint::of_netlist(netlist);
-                self.attach(&mut report, fp, netlist, cl);
-            }
-        }
-        Ok(report)
-    }
-
-    fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        let mut results = self.inner.analyze_batch(topos);
-        if self.grid.is_empty() {
-            return results;
-        }
-        // Gather the candidates that still need a fresh grid; serve
-        // cache hits immediately. `slots` indexes into `results`.
-        let mut slots: Vec<usize> = Vec::new();
-        let mut candidates: Vec<(NetlistFingerprint, Netlist, f64, Watts)> = Vec::new();
-        for (i, result) in results.iter_mut().enumerate() {
-            let Ok(report) = result else { continue };
-            let Some((fp, netlist, cl)) = Self::topology_candidate(&topos[i]) else {
-                continue;
-            };
-            let key = self.verdict_key(fp);
-            if let Some(cache) = &self.cache {
-                if let Some(summary) = cache.corner_verdict(key) {
-                    self.inner.ledger_mut().record_cache_hit();
-                    report.worst_case = Some(summary);
-                    continue;
-                }
-            }
-            slots.push(i);
-            candidates.push((fp, netlist, cl, report.performance.power));
-        }
-        if candidates.is_empty() {
-            return results;
-        }
-        // One donor per candidate (one symbolic factorization per
-        // topology), then flatten (candidate × corner) into a single
-        // work list so small batches still keep every worker busy.
-        let donors: Vec<Option<MnaSystem>> = candidates
+    /// Grid verdicts for `candidates`, in order. Each is served from the
+    /// cache (billing a hit) or computed fresh (billing
+    /// `record_corner_sims` for its grid). Fresh grids run as one
+    /// flattened (candidate × corner) work list over the pool, so even a
+    /// single candidate keeps every worker busy. Corner verdicts are
+    /// pure functions of the (netlist, grid, config) triple, so — like
+    /// lint verdicts — every outcome is cacheable.
+    fn verdicts(&mut self, candidates: &[Candidate]) -> Vec<CornerSummary> {
+        let mut summaries: Vec<Option<CornerSummary>> = candidates
             .iter()
-            .map(|(_, netlist, _, _)| MnaSystem::new(netlist).ok())
+            .map(|c| {
+                let summary = self
+                    .cache
+                    .as_ref()?
+                    .corner_verdict(self.verdict_key(c.fp))?;
+                self.inner.ledger_mut().record_cache_hit();
+                Some(summary)
+            })
+            .collect();
+        // One donor per fresh candidate (one symbolic factorization per
+        // topology), then one work unit per (candidate, corner).
+        let fresh: Vec<(usize, Option<MnaSystem>)> = (0..candidates.len())
+            .filter(|&i| summaries[i].is_none())
+            .map(|i| (i, MnaSystem::new(&candidates[i].netlist).ok()))
             .collect();
         let corners = self.grid.corners();
-        let units: Vec<(usize, usize)> = (0..candidates.len())
-            .filter(|&c| donors[c].is_some())
-            .flat_map(|c| (0..corners.len()).map(move |k| (c, k)))
+        let units: Vec<(&Candidate, &MnaSystem, CornerPoint)> = fresh
+            .iter()
+            .filter_map(|(i, donor)| Some((&candidates[*i], donor.as_ref()?)))
+            .flat_map(|(c, donor)| corners.iter().map(move |&corner| (c, donor, corner)))
             .collect();
         let config = self.config;
-        let outcomes: Vec<Result<Performance>> =
-            ThreadPool::from_env().par_map_indexed(&units, |_, &(c, k)| {
-                let (_, netlist, cl, power) = &candidates[c];
-                match donors[c].as_ref() {
-                    Some(donor) => {
-                        evaluate_corner(&config, netlist, donor, *cl, *power, corners[k])
-                    }
-                    // Unreachable by construction — units are built only
-                    // for candidates with a donor — but a failing corner
-                    // keeps the fold total instead of panicking.
-                    None => Err(SimError::BadNetlist("corner donor missing".into())),
-                }
-            });
+        let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(c, donor, corner)| {
+            evaluate_corner(&config, &c.netlist, donor, c.cl, c.power, corner)
+        });
         // Fold per candidate in grid order and publish.
         let mut cursor = 0usize;
-        for (c, &slot) in slots.iter().enumerate() {
-            let summary = if donors[c].is_some() {
+        for (i, donor) in &fresh {
+            let summary = if donor.is_some() {
                 let per = &outcomes[cursor..cursor + corners.len()];
                 cursor += corners.len();
                 summarize(&corners, per)
             } else {
+                // The inner analysis succeeded, so this is unreachable
+                // in practice — but a verdict must still exist: all
+                // failing.
                 CornerSummary {
                     corners: corners.len() as u32,
                     failing: corners.len() as u32,
@@ -700,8 +578,86 @@ impl<B: SimBackend> SimBackend for CornerSim<B> {
                 .ledger_mut()
                 .record_corner_sims(corners.len() as u64);
             if let Some(cache) = &self.cache {
-                cache.store_corner_verdict(self.verdict_key(candidates[c].0), summary);
+                cache.store_corner_verdict(self.verdict_key(candidates[*i].fp), summary);
             }
+            summaries[*i] = Some(summary);
+        }
+        summaries.into_iter().flatten().collect()
+    }
+}
+
+/// A successfully analyzed candidate awaiting its grid verdict: its
+/// nominal fingerprint and netlist, its load, and its nominal power.
+struct Candidate {
+    fp: NetlistFingerprint,
+    netlist: Netlist,
+    cl: f64,
+    power: Watts,
+}
+
+impl Candidate {
+    /// The candidate for a topology-path report, or `None` when it
+    /// cannot be elaborated (the inner backend already reported that
+    /// case authoritatively).
+    fn of_topology(topo: &Topology, report: &AnalysisReport) -> Option<Candidate> {
+        Some(Candidate {
+            fp: NetlistFingerprint::of_topology(topo)?,
+            netlist: topo.elaborate().ok()?,
+            cl: topo.skeleton.cl.value(),
+            power: report.performance.power,
+        })
+    }
+
+    /// The candidate for a netlist-path report, or `None` without a
+    /// `CL` load.
+    fn of_netlist(netlist: &Netlist, report: &AnalysisReport) -> Option<Candidate> {
+        Some(Candidate {
+            fp: NetlistFingerprint::of_netlist(netlist),
+            netlist: netlist.clone(),
+            cl: load_capacitance(netlist).ok()?,
+            power: report.performance.power,
+        })
+    }
+}
+
+impl<B: SimBackend> SimBackend for CornerSim<B> {
+    fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
+        // Inner first, unconditionally: exactly one inner call per
+        // outer call keeps fault dice and cache patterns untouched.
+        let mut report = self.inner.analyze_topology(topo)?;
+        if !self.grid.is_empty() {
+            if let Some(candidate) = Candidate::of_topology(topo, &report) {
+                report.worst_case = self.verdicts(&[candidate]).pop();
+            }
+        }
+        Ok(report)
+    }
+
+    fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
+        let mut report = self.inner.analyze_netlist(netlist)?;
+        if !self.grid.is_empty() {
+            if let Some(candidate) = Candidate::of_netlist(netlist, &report) {
+                report.worst_case = self.verdicts(&[candidate]).pop();
+            }
+        }
+        Ok(report)
+    }
+
+    fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
+        let mut results = self.inner.analyze_batch(topos);
+        if self.grid.is_empty() {
+            return results;
+        }
+        // `slots` indexes the successful reports in `results`.
+        let (slots, candidates): (Vec<usize>, Vec<Candidate>) = results
+            .iter()
+            .enumerate()
+            .filter_map(|(i, result)| {
+                let report = result.as_ref().ok()?;
+                Some((i, Candidate::of_topology(&topos[i], report)?))
+            })
+            .unzip();
+        for (slot, summary) in slots.into_iter().zip(self.verdicts(&candidates)) {
             if let Ok(report) = &mut results[slot] {
                 report.worst_case = Some(summary);
             }

@@ -58,66 +58,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Validates one unit cost: only non-negative finite seconds are
-    /// accepted; anything else keeps `current` (a poisoned knob must
-    /// not corrupt the whole account, mirroring
-    /// [`CostLedger::record_penalty_seconds`]).
-    fn valid_or(current: f64, proposed: f64) -> f64 {
-        if proposed.is_finite() && proposed >= 0.0 {
-            proposed
-        } else {
-            current
-        }
-    }
-
-    /// Builder override for the per-simulation cost (validated).
-    #[must_use]
-    pub fn with_simulation_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_simulation = Self::valid_or(self.seconds_per_simulation, seconds);
-        self
-    }
-
-    /// Builder override for the per-LLM-step cost (validated).
-    #[must_use]
-    pub fn with_llm_step_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_llm_step = Self::valid_or(self.seconds_per_llm_step, seconds);
-        self
-    }
-
-    /// Builder override for the per-optimizer-step cost (validated).
-    #[must_use]
-    pub fn with_optimizer_step_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_optimizer_step = Self::valid_or(self.seconds_per_optimizer_step, seconds);
-        self
-    }
-
-    /// Builder override for the cache-hit retrieval cost. Rejects
-    /// negative, NaN, and infinite values (the prior value is kept), so
-    /// a bad override can never produce negative or non-finite bills.
-    #[must_use]
-    pub fn with_cache_hit_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_cache_hit = Self::valid_or(self.seconds_per_cache_hit, seconds);
-        self
-    }
-
-    /// Builder override for the per-screen cost. Rejects negative, NaN,
-    /// and infinite values (the prior value is kept).
-    #[must_use]
-    pub fn with_screen_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_screen = Self::valid_or(self.seconds_per_screen, seconds);
-        self
-    }
-
-    /// Builder override for the per-corner-sim cost. Rejects negative,
-    /// NaN, and infinite values (the prior value is kept).
-    #[must_use]
-    pub fn with_corner_sim_seconds(mut self, seconds: f64) -> Self {
-        self.seconds_per_corner_sim = Self::valid_or(self.seconds_per_corner_sim, seconds);
-        self
-    }
-}
-
 /// A mutable ledger of billable operations for one design run.
 ///
 /// # Example
@@ -491,27 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_unit_costs() {
-        let model = CostModel::default()
-            .with_cache_hit_seconds(0.05)
-            .with_simulation_seconds(20.0);
-        assert_eq!(model.seconds_per_cache_hit, 0.05);
-        assert_eq!(model.seconds_per_simulation, 20.0);
-        // Negative, NaN, and infinite overrides keep the prior value.
-        let kept = model
-            .with_cache_hit_seconds(-1.0)
-            .with_cache_hit_seconds(f64::NAN)
-            .with_cache_hit_seconds(f64::INFINITY)
-            .with_llm_step_seconds(f64::NEG_INFINITY)
-            .with_optimizer_step_seconds(-0.1);
-        assert_eq!(kept.seconds_per_cache_hit, 0.05);
-        assert_eq!(kept.seconds_per_llm_step, 40.0);
-        assert_eq!(kept.seconds_per_optimizer_step, 1.5);
-        // Zero is a legal cost (a free cache hit).
-        assert_eq!(kept.with_cache_hit_seconds(0.0).seconds_per_cache_hit, 0.0);
-    }
-
-    #[test]
     fn screen_rejects_bill_screening_not_simulation_cost() {
         let model = CostModel::default();
         let mut l = CostLedger::new();
@@ -526,14 +445,6 @@ mod tests {
         other.record_screen_reject();
         l.absorb(&other);
         assert_eq!(l.screen_rejects(), 2);
-        // The builder validates like every other knob.
-        let m = model.with_screen_seconds(0.01);
-        assert_eq!(m.seconds_per_screen, 0.01);
-        assert_eq!(
-            m.with_screen_seconds(f64::NAN).seconds_per_screen,
-            0.01,
-            "NaN override must keep the prior value"
-        );
     }
 
     #[test]

@@ -73,7 +73,9 @@ pub use fingerprint::NetlistFingerprint;
 pub use metrics::{Performance, PowerModel};
 pub use mna::{MnaMode, MnaSystem, MnaWorkspace, SPARSE_MIN_DIM};
 pub use screen::{LintVerdict, ScreenedSim};
-pub use simulator::{AnalysisConfig, AnalysisReport, Simulator};
+pub use simulator::{
+    elaborate_for_analysis, load_capacitance, AnalysisConfig, AnalysisReport, Simulator,
+};
 pub use spec::{Spec, SpecCheck, SpecReport};
 
 /// Convenient alias for results produced by this crate.

@@ -45,6 +45,33 @@ pub struct AnalysisReport {
     pub worst_case: Option<CornerSummary>,
 }
 
+/// The pre-simulation rejection rule for a topology: one that fails to
+/// elaborate is `BadNetlist(<elaboration message>)`. Every backend
+/// applies it before billing, so single-candidate calls never bill a
+/// rejected topology (batch calls bill every candidate up front).
+///
+/// # Errors
+///
+/// [`SimError::BadNetlist`] carrying the elaboration message.
+pub fn elaborate_for_analysis(topo: &Topology) -> Result<Netlist> {
+    topo.elaborate()
+        .map_err(|e| SimError::BadNetlist(e.to_string().into()))
+}
+
+/// The pre-simulation rejection rule for a flat netlist: one without a
+/// `CL` element is `BadNetlist("netlist has no CL load element")` and is
+/// never billed. Returns the load capacitance the FoM is rated against.
+///
+/// # Errors
+///
+/// [`SimError::BadNetlist`] when the netlist has no `CL` element.
+pub fn load_capacitance(netlist: &Netlist) -> Result<f64> {
+    netlist
+        .find("CL")
+        .map(|e| e.value())
+        .ok_or_else(|| SimError::BadNetlist("netlist has no CL load element".into()))
+}
+
 /// A candidate carried through the admission gate, pole extraction, and
 /// DC-gain stages with its sweep still pending — the split that lets
 /// the flattened batch path interleave many candidates' sweep chunks
@@ -123,9 +150,7 @@ impl Simulator {
     ///
     /// Propagates elaboration and analysis failures.
     pub fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        let netlist = topo
-            .elaborate()
-            .map_err(|e| SimError::BadNetlist(e.to_string().into()))?;
+        let netlist = elaborate_for_analysis(topo)?;
         let power = self.config.power.power_of_topology(topo);
         self.analyze_inner(&netlist, topo.skeleton.cl.value(), Some(power))
     }
@@ -138,10 +163,7 @@ impl Simulator {
     /// Returns [`SimError::BadNetlist`] when no `CL` element exists, plus
     /// all analysis failures.
     pub fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        let cl = netlist
-            .find("CL")
-            .map(|e| e.value())
-            .ok_or_else(|| SimError::BadNetlist("netlist has no CL load element".into()))?;
+        let cl = load_capacitance(netlist)?;
         self.analyze_inner(netlist, cl, None)
     }
 
@@ -183,9 +205,7 @@ impl Simulator {
         // while avoiding nested thread fan-out.
         let inner = ThreadPool::with_workers(1);
         pool.par_map_indexed(topos, |_, topo| {
-            let netlist = topo
-                .elaborate()
-                .map_err(|e| SimError::BadNetlist(e.to_string().into()))?;
+            let netlist = elaborate_for_analysis(topo)?;
             let power = config.power.power_of_topology(topo);
             Self::compute_report(
                 &config,
@@ -209,9 +229,7 @@ impl Simulator {
         // DC gain) — the same checks in the same order as the serial
         // loop, so failures are byte-identical.
         let prepared: Vec<Result<Prepared>> = pool.par_map_indexed(topos, |_, topo| {
-            let netlist = topo
-                .elaborate()
-                .map_err(|e| SimError::BadNetlist(e.to_string().into()))?;
+            let netlist = elaborate_for_analysis(topo)?;
             let power = config.power.power_of_topology(topo);
             Self::prepare_candidate(config, &netlist, topo.skeleton.cl.value(), Some(power))
         });

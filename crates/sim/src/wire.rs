@@ -1,28 +1,59 @@
-//! Reusable little-endian binary framing helpers shared by every
-//! on-disk artifact in the workspace: the [`crate::SimCache`] snapshot
-//! (`cache::persist`) and the session write-ahead journal in
-//! `artisan-resilience`.
+//! The one binary codec behind every durable or remote artifact in the
+//! workspace: the [`crate::SimCache`] snapshot (`cache::persist`), the
+//! session write-ahead journal in `artisan-resilience`, and the
+//! `artisan-serve` wire protocol.
 //!
-//! The discipline is the same everywhere:
+//! # Layout
+//!
+//! Every artifact is a header followed by one or more frames (all
+//! integers little-endian):
+//!
+//! | size | field |
+//! |-----:|-------|
+//! | 8    | magic (names the artifact) |
+//! | 4    | format version (`u32`) |
+//! | per frame: 4 | payload length (`u32`) |
+//! | per frame: len | payload |
+//! | per frame: 8 | FNV-1a 64 checksum of the payload |
+//!
+//! [`framed`] and [`push_frame`] write this layout, [`check_header`]
+//! and [`split_frame`] validate it, and [`write_atomic`] publishes a
+//! file whole. What each payload holds, and which further rules apply,
+//! is up to the artifact.
+//!
+//! # Payload encoding
 //!
 //! - integers and `f64` bit patterns are little-endian ([`push_u64`],
 //!   [`push_f64`], …), so a save → load cycle is bit-exact,
 //! - decoding goes through a bounds-checked [`Reader`] — a malformed
 //!   length or count can never panic or over-allocate, it surfaces as a
 //!   `String` diagnostic the caller turns into a load warning,
-//! - corruption detection is [`fnv1a64`] over the framed bytes (cheap,
-//!   dependency-free; the artifacts are local caches and journals, not
+//! - corruption detection is [`fnv1a64`] (cheap, dependency-free; the
+//!   artifacts are local caches, journals and a loopback protocol, not
 //!   trust boundaries).
 //!
 //! [`encode_report`]/[`Reader::report`] carry a full
-//! [`AnalysisReport`] in the shared format, so the cache snapshot and
-//! the journal serialize simulation results byte-identically.
+//! [`AnalysisReport`] in the shared format, so the cache snapshot, the
+//! journal and the server serialize simulation results
+//! byte-identically.
 
 use crate::metrics::Performance;
 use crate::poles::PoleZero;
 use crate::simulator::AnalysisReport;
 use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
 use artisan_math::Complex64;
+use std::fs;
+use std::io::{self, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes in an artifact header: the 8-byte magic and the `u32` format
+/// version.
+pub const HEADER_LEN: usize = 8 + 4;
+
+/// Bytes a frame adds around its payload: the `u32` length prefix and
+/// the trailing `u64` checksum.
+pub const FRAME_OVERHEAD: usize = 4 + 8;
 
 /// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption
 /// detection (not cryptographic; the artifacts it guards are local
@@ -85,6 +116,130 @@ pub fn encode_report(out: &mut Vec<u8>, report: &AnalysisReport) {
     push_u8(out, u8::from(report.stable));
     push_complex_list(out, &report.pole_zero.poles);
     push_complex_list(out, &report.pole_zero.zeros);
+}
+
+/// Appends one frame around `payload`: its length, the payload, and the
+/// payload's [`fnv1a64`]. Every artifact bounds its payloads far below
+/// the `u32` length limit.
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    push_u32(out, payload.len() as u32);
+    out.extend_from_slice(payload);
+    push_u64(out, fnv1a64(payload));
+}
+
+/// An artifact header followed by one frame around `payload`, built as
+/// one contiguous buffer so it can be written in a single call.
+pub fn framed(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + FRAME_OVERHEAD + payload.len());
+    out.extend_from_slice(magic);
+    push_u32(&mut out, version);
+    push_frame(&mut out, payload);
+    out
+}
+
+/// Checks the artifact header at the start of `bytes` and returns the
+/// bytes after it (the frames).
+///
+/// # Errors
+///
+/// A diagnostic naming the failure: fewer bytes than a header, a
+/// foreign magic, or a version other than `version` (the found version
+/// is named, so a file written by another code generation says so).
+pub fn check_header<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<&'a [u8], String> {
+    let mut reader = Reader::new(bytes);
+    let (Ok(found_magic), Ok(found_version)) = (reader.take(8), reader.u32()) else {
+        return Err(format!(
+            "{} bytes, shorter than the {HEADER_LEN}-byte header — truncated?",
+            bytes.len()
+        ));
+    };
+    if found_magic != magic {
+        return Err(format!(
+            "bad magic (expected {:?})",
+            String::from_utf8_lossy(magic)
+        ));
+    }
+    if found_version != version {
+        return Err(format!(
+            "format version {found_version} != supported {version}"
+        ));
+    }
+    Ok(&bytes[reader.pos()..])
+}
+
+/// The payload length declared by the frame starting at `bytes`, or
+/// `None` when its length prefix is incomplete. A stream reader uses it
+/// to bound how much more to read before [`split_frame`].
+pub fn payload_len(bytes: &[u8]) -> Option<usize> {
+    Reader::new(bytes).u32().ok().map(|len| len as usize)
+}
+
+/// Splits the frame starting at `bytes` into its payload and the bytes
+/// after it. Only slices: the declared length is checked against the
+/// bytes present before anything is read, so it never drives an
+/// allocation, and no input makes this panic.
+///
+/// # Errors
+///
+/// A diagnostic when the frame is incomplete (the bytes end inside it)
+/// or its checksum does not match the payload. Both are the caller's
+/// torn-or-corrupt case.
+pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), String> {
+    let mut reader = Reader::new(bytes);
+    let incomplete = |_| format!("incomplete frame ({} bytes)", bytes.len());
+    let len = reader.u32().map_err(incomplete)? as usize;
+    let payload = reader.take(len).map_err(incomplete)?;
+    let stored = reader.u64().map_err(incomplete)?;
+    let computed = fnv1a64(payload);
+    if stored != computed {
+        return Err(format!(
+            "frame checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
+        ));
+    }
+    Ok((payload, &bytes[reader.pos()..]))
+}
+
+/// Per-process counter distinguishing concurrent temp files from the
+/// same process.
+static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Atomically replaces the file at `path` with `bytes`: they land in a
+/// process-unique temp file in the same directory, are synced to disk,
+/// and a `rename` publishes them, so a concurrent reader, a concurrent
+/// writer, or the next process after a crash observes either the old
+/// complete file or the new one — never a partial file. The parent
+/// directory is created if missing; the temp file is removed if any
+/// step fails.
+///
+/// # Errors
+///
+/// The first failing filesystem operation.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(dir)?;
+    }
+    let temp_path = path.with_file_name(format!(
+        ".{}.tmp-{}-{}",
+        path.file_name().unwrap_or_default().to_string_lossy(),
+        std::process::id(),
+        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed),
+    ));
+    let result = (|| {
+        let mut file = fs::File::create(&temp_path)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&temp_path, path)
+    })();
+    if result.is_err() {
+        // Best-effort cleanup; the original error is what matters.
+        let _ = fs::remove_file(&temp_path);
+    }
+    result
 }
 
 /// Bounded little-endian reader over a framed payload. Every read is
@@ -254,6 +409,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use artisan_circuit::Topology;
+    use proptest::prelude::*;
 
     #[test]
     fn scalar_round_trip_is_exact() {
@@ -338,5 +494,81 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    const MAGIC: &[u8; 8] = b"ARTSNTST";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Header and frames written by the codec split back into the
+        /// same payloads, in order, with nothing left over.
+        #[test]
+        fn random_payloads_round_trip(
+            first in prop::collection::vec(0u8..=255, 0..64),
+            second in prop::collection::vec(0u8..=255, 0..64),
+        ) {
+            let mut bytes = framed(MAGIC, 3, &first);
+            push_frame(&mut bytes, &second);
+            let frames = check_header(&bytes, MAGIC, 3).unwrap_or_else(|e| panic!("{e}"));
+            prop_assert_eq!(payload_len(frames), Some(first.len()));
+            let (payload, rest) = split_frame(frames).unwrap_or_else(|e| panic!("{e}"));
+            prop_assert_eq!(payload, first.as_slice());
+            let (payload, rest) = split_frame(rest).unwrap_or_else(|e| panic!("{e}"));
+            prop_assert_eq!(payload, second.as_slice());
+            prop_assert!(rest.is_empty());
+        }
+
+        /// Every proper prefix of a frame is incomplete, never a
+        /// shorter frame.
+        #[test]
+        fn every_truncation_is_incomplete(payload in prop::collection::vec(0u8..=255, 0..64)) {
+            let mut frame = Vec::new();
+            push_frame(&mut frame, &payload);
+            for cut in 0..frame.len() {
+                let err = split_frame(&frame[..cut]).err().unwrap_or_else(|| panic!("cut {cut} split"));
+                prop_assert!(err.contains("incomplete"), "cut {}: {}", cut, err);
+            }
+        }
+
+        /// Flipping any one bit of a frame — length, payload or
+        /// checksum — is rejected.
+        #[test]
+        fn every_single_bit_flip_is_rejected(payload in prop::collection::vec(0u8..=255, 0..64)) {
+            let mut frame = Vec::new();
+            push_frame(&mut frame, &payload);
+            for bit in 0..frame.len() * 8 {
+                let mut corrupt = frame.clone();
+                corrupt[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(split_frame(&corrupt).is_err(), "flip of bit {} accepted", bit);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_length_neither_panics_nor_reads_past_the_input() {
+        // Splitting compares the claimed length with the bytes present
+        // and only borrows slices, so there is nothing to allocate.
+        let mut bytes = Vec::new();
+        push_u32(&mut bytes, u32::MAX);
+        bytes.extend_from_slice(&[0u8; 16]);
+        let err = split_frame(&bytes).err().unwrap_or_default();
+        assert!(err.contains("incomplete"), "{err}");
+    }
+
+    #[test]
+    fn write_atomic_replaces_files_and_cleans_up_on_error() {
+        let dir = std::env::temp_dir().join(format!("artisan-wire-{}", std::process::id()));
+        let path = dir.join("nested").join("artifact.bin");
+        for bytes in [&b"first"[..], b"second"] {
+            write_atomic(&path, bytes).unwrap_or_else(|e| panic!("{e}"));
+        }
+        assert_eq!(fs::read(&path).unwrap_or_default(), b"second");
+        // Renaming onto a non-empty directory fails; no temp file stays.
+        fs::create_dir_all(dir.join("full").join("child")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(write_atomic(&dir.join("full"), b"lost").is_err());
+        let names: Vec<_> = fs::read_dir(&dir).into_iter().flatten().flatten().collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        fs::remove_dir_all(&dir).ok();
     }
 }
