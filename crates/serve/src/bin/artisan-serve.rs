@@ -1,15 +1,15 @@
 //! The design-server daemon.
 //!
 //! ```text
-//! artisan-serve [--addr HOST:PORT] [--max-inflight N]
-//!               [--batch-window-ms MS] [--max-batch N]
-//!               [--cache-capacity N] [--no-batch]
-//!               [--tenant-max-inflight N] [--tenant-budget-seconds S]
-//!               [--journal-expire-secs S]
+//! artisan-serve [--addr HOST:PORT] [--max-inflight N] [--max-batch N]
+//!               [--cache-capacity N] [--tenant-max-inflight N]
+//!               [--tenant-budget-seconds S] [--journal-expire-secs S]
 //! ```
 //!
 //! Flags override the `ARTISAN_SERVE_*` environment; a malformed
-//! setting exits with status 2 and a message naming it. The daemon prints
+//! setting, a flag without its value or an unknown argument exits with
+//! status 2 and a message naming it. Terminal journals are expired on
+//! drain only when `--journal-expire-secs` is given. The daemon prints
 //! the bound address on stdout (`listening on <addr>`) and serves
 //! until either a client sends a `drain` frame or stdin reaches EOF —
 //! the portable stand-in for SIGTERM in a std-only binary; process
@@ -21,44 +21,15 @@ use artisan_serve::{Server, ServerConfig};
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 fn main() {
-    let mut config = match ServerConfig::from_env() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let config = match ServerConfig::from_env().and_then(|config| config.with_flags(&args)) {
         Ok(config) => config,
         Err(e) => {
             eprintln!("artisan-serve: {e}");
             std::process::exit(2);
         }
     };
-    config.addr = arg_or("--addr", config.addr);
-    config.max_inflight = arg_or("--max-inflight", config.max_inflight);
-    config.batch_window = Duration::from_millis(arg_or(
-        "--batch-window-ms",
-        config.batch_window.as_millis() as u64,
-    ));
-    config.max_batch = arg_or("--max-batch", config.max_batch);
-    config.cache_capacity = arg_or("--cache-capacity", config.cache_capacity);
-    config.tenant_max_inflight = arg_or("--tenant-max-inflight", config.tenant_max_inflight);
-    config.tenant_testbed_budget = arg_or("--tenant-budget-seconds", config.tenant_testbed_budget);
-    if flag("--no-batch") {
-        config.batching = false;
-    }
-    let expire = arg_or("--journal-expire-secs", -1i64);
-    if expire >= 0 {
-        config.journal_expire = Some(Duration::from_secs(expire as u64));
-    }
 
     let mut server = match Server::start(config) {
         Ok(server) => server,

@@ -18,12 +18,12 @@
 //! full `Design` session per leg, so the supervised-session path is
 //! exercised and compared.
 //!
-//! Default mode is the self-contained A/B comparison: two in-process
-//! servers — cross-request batching on, and the `--no-batch` baseline
-//! (a private simulator per connection, the pre-serve state) — run the
-//! same workload. The binary then asserts the acceptance criteria:
-//! ≥ 2× evaluation-session throughput for the batched server,
-//! bit-identical reply payloads between modes (both analysis results
+//! Default mode is the self-contained A/B comparison: an in-process
+//! batching server, and an unbatched baseline in which each tenant
+//! thread answers its own requests on one private `Simulator` (no TCP),
+//! run the same workload. The binary then asserts the acceptance
+//! criteria: ≥ 2× evaluation-session throughput for the batched server,
+//! bit-identical reply payloads between the legs (both analysis results
 //! and design reports), and explicit `busy` backpressure (not latency
 //! collapse) at saturation.
 //!
@@ -33,13 +33,14 @@
 
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
+use artisan_resilience::Supervisor;
 use artisan_serve::json::{obj, Json};
 use artisan_serve::{Client, Request, Response, Server, ServerConfig, WireStats, WorkItem};
-use artisan_sim::Spec;
+use artisan_sim::{Simulator, Spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -66,7 +67,44 @@ struct RunOutcome {
     /// `tenant` → design-session reply payload.
     design_payloads: BTreeMap<usize, Vec<u8>>,
     design_wall: Duration,
+    /// The server's counters; all zero for the in-process baseline.
     stats: WireStats,
+}
+
+type Link = Box<dyn FnMut(&Request) -> io::Result<Vec<u8>>>;
+
+/// A tenant thread's link, which returns the reply payload for a
+/// request: to the server at `addr`, or for `None` to the unbatched
+/// baseline, which answers on the tenant's private simulator.
+fn connect(addr: Option<SocketAddr>) -> io::Result<Link> {
+    let Some(addr) = addr else {
+        let mut sim = Simulator::new();
+        return Ok(Box::new(move |request| {
+            Ok(solo_reply(&mut sim, request).encode())
+        }));
+    };
+    let mut client = Client::connect(addr)?;
+    Ok(Box::new(move |request| client.call_raw(request)))
+}
+
+/// What a server without cross-request batching answers: analyses in
+/// item order, a design as a default supervised session.
+fn solo_reply(sim: &mut Simulator, request: &Request) -> Response {
+    match request {
+        Request::AnalyzeBatch { items } => Response::Analysis {
+            results: items
+                .iter()
+                .map(|item| match item {
+                    WorkItem::Topo(t) => sim.analyze_topology(t),
+                    WorkItem::Net(n) => sim.analyze_netlist(n),
+                })
+                .collect(),
+        },
+        Request::Design { seed, spec, .. } => Response::Report(Box::new(
+            artisan_serve::WireReport::from(&Supervisor::default().run(spec, sim, *seed)),
+        )),
+        other => unreachable!("the baseline is never sent {other:?}"),
+    }
 }
 
 /// The spec a given tenant designs for — varied so the workload is not
@@ -108,11 +146,12 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-/// Drives the full workload against one server: a design session per
-/// tenant, then `waves` barrier-synchronized evaluation waves on
-/// persistent connections.
+/// Drives the full workload against the server at `addr`, or the
+/// unbatched baseline for `None`: a design session per tenant, then
+/// `waves` barrier-synchronized evaluation waves on persistent
+/// connections.
 fn drive(
-    addr: SocketAddr,
+    addr: Option<SocketAddr>,
     tenants: usize,
     waves: usize,
     shared: usize,
@@ -124,16 +163,13 @@ fn drive(
     let mut workers = Vec::new();
     for tenant in 0..tenants {
         workers.push(std::thread::spawn(move || {
-            let mut client =
-                Client::connect(addr).map_err(|e| format!("tenant {tenant} connect: {e}"))?;
+            let mut call = connect(addr).map_err(|e| format!("tenant {tenant} connect: {e}"))?;
             let request = Request::Design {
                 tenant: format!("tenant-{tenant}"),
                 seed: 1_000 + tenant as u64,
                 spec: spec_for(tenant),
             };
-            let payload = client
-                .call_raw(&request)
-                .map_err(|e| format!("tenant {tenant} design: {e}"))?;
+            let payload = call(&request).map_err(|e| format!("tenant {tenant} design: {e}"))?;
             Ok::<_, String>((tenant, payload))
         }));
     }
@@ -154,8 +190,7 @@ fn drive(
     for tenant in 0..tenants {
         let barrier = Arc::clone(&barrier);
         workers.push(std::thread::spawn(move || {
-            let mut client =
-                Client::connect(addr).map_err(|e| format!("tenant {tenant} connect: {e}"))?;
+            let mut call = connect(addr).map_err(|e| format!("tenant {tenant} connect: {e}"))?;
             let mut out = Vec::new();
             for wave in 0..waves {
                 let mut items: Vec<WorkItem> = shared_candidates(wave, shared)
@@ -169,8 +204,7 @@ fn drive(
                 );
                 barrier.wait();
                 let t0 = Instant::now();
-                let payload = client
-                    .call_raw(&Request::AnalyzeBatch { items })
+                let payload = call(&Request::AnalyzeBatch { items })
                     .map_err(|e| format!("tenant {tenant} wave {wave}: {e}"))?;
                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                 out.push((wave, ms, payload));
@@ -191,11 +225,13 @@ fn drive(
     }
     let eval_wall = eval_started.elapsed();
 
-    let mut client = Client::connect(addr).map_err(|e| format!("stats connect: {e}"))?;
-    let stats = match client.call(&Request::Stats) {
-        Ok(Response::Stats(stats)) => stats,
-        Ok(_) => return Err("stats request answered with wrong kind".to_string()),
-        Err(e) => return Err(format!("stats request: {e}")),
+    let stats = match addr {
+        None => WireStats::default(),
+        Some(addr) => match Client::connect(addr).and_then(|mut c| c.call(&Request::Stats)) {
+            Ok(Response::Stats(stats)) => stats,
+            Ok(_) => return Err("stats request answered with wrong kind".to_string()),
+            Err(e) => return Err(format!("stats request: {e}")),
+        },
     };
     Ok(RunOutcome {
         eval_latencies_ms,
@@ -268,7 +304,12 @@ fn leg_json(outcome: &RunOutcome, eval_sessions: usize, design_sessions: usize) 
 
 /// The saturation probe: a deliberately tiny server (2 in-flight
 /// slots) is offered many concurrent sessions; healthy behaviour is
-/// explicit, *fast* `busy` replies for the overflow.
+/// explicit, *fast* `busy` replies for the overflow. The sessions ask
+/// for a spec no candidate meets, so each runs the agent's whole
+/// iteration budget and holds its slot while the others arrive; a
+/// one-simulation session such as G-1 finishes in well under a
+/// millisecond, and a burst of them can pass through two slots one
+/// after another without ever overflowing them.
 fn saturation_probe(tenants: usize) -> Result<Json, String> {
     let config = ServerConfig {
         max_inflight: 2,
@@ -277,6 +318,7 @@ fn saturation_probe(tenants: usize) -> Result<Json, String> {
     };
     let server = Server::start(config).map_err(|e| format!("saturation bind: {e}"))?;
     let addr = server.addr();
+    let unattainable = Spec::new(200.0, 1e12, 89.0, 1e-9, 10e-12);
     let offered = (tenants * 2).max(8);
     let mut workers = Vec::new();
     for k in 0..offered {
@@ -285,7 +327,7 @@ fn saturation_probe(tenants: usize) -> Result<Json, String> {
             let request = Request::Design {
                 tenant: format!("sat-{k}"),
                 seed: 9_000 + k as u64,
-                spec: Spec::g1(),
+                spec: unattainable,
             };
             let t0 = Instant::now();
             let response = client.call(&request).map_err(|e| format!("call: {e}"))?;
@@ -348,7 +390,7 @@ fn run() -> Result<(), String> {
         let addr: SocketAddr = addr_arg
             .parse()
             .map_err(|e| format!("bad --addr {addr_arg:?}: {e}"))?;
-        let outcome = drive(addr, tenants, waves, shared, private)?;
+        let outcome = drive(Some(addr), tenants, waves, shared, private)?;
         top.push(("target", leg_json(&outcome, eval_sessions, tenants)));
         if flag("--drain") {
             let final_stats = drain(addr)?;
@@ -366,9 +408,9 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    // A/B comparison mode. Both legs run default, hermetic servers: a
-    // journal dir or cache snapshot would let one leg fast-forward work
-    // the other leg performs, voiding the comparison.
+    // A/B comparison mode. The batched leg runs a default, hermetic
+    // server: a journal dir or cache snapshot would let it fast-forward
+    // work the baseline performs, voiding the comparison.
 
     // The batching win is deterministic (the same jobs dedup the same
     // way every run — the stats pin that), but wall-clock on a shared
@@ -386,32 +428,23 @@ fn run() -> Result<(), String> {
         let batched = {
             let server =
                 Server::start(ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
-            let outcome = drive(server.addr(), tenants, waves, shared, private)?;
+            let outcome = drive(Some(server.addr()), tenants, waves, shared, private)?;
             drain(server.addr())?;
             outcome
         };
-        eprintln!("serve_load: attempt {attempt}: no-batch baseline leg");
-        let baseline = {
-            let config = ServerConfig {
-                batching: false,
-                ..ServerConfig::default()
-            };
-            let server = Server::start(config).map_err(|e| format!("bind: {e}"))?;
-            let outcome = drive(server.addr(), tenants, waves, shared, private)?;
-            drain(server.addr())?;
-            outcome
-        };
+        eprintln!("serve_load: attempt {attempt}: in-process unbatched baseline leg");
+        let baseline = drive(None, tenants, waves, shared, private)?;
         if !no_assert
             && (batched.eval_payloads != baseline.eval_payloads
                 || batched.design_payloads != baseline.design_payloads)
         {
             return Err(format!(
-                "attempt {attempt}: reports differ between batched and no-batch modes"
+                "attempt {attempt}: reports differ between the batched and unbatched legs"
             ));
         }
         let ratio = baseline.eval_wall.as_secs_f64() / batched.eval_wall.as_secs_f64().max(1e-9);
         eprintln!(
-            "serve_load: attempt {attempt}: batched {:.3}s vs no-batch {:.3}s — speedup {ratio:.2}×",
+            "serve_load: attempt {attempt}: batched {:.3}s vs unbatched {:.3}s — speedup {ratio:.2}×",
             batched.eval_wall.as_secs_f64(),
             baseline.eval_wall.as_secs_f64()
         );
@@ -445,11 +478,11 @@ fn run() -> Result<(), String> {
 
     if !no_assert {
         if !bit_identical {
-            return Err("reports differ between batched and no-batch modes".to_string());
+            return Err("reports differ between the batched and unbatched legs".to_string());
         }
         if speedup < 2.0 {
             return Err(format!(
-                "batched throughput only {speedup:.2}× the no-batch baseline (need ≥ 2×)"
+                "batched throughput only {speedup:.2}× the unbatched baseline (need ≥ 2×)"
             ));
         }
         let busy = saturation.get("busy").and_then(Json::as_f64).unwrap_or(0.0);

@@ -6,14 +6,15 @@
 //! has many single-candidate requests in flight at once. The engine
 //! turns that concurrency into batch width:
 //!
-//! 1. every in-flight session holds a *lease*; submitted jobs land in
-//!    one ingress queue;
-//! 2. the batcher thread accumulates arrivals until the batch is full
-//!    or a short coalescing window expires (bounded latency when
-//!    tenants are idle), then drains up to `max_batch`;
-//! 3. jobs are keyed by netlist fingerprint: cache hits are answered
-//!    immediately, in-batch duplicates collapse onto one computation
-//!    (cross-tenant single-flight), and the survivors run through one
+//! 1. every in-flight session holds a *lease*; submitted jobs are keyed
+//!    by netlist fingerprint: a cache hit is answered at once, and a job
+//!    whose key is already queued or computing shares that job's result
+//!    (cross-tenant single-flight, failures included); only the rest
+//!    land in the one ingress queue;
+//! 2. whenever the batcher thread wakes, it drains whatever is queued,
+//!    up to `max_batch`; work that arrives while a batch computes
+//!    queues up and forms the next batch;
+//! 3. the drained jobs run through one
 //!    [`Simulator::analyze_batch_with_pool`] call on the shared pool;
 //! 4. finite successful reports are inserted into the shared
 //!    [`SimCache`] under the default analysis-config salt — the same
@@ -38,10 +39,9 @@ use artisan_sim::{
     Result, SimBackend, SimCache, Simulator,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Counters the batcher maintains; snapshot via [`BatchEngine::stats`].
 #[derive(Debug, Clone, Default)]
@@ -52,7 +52,8 @@ pub struct EngineStats {
     pub jobs: u64,
     /// Jobs that required a fresh computation.
     pub unique_computed: u64,
-    /// Jobs answered by an identical in-batch twin's computation.
+    /// Jobs answered by the computation of an identical job that was
+    /// queued or computing when they were submitted.
     pub dedup_shared: u64,
     /// Jobs answered straight from the shared cache.
     pub cache_served: u64,
@@ -65,6 +66,7 @@ impl EngineStats {
     fn record_batch(&mut self, drained: usize, max_batch: usize) {
         self.batches += 1;
         self.jobs += drained as u64;
+        self.unique_computed += drained as u64;
         if self.occupancy.len() < max_batch {
             self.occupancy.resize(max_batch, 0);
         }
@@ -73,8 +75,8 @@ impl EngineStats {
     }
 }
 
-/// One result slot, shared between a submitting session and the
-/// batcher.
+/// One result slot, shared between the batcher and every session that
+/// submitted its key while it was queued or computing.
 struct Slot {
     result: Mutex<Option<Result<AnalysisReport>>>,
     ready: Condvar,
@@ -103,8 +105,8 @@ impl Slot {
     fn wait(&self) -> Result<AnalysisReport> {
         let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(value) = guard.take() {
-                return value;
+            if let Some(value) = guard.as_ref() {
+                return value.clone();
             }
             guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
@@ -117,14 +119,21 @@ struct Job {
     slot: Arc<Slot>,
 }
 
+/// The work the batcher has still to answer.
+#[derive(Default)]
+struct Ingress {
+    /// Jobs waiting for the batcher, in arrival order.
+    queue: VecDeque<Job>,
+    /// The slot of every keyed job that is queued or computing.
+    flights: HashMap<NetlistFingerprint, Arc<Slot>>,
+}
+
 struct EngineShared {
-    queue: Mutex<VecDeque<Job>>,
+    ingress: Mutex<Ingress>,
     arrived: Condvar,
     cache: Arc<SimCache>,
     stats: Mutex<EngineStats>,
-    active_leases: AtomicUsize,
     shutdown: AtomicBool,
-    window: Duration,
     max_batch: usize,
     salt: u64,
 }
@@ -139,93 +148,85 @@ impl EngineShared {
         }
     }
 
-    /// Submits one job; see [`EngineShared::submit_many`].
-    fn submit(&self, item: WorkItem) -> Arc<Slot> {
-        let mut pending = Vec::new();
-        let slot = self.admit(item, &mut pending);
-        self.enqueue(1, pending);
-        slot
-    }
-
-    /// Submits a set of jobs atomically: cache hits are answered at
-    /// submit time (no coalescing-window latency for work a leader has
-    /// already finished — billing happened in the caller, cache service
-    /// is wall-clock only), and the misses land in the queue under one
-    /// lock, so the batcher sees a whole sweep at once instead of
-    /// nibbling it into lease-width micro-batches. A job that misses
-    /// here may still hit the cache at drain time if a leader's batch
-    /// completes while it queues — single-flight either way. `Err`
-    /// items were rejected before submission; their slots carry the
-    /// rejection and never reach the engine's counters.
+    /// Submits a set of jobs atomically, under one lock, so the batcher
+    /// sees a whole sweep at once instead of nibbling it into
+    /// lease-width micro-batches. A job whose key is queued or computing
+    /// shares that job's slot, errors included; a cache hit is answered
+    /// now (billing happened in the caller, cache service is wall-clock
+    /// only); the rest queue. A key's flight ends only after its result
+    /// has reached the cache, so a key whose report the cache keeps is
+    /// computed once while it stays resident. `Err` items were rejected
+    /// before submission; their slots carry the rejection and never
+    /// reach the engine's counters.
     fn submit_many(&self, items: Vec<Result<WorkItem>>) -> Vec<Arc<Slot>> {
-        let mut pending = Vec::new();
-        let mut admitted = 0;
-        let slots = items
+        let keyed: Vec<_> = items
             .into_iter()
-            .map(|item| match item {
-                Ok(item) => {
-                    admitted += 1;
-                    self.admit(item, &mut pending)
+            .map(|item| item.map(|item| (self.fingerprint(&item), item)))
+            .collect();
+        let (mut shared, mut served) = (0u64, 0u64);
+        let mut ingress = self.ingress.lock().unwrap_or_else(|e| e.into_inner());
+        let queued = ingress.queue.len();
+        let slots = keyed
+            .into_iter()
+            .map(|item| {
+                let (key, item) = match item {
+                    Ok(keyed) => keyed,
+                    Err(rejection) => return Slot::filled(Err(rejection)),
+                };
+                if let Some(fp) = key {
+                    if let Some(slot) = ingress.flights.get(&fp) {
+                        shared += 1;
+                        return Arc::clone(slot);
+                    }
+                    if let Some(report) = self.cache.get(fp) {
+                        served += 1;
+                        return Slot::filled(Ok(report));
+                    }
                 }
-                Err(rejection) => Slot::filled(Err(rejection)),
+                let slot = Slot::new();
+                if let Some(fp) = key {
+                    ingress.flights.insert(fp, Arc::clone(&slot));
+                }
+                ingress.queue.push_back(Job {
+                    item,
+                    key,
+                    slot: Arc::clone(&slot),
+                });
+                slot
             })
             .collect();
-        self.enqueue(admitted, pending);
-        slots
-    }
-
-    /// Answers `item` from the cache now, or adds its job to `pending`.
-    fn admit(&self, item: WorkItem, pending: &mut Vec<Job>) -> Arc<Slot> {
-        let key = self.fingerprint(&item);
-        if let Some(report) = key.and_then(|fp| self.cache.get(fp)) {
-            return Slot::filled(Ok(report));
-        }
-        let slot = Slot::new();
-        pending.push(Job {
-            item,
-            key,
-            slot: Arc::clone(&slot),
-        });
-        slot
-    }
-
-    /// Counts the `admitted` jobs not in `pending` as cache-served and
-    /// queues the rest under one lock.
-    fn enqueue(&self, admitted: usize, pending: Vec<Job>) {
-        let served = (admitted - pending.len()) as u64;
-        if served > 0 {
-            let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.jobs += served;
-            stats.cache_served += served;
-        }
-        if !pending.is_empty() {
-            let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.extend(pending);
+        if ingress.queue.len() > queued {
             self.arrived.notify_all();
         }
+        drop(ingress);
+        if shared + served > 0 {
+            let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
+            stats.jobs += shared + served;
+            stats.dedup_shared += shared;
+            stats.cache_served += served;
+        }
+        slots
     }
 }
 
 /// The batching engine: owns the batcher thread, the shared cache
-/// handle, and the ingress queue. Dropping it shuts the batcher down
-/// after failing any still-queued jobs.
+/// handle, and the ingress queue. Dropping it stops the batcher once
+/// the queued jobs have run.
 pub struct BatchEngine {
     shared: Arc<EngineShared>,
     batcher: Option<JoinHandle<()>>,
 }
 
 impl BatchEngine {
-    /// Starts the batcher over `cache` with the given coalescing
-    /// window and maximum batch width.
-    pub fn start(cache: Arc<SimCache>, window: Duration, max_batch: usize) -> BatchEngine {
+    /// Starts the batcher over `cache`; one batch drains at most
+    /// `max_batch` jobs.
+    pub fn start(cache: Arc<SimCache>, max_batch: usize) -> BatchEngine {
         let shared = Arc::new(EngineShared {
-            queue: Mutex::new(VecDeque::new()),
+            ingress: Mutex::new(Ingress::default()),
             arrived: Condvar::new(),
             cache,
             stats: Mutex::new(EngineStats::default()),
-            active_leases: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            window,
             max_batch: max_batch.max(1),
             salt: config_salt(&AnalysisConfig::default()),
         });
@@ -237,11 +238,8 @@ impl BatchEngine {
         }
     }
 
-    /// Hands out a session backend. The lease count is bookkeeping
-    /// only; batch launch is steered by the coalescing window and
-    /// `max_batch`.
+    /// Hands out a session backend.
     pub fn lease(&self) -> EngineBackend {
-        self.shared.active_leases.fetch_add(1, Ordering::SeqCst);
         EngineBackend {
             shared: Arc::clone(&self.shared),
             ledger: CostLedger::new(),
@@ -256,26 +254,15 @@ impl BatchEngine {
             .unwrap_or_else(|e| e.into_inner())
             .clone()
     }
+}
 
-    /// The shared cache the engine computes into.
-    pub fn cache(&self) -> &Arc<SimCache> {
-        &self.shared.cache
-    }
-
-    /// Stops the batcher: queued jobs still complete, then the thread
-    /// exits. Idempotent.
-    pub fn shutdown(&mut self) {
+impl Drop for BatchEngine {
+    fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.arrived.notify_all();
         if let Some(handle) = self.batcher.take() {
             let _ = handle.join();
         }
-    }
-}
-
-impl Drop for BatchEngine {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -286,130 +273,79 @@ fn batcher_loop(shared: &EngineShared) {
     // environment-sized pool.
     let mut sim = Simulator::new();
     let pool = ThreadPool::from_env();
+    let mut done: Vec<Job> = Vec::new();
     loop {
         let batch = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ingress = shared.ingress.lock().unwrap_or_else(|e| e.into_inner());
+            // The finished batch's results are in its slots and, when
+            // cacheable, in the cache: its keys stop taking joiners.
+            for fp in done.drain(..).filter_map(|job| job.key) {
+                ingress.flights.remove(&fp);
+            }
             // Sleep until work arrives or shutdown.
-            while queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                queue = shared
+            while ingress.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
+                ingress = shared
                     .arrived
-                    .wait(queue)
+                    .wait(ingress)
                     .unwrap_or_else(|e| e.into_inner());
             }
-            if queue.is_empty() {
+            if ingress.queue.is_empty() {
                 // Shutdown with a drained queue: done.
                 return;
             }
-            // Coalescing window: once work arrives, keep accumulating
-            // until the batch is full or the window expires. Draining
-            // any earlier (e.g. at one-job-per-lease width) splits a
-            // concurrent sweep into micro-batches and forfeits the
-            // in-batch dedup that makes batching pay; the window bounds
-            // the latency cost for sparse traffic.
-            let deadline = Instant::now() + shared.window;
-            loop {
-                if queue.len() >= shared.max_batch || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared
-                    .arrived
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                queue = guard;
-            }
-            let take = queue.len().min(shared.max_batch);
-            queue.drain(..take).collect::<Vec<Job>>()
+            // Drain without waiting for more work. A wait would buy no
+            // dedup: a job submitted while this batch computes shares
+            // the slot of any queued or computing job with its key,
+            // failures included. Everything else queues up and forms
+            // the next batch.
+            let take = ingress.queue.len().min(shared.max_batch);
+            ingress.queue.drain(..take).collect::<Vec<Job>>()
         };
-        run_batch(shared, &mut sim, &pool, batch);
+        run_batch(shared, &mut sim, &pool, &batch);
+        done = batch;
     }
 }
 
-/// Executes one drained batch: cache lookup, in-batch dedup, one
-/// parallel compute for the unique topology survivors, result
-/// distribution, cache fill.
-fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batch: Vec<Job>) {
-    let drained = batch.len();
-    let mut cache_served = 0u64;
-    let mut dedup_shared = 0u64;
-
-    // Unique work groups in arrival order, indexed by fingerprint: the
-    // computation for each group feeds every slot that coalesced onto
-    // it.
-    struct Group {
-        key: Option<NetlistFingerprint>,
-        item: WorkItem,
-        slots: Vec<Arc<Slot>>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: HashMap<NetlistFingerprint, usize> = HashMap::new();
-    for job in batch {
-        let key = job.key;
-        if let Some(fp) = key {
-            if let Some(report) = shared.cache.get(fp) {
-                cache_served += 1;
-                job.slot.fill(Ok(report));
-                continue;
-            }
-            if let Some(&g) = group_of.get(&fp) {
-                dedup_shared += 1;
-                groups[g].slots.push(job.slot);
-                continue;
-            }
-            group_of.insert(fp, groups.len());
+/// Executes one drained batch: one parallel compute for the topologies,
+/// then each result to its slot and, when cacheable, to the shared
+/// cache. Submission already answered cache hits and duplicates, so
+/// every keyed job here is the only one with its key. The batch is
+/// counted before any result is released, so a caller holding its
+/// results finds them in [`BatchEngine::stats`].
+fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batch: &[Job]) {
+    shared
+        .stats
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .record_batch(batch.len(), shared.max_batch);
+    let settle = |job: &Job, result: Result<AnalysisReport>| {
+        if let Some(fp) = job.key {
+            shared.cache.store(fp, &result);
         }
-        groups.push(Group {
-            key,
-            item: job.item,
-            slots: vec![job.slot],
-        });
-    }
-    let unique_computed = groups.len() as u64;
-
-    // Feeds one group's result to its slots and, when it is a finite
-    // success, to the shared cache — the same rule the caching tier
-    // applies everywhere.
-    let settle = |group: &Group, result: Result<AnalysisReport>| {
-        if let (Some(fp), Ok(report)) = (&group.key, &result) {
-            if report.performance.is_finite() {
-                shared.cache.insert(*fp, report.clone());
-            }
-        }
-        for slot in &group.slots {
-            slot.fill(result.clone());
-        }
+        job.slot.fill(result);
     };
 
     // Topologies fan out through the batch API (amortized pool +
     // shared sweep machinery), one result per topology in order;
     // netlists run individually (rare path — only RemoteSim sends
     // them).
-    let topo_groups: Vec<(&Group, &Topology)> = groups
+    let topo_jobs: Vec<(&Job, &Topology)> = batch
         .iter()
-        .filter_map(|g| match &g.item {
-            WorkItem::Topo(t) => Some((g, t)),
+        .filter_map(|job| match &job.item {
+            WorkItem::Topo(t) => Some((job, t)),
             WorkItem::Net(_) => None,
         })
         .collect();
-    let topos: Vec<Topology> = topo_groups.iter().map(|(_, t)| (*t).clone()).collect();
+    let topos: Vec<Topology> = topo_jobs.iter().map(|(_, t)| (*t).clone()).collect();
     let topo_results = sim.analyze_batch_with_pool(&topos, pool);
-    for ((group, _), result) in topo_groups.into_iter().zip(topo_results) {
-        settle(group, result);
+    for ((job, _), result) in topo_jobs.into_iter().zip(topo_results) {
+        settle(job, result);
     }
-    for group in &groups {
-        if let WorkItem::Net(netlist) = &group.item {
-            settle(group, sim.analyze_netlist(netlist));
+    for job in batch {
+        if let WorkItem::Net(netlist) = &job.item {
+            settle(job, sim.analyze_netlist(netlist));
         }
     }
-
-    let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    stats.record_batch(drained, shared.max_batch);
-    stats.unique_computed += unique_computed;
-    stats.dedup_shared += dedup_shared;
-    stats.cache_served += cache_served;
 }
 
 /// A per-session [`SimBackend`] over the shared engine.
@@ -425,12 +361,6 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
 pub struct EngineBackend {
     shared: Arc<EngineShared>,
     ledger: CostLedger,
-}
-
-impl Drop for EngineBackend {
-    fn drop(&mut self) {
-        self.shared.active_leases.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl EngineBackend {
@@ -465,13 +395,17 @@ impl SimBackend for EngineBackend {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
         elaborate_for_analysis(topo)?;
         self.ledger.record_simulation();
-        self.shared.submit(WorkItem::Topo(topo.clone())).wait()
+        self.shared
+            .submit_many(vec![Ok(WorkItem::Topo(topo.clone()))])[0]
+            .wait()
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
         load_capacitance(netlist)?;
         self.ledger.record_simulation();
-        self.shared.submit(WorkItem::Net(netlist.clone())).wait()
+        self.shared
+            .submit_many(vec![Ok(WorkItem::Net(netlist.clone()))])[0]
+            .wait()
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
@@ -495,5 +429,36 @@ impl SimBackend for EngineBackend {
 
     fn ledger_mut(&mut self) -> &mut CostLedger {
         &mut self.ledger
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use artisan_circuit::sample::{sample_topology, SampleRanges};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn duplicates_share_one_computation_failures_included() {
+        // One candidate that analyzes cleanly and one that elaborates but
+        // fails analysis (the cache never keeps it), each submitted twice.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut sample = |succeeds: bool| loop {
+            let topo = sample_topology(&mut rng, &SampleRanges::default(), 10e-12);
+            let result = Simulator::new().analyze_topology(&topo);
+            if result.is_ok() == succeeds && elaborate_for_analysis(&topo).is_ok() {
+                break WorkItem::Topo(topo);
+            }
+        };
+        let (ok, failed) = (sample(true), sample(false));
+        let engine = BatchEngine::start(SimCache::shared(64), 256);
+        let results = engine
+            .lease()
+            .analyze_items(vec![ok.clone(), failed.clone(), ok, failed]);
+        assert!(results[0].is_ok() && results[1].is_err());
+        assert_eq!((&results[0], &results[1]), (&results[2], &results[3]));
+        let stats = engine.stats();
+        assert_eq!((stats.unique_computed, stats.dedup_shared), (2, 2));
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! - [`proto`] — the versioned, length-prefixed, FNV-checksummed JSON
 //!   frame protocol and every request/response codec;
-//! - [`engine`] — the cross-request batching loop that coalesces
+//! - [`engine`] — the server's only compute path: one loop that drains
 //!   candidate evaluations from concurrent tenants into shared
-//!   `analyze_batch` calls, with cache serving and in-batch dedup;
+//!   `analyze_batch` calls, with cache serving and submit-time dedup;
 //! - [`server`] — the TCP accept loop, per-tenant admission control
 //!   with explicit `busy` backpressure, and the graceful drain
 //!   sequence (finish in-flight, snapshot cache, expire journals);
@@ -22,10 +22,11 @@
 //! generator behind `BENCH_serve.json`).
 //!
 //! A server reads no environment variables except the thread pool's
-//! one-time `ARTISAN_THREADS`. The `artisan-serve` daemon reads `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT`,
-//! `ARTISAN_SERVE_BATCH_WINDOW_MS` and the workspace-wide
-//! `ARTISAN_SIM_CACHE_DIR` / `ARTISAN_JOURNAL_DIR` once at entry
-//! ([`server::ServerConfig::from_env`]) and passes them down.
+//! one-time `ARTISAN_THREADS`. The `artisan-serve` daemon reads
+//! `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT` and the
+//! workspace-wide `ARTISAN_SIM_CACHE_DIR` / `ARTISAN_JOURNAL_DIR` once at
+//! entry, applies its flags ([`server::ServerConfig::with_flags`]) and
+//! passes them down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,4 +40,4 @@ pub mod server;
 pub use client::{Client, RemoteSim};
 pub use engine::{BatchEngine, EngineBackend, EngineStats};
 pub use proto::{Request, Response, WireOutcome, WireReport, WireStats, WorkItem};
-pub use server::{Server, ServerConfig, ADDR_ENV, BATCH_WINDOW_ENV, MAX_INFLIGHT_ENV};
+pub use server::{Server, ServerConfig, ADDR_ENV, MAX_INFLIGHT_ENV};

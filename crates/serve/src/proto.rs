@@ -31,6 +31,7 @@ use artisan_circuit::{
     StageParams, Topology,
 };
 use artisan_math::MathError;
+use artisan_resilience::SessionReport;
 use artisan_sim::wire as simwire;
 use artisan_sim::{AnalysisReport, SimError, Spec};
 use std::io::{self, Read, Write};
@@ -185,6 +186,30 @@ pub struct WireReport {
     pub outcome: Option<WireOutcome>,
 }
 
+impl From<&SessionReport> for WireReport {
+    fn from(report: &SessionReport) -> WireReport {
+        WireReport {
+            success: report.success,
+            degraded: report.degraded,
+            attempts: report.attempts as u64,
+            faults_observed: report.faults_observed as u64,
+            events_len: report.events.len() as u64,
+            simulations: report.simulations as u64,
+            llm_steps: report.llm_steps as u64,
+            cache_hits: report.cache_hits as u64,
+            coalesced_waits: report.coalesced_waits as u64,
+            batched_solves: report.batched_solves as u64,
+            testbed_seconds: report.testbed_seconds,
+            outcome: report.outcome.as_ref().map(|o| WireOutcome {
+                success: o.success,
+                iterations: o.iterations as u64,
+                report: o.report.clone(),
+                netlist_text: o.netlist_text.clone(),
+            }),
+        }
+    }
+}
+
 /// The design outcome subset that travels on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireOutcome {
@@ -212,7 +237,7 @@ pub struct WireStats {
     pub jobs: u64,
     /// Jobs computed (unique after dedup + cache).
     pub unique_computed: u64,
-    /// Jobs served by coalescing onto an identical in-batch twin.
+    /// Jobs served by sharing an identical queued or computing job.
     pub dedup_shared: u64,
     /// Jobs served straight from the shared cache.
     pub cache_served: u64,
@@ -492,9 +517,11 @@ fn item_of_json(v: &Json) -> Result<WorkItem, String> {
 fn report_to_json(report: &AnalysisReport) -> Json {
     let mut bytes = Vec::new();
     simwire::encode_report(&mut bytes, report);
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut hex = String::with_capacity(bytes.len() * 2);
     for b in &bytes {
-        hex.push_str(&format!("{b:02x}"));
+        hex.push(char::from(DIGITS[usize::from(b >> 4)]));
+        hex.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     Json::Str(hex)
 }

@@ -30,12 +30,10 @@
 //! server reads nothing from the process environment: everything comes
 //! in through [`ServerConfig`], whose default is hermetic (no cache
 //! snapshot, no journals). Binaries build it with
-//! [`ServerConfig::from_env`].
+//! [`ServerConfig::from_env`] and [`ServerConfig::with_flags`].
 
 use crate::engine::BatchEngine;
-use crate::proto::{
-    read_frame, write_frame, Request, Response, WireOutcome, WireReport, WireStats, WorkItem,
-};
+use crate::proto::{read_frame, write_frame, Request, Response, WireReport, WireStats};
 use artisan_agents::AgentConfig;
 use artisan_resilience::journal::{
     agent_config_salt, expire_terminal, journal_dir_from_env, plan_fingerprint, session_file_name,
@@ -45,7 +43,7 @@ use artisan_resilience::{SessionReport, Supervisor};
 use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::wire::fnv1a64;
-use artisan_sim::{AnalysisConfig, SimCache, Simulator};
+use artisan_sim::{AnalysisConfig, SimCache};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,8 +57,6 @@ use std::time::Duration;
 pub const ADDR_ENV: &str = "ARTISAN_SERVE_ADDR";
 /// Global concurrent-session admission bound.
 pub const MAX_INFLIGHT_ENV: &str = "ARTISAN_SERVE_MAX_INFLIGHT";
-/// Batching coalescing window, in milliseconds.
-pub const BATCH_WINDOW_ENV: &str = "ARTISAN_SERVE_BATCH_WINDOW_MS";
 
 /// Everything that shapes a server instance.
 #[derive(Debug, Clone)]
@@ -69,15 +65,10 @@ pub struct ServerConfig {
     pub addr: String,
     /// Global concurrent design-session cap; excess gets `busy`.
     pub max_inflight: usize,
-    /// Batch coalescing window.
-    pub batch_window: Duration,
     /// Maximum jobs one batch drains.
     pub max_batch: usize,
     /// Shared cache capacity (reports).
     pub cache_capacity: usize,
-    /// Cross-request batching on (`false` = the pre-serve baseline:
-    /// a private simulator per request, no sharing).
-    pub batching: bool,
     /// Per-tenant concurrent session cap.
     pub tenant_max_inflight: usize,
     /// Per-tenant cumulative testbed-seconds budget.
@@ -97,10 +88,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_inflight: 32,
-            batch_window: Duration::from_millis(2),
             max_batch: 256,
             cache_capacity: 4096,
-            batching: true,
             tenant_max_inflight: 8,
             tenant_testbed_budget: f64::INFINITY,
             journal_expire: None,
@@ -112,15 +101,13 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The defaults overridden by `ARTISAN_SERVE_ADDR`,
-    /// `ARTISAN_SERVE_MAX_INFLIGHT`, `ARTISAN_SERVE_BATCH_WINDOW_MS`,
-    /// `ARTISAN_SIM_CACHE_DIR` and `ARTISAN_JOURNAL_DIR`. For binaries
-    /// to call once at entry.
+    /// `ARTISAN_SERVE_MAX_INFLIGHT`, `ARTISAN_SIM_CACHE_DIR` and
+    /// `ARTISAN_JOURNAL_DIR`. For binaries to call once at entry.
     ///
     /// # Errors
     ///
     /// A message naming the variable when `ARTISAN_SERVE_MAX_INFLIGHT`
-    /// or `ARTISAN_SERVE_BATCH_WINDOW_MS` is not a non-negative
-    /// integer.
+    /// is not a non-negative integer.
     pub fn from_env() -> Result<Self, String> {
         Ok(ServerConfig {
             cache_dir: snapshot_dir_from_env(),
@@ -134,43 +121,74 @@ impl ServerConfig {
     /// [`ServerConfig::from_env`].
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let defaults = ServerConfig::default();
-        let window_ms = defaults.batch_window.as_millis() as u64;
         Ok(ServerConfig {
             addr: lookup(ADDR_ENV).unwrap_or(defaults.addr),
-            max_inflight: parse_count(MAX_INFLIGHT_ENV, &lookup, defaults.max_inflight)?,
-            batch_window: Duration::from_millis(parse_count(BATCH_WINDOW_ENV, &lookup, window_ms)?),
+            max_inflight: match lookup(MAX_INFLIGHT_ENV) {
+                Some(raw) => parse_setting(MAX_INFLIGHT_ENV, &raw)?,
+                None => defaults.max_inflight,
+            },
             ..defaults
         })
     }
+
+    /// `self` overridden by the `artisan-serve` flags in `args` (the
+    /// program name excluded), each followed by its value.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when its value is missing or
+    /// malformed (a budget must be a non-negative number of seconds,
+    /// `inf` included), or naming the argument when it is no such flag.
+    pub fn with_flags(mut self, args: &[String]) -> Result<Self, String> {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let raw = args
+                .next()
+                .ok_or_else(|| format!("{flag} is missing its value"));
+            match flag.as_str() {
+                "--addr" => self.addr = raw?.clone(),
+                "--max-inflight" => self.max_inflight = parse_setting(flag, raw?)?,
+                "--max-batch" => self.max_batch = parse_setting(flag, raw?)?,
+                "--cache-capacity" => self.cache_capacity = parse_setting(flag, raw?)?,
+                "--tenant-max-inflight" => self.tenant_max_inflight = parse_setting(flag, raw?)?,
+                "--tenant-budget-seconds" => {
+                    let raw = raw?;
+                    let budget: f64 = parse_setting(flag, raw)?;
+                    if budget.is_nan() || budget < 0.0 {
+                        return Err(format!(
+                            "{flag}={raw:?} is not a non-negative number of seconds"
+                        ));
+                    }
+                    self.tenant_testbed_budget = budget;
+                }
+                "--journal-expire-secs" => {
+                    self.journal_expire = Some(Duration::from_secs(parse_setting(flag, raw?)?));
+                }
+                _ => return Err(format!("unknown argument {flag:?}")),
+            }
+        }
+        Ok(self)
+    }
 }
 
-/// The non-negative integer `lookup` returns for `key`, or `default`
-/// when it returns nothing.
-fn parse_count<T: std::str::FromStr>(
-    key: &str,
-    lookup: &impl Fn(&str) -> Option<String>,
-    default: T,
-) -> Result<T, String> {
-    match lookup(key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .trim()
-            .parse()
-            .map_err(|_| format!("{key}={raw:?} is not a non-negative integer")),
-    }
+/// `raw`, the value of setting `name`, parsed as a `T`.
+fn parse_setting<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
+    raw.trim().parse().map_err(|_| {
+        let kind = std::any::type_name::<T>();
+        format!("{name}={raw:?} is not a valid {kind}")
+    })
 }
 
 #[derive(Default)]
 struct TenantUsage {
     inflight: usize,
     testbed_seconds: f64,
-    sessions: u64,
 }
 
 struct ServerShared {
     config: ServerConfig,
     cache: Arc<SimCache>,
-    engine: Option<BatchEngine>,
+    engine: BatchEngine,
     supervisor: Supervisor,
     inflight: AtomicUsize,
     draining: AtomicBool,
@@ -182,30 +200,26 @@ struct ServerShared {
 impl ServerShared {
     fn stats(&self) -> WireStats {
         let cache = self.cache.stats();
-        let mut stats = WireStats {
+        let engine = self.engine.stats();
+        WireStats {
             sessions: self.sessions.load(Ordering::SeqCst),
             busy_rejects: self.busy_rejects.load(Ordering::SeqCst),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries as u64,
-            ..WireStats::default()
-        };
-        if let Some(engine) = &self.engine {
-            let e = engine.stats();
-            stats.batches = e.batches;
-            stats.jobs = e.jobs;
-            stats.unique_computed = e.unique_computed;
-            stats.dedup_shared = e.dedup_shared;
-            stats.cache_served = e.cache_served;
-            stats.occupancy = e
+            batches: engine.batches,
+            jobs: engine.jobs,
+            unique_computed: engine.unique_computed,
+            dedup_shared: engine.dedup_shared,
+            cache_served: engine.cache_served,
+            occupancy: engine
                 .occupancy
                 .iter()
                 .enumerate()
                 .filter(|(_, n)| **n > 0)
                 .map(|(i, n)| ((i + 1) as u64, *n))
-                .collect();
+                .collect(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_entries: cache.entries as u64,
         }
-        stats
     }
 }
 
@@ -282,13 +296,10 @@ impl Server {
             }
             None => SimCache::shared(config.cache_capacity),
         };
-        let engine = config
-            .batching
-            .then(|| BatchEngine::start(Arc::clone(&cache), config.batch_window, config.max_batch));
         let shared = Arc::new(ServerShared {
+            engine: BatchEngine::start(Arc::clone(&cache), config.max_batch),
             config,
             cache,
-            engine,
             supervisor: Supervisor::default(),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -377,9 +388,6 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_nodelay(true);
-    // The no-batch baseline computes on a private, per-connection
-    // simulator — exactly the pre-serve state of the world.
-    let mut solo = Simulator::new();
     loop {
         let payload = {
             let mut reader = PolledReader {
@@ -393,7 +401,7 @@ fn handle_connection(
         };
         let response = match Request::decode(&payload) {
             Err(message) => Response::Error { message },
-            Ok(request) => handle_request(shared, tenants, &mut solo, request),
+            Ok(request) => handle_request(shared, tenants, request),
         };
         let mut out = &mut &*stream;
         if write_frame(&mut out, &response.encode()).is_err() {
@@ -409,49 +417,22 @@ fn handle_connection(
 fn handle_request(
     shared: &Arc<ServerShared>,
     tenants: &Arc<Mutex<HashMap<String, TenantUsage>>>,
-    solo: &mut Simulator,
     request: Request,
 ) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(shared.stats()),
+        // One atomic submission per request: the engine's batcher
+        // coalesces whole sweeps from concurrent tenants instead of
+        // draining lease-width micro-batches of blocking one-shots.
         Request::Analyze { item } => Response::Analysis {
-            results: vec![analyze_one(shared, solo, item)],
+            results: shared.engine.lease().analyze_items(vec![item]),
         },
         Request::AnalyzeBatch { items } => Response::Analysis {
-            // One atomic submission per request: the engine's batcher
-            // coalesces whole sweeps from concurrent tenants instead of
-            // draining lease-width micro-batches of blocking one-shots.
-            results: match &shared.engine {
-                Some(engine) => engine.lease().analyze_items(items),
-                None => items
-                    .into_iter()
-                    .map(|item| analyze_one(shared, solo, item))
-                    .collect(),
-            },
+            results: shared.engine.lease().analyze_items(items),
         },
         Request::Design { tenant, seed, spec } => run_design(shared, tenants, &tenant, seed, &spec),
         Request::Drain => run_drain(shared),
-    }
-}
-
-fn analyze_one(
-    shared: &Arc<ServerShared>,
-    solo: &mut Simulator,
-    item: WorkItem,
-) -> artisan_sim::Result<artisan_sim::AnalysisReport> {
-    match &shared.engine {
-        Some(engine) => {
-            let mut lease = engine.lease();
-            match item {
-                WorkItem::Topo(t) => artisan_sim::SimBackend::analyze_topology(&mut lease, &t),
-                WorkItem::Net(n) => artisan_sim::SimBackend::analyze_netlist(&mut lease, &n),
-            }
-        }
-        None => match item {
-            WorkItem::Topo(t) => solo.analyze_topology(&t),
-            WorkItem::Net(n) => solo.analyze_netlist(&n),
-        },
     }
 }
 
@@ -501,11 +482,10 @@ fn run_design(
         let usage = registry.entry(tenant.to_string()).or_default();
         usage.inflight = usage.inflight.saturating_sub(1);
         usage.testbed_seconds += report.testbed_seconds;
-        usage.sessions += 1;
     }
     shared.sessions.fetch_add(1, Ordering::SeqCst);
     drop(guard);
-    Response::Report(Box::new(wire_report_of(&report)))
+    Response::Report(Box::new(WireReport::from(&report)))
 }
 
 fn run_session(
@@ -526,20 +506,10 @@ fn run_session(
         }
         None => SessionJournal::detached(),
     };
-    match &shared.engine {
-        Some(engine) => {
-            let mut backend = engine.lease();
-            shared
-                .supervisor
-                .run_journaled_default_agent(spec, &mut backend, seed, &mut journal)
-        }
-        None => {
-            let mut backend = Simulator::new();
-            shared
-                .supervisor
-                .run_journaled_default_agent(spec, &mut backend, seed, &mut journal)
-        }
-    }
+    let mut backend = shared.engine.lease();
+    shared
+        .supervisor
+        .run_journaled_default_agent(spec, &mut backend, seed, &mut journal)
 }
 
 fn run_drain(shared: &Arc<ServerShared>) -> Response {
@@ -573,28 +543,6 @@ fn run_drain(shared: &Arc<ServerShared>) -> Response {
     Response::Draining(stats)
 }
 
-fn wire_report_of(report: &SessionReport) -> WireReport {
-    WireReport {
-        success: report.success,
-        degraded: report.degraded,
-        attempts: report.attempts as u64,
-        faults_observed: report.faults_observed as u64,
-        events_len: report.events.len() as u64,
-        simulations: report.simulations as u64,
-        llm_steps: report.llm_steps as u64,
-        cache_hits: report.cache_hits as u64,
-        coalesced_waits: report.coalesced_waits as u64,
-        batched_solves: report.batched_solves as u64,
-        testbed_seconds: report.testbed_seconds,
-        outcome: report.outcome.as_ref().map(|o| WireOutcome {
-            success: o.success,
-            iterations: o.iterations as u64,
-            report: o.report.clone(),
-            netlist_text: o.netlist_text.clone(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,29 +560,72 @@ mod tests {
         let config = ServerConfig::from_lookup(lookup(&[
             (ADDR_ENV, "127.0.0.1:7070"),
             (MAX_INFLIGHT_ENV, " 4 "),
-            (BATCH_WINDOW_ENV, "0"),
         ]))
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(config.addr, "127.0.0.1:7070");
         assert_eq!(config.max_inflight, 4);
-        assert_eq!(config.batch_window, Duration::ZERO);
         let unset = ServerConfig::from_lookup(lookup(&[])).unwrap_or_else(|e| panic!("{e}"));
         let defaults = ServerConfig::default();
         assert_eq!(unset.addr, defaults.addr);
         assert_eq!(unset.max_inflight, defaults.max_inflight);
-        assert_eq!(unset.batch_window, defaults.batch_window);
         assert!(unset.cache_dir.is_none() && unset.journal_dir.is_none());
     }
 
     #[test]
     fn malformed_counts_are_errors_naming_the_variable() {
-        for key in [MAX_INFLIGHT_ENV, BATCH_WINDOW_ENV] {
-            for bad in ["", "many", "-1", "2.5"] {
-                let err = ServerConfig::from_lookup(lookup(&[(key, bad)]))
-                    .err()
-                    .unwrap_or_else(|| panic!("{key}={bad:?} was accepted"));
-                assert!(err.contains(key), "{err}");
-            }
+        for bad in ["", "many", "-1", "2.5"] {
+            let err = ServerConfig::from_lookup(lookup(&[(MAX_INFLIGHT_ENV, bad)]))
+                .err()
+                .unwrap_or_else(|| panic!("{MAX_INFLIGHT_ENV}={bad:?} was accepted"));
+            assert!(err.contains(MAX_INFLIGHT_ENV), "{err}");
+        }
+    }
+
+    fn with_flags(line: &str) -> Result<ServerConfig, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        ServerConfig::default().with_flags(&args)
+    }
+
+    #[test]
+    fn flags_override_the_settings() {
+        let config = with_flags(
+            "--addr 127.0.0.1:7070 --max-inflight 4 --max-batch 16 --cache-capacity 128 \
+             --tenant-max-inflight 2 --tenant-budget-seconds 3600.5 --journal-expire-secs 0",
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(config.addr, "127.0.0.1:7070");
+        assert_eq!(config.max_inflight, 4);
+        assert_eq!(config.max_batch, 16);
+        assert_eq!(config.cache_capacity, 128);
+        assert_eq!(config.tenant_max_inflight, 2);
+        assert_eq!(config.tenant_testbed_budget, 3600.5);
+        assert_eq!(config.journal_expire, Some(Duration::ZERO));
+        assert_eq!(with_flags("").map(|c| c.journal_expire), Ok(None));
+        assert_eq!(
+            with_flags("--tenant-budget-seconds inf").map(|c| c.tenant_testbed_budget),
+            Ok(f64::INFINITY)
+        );
+    }
+
+    #[test]
+    fn malformed_flags_are_errors_naming_the_flag() {
+        for line in [
+            "--max-inflight lots",
+            "--max-batch -1",
+            "--cache-capacity 2.5",
+            "--tenant-max-inflight 4x",
+            "--tenant-budget-seconds lots",
+            "--tenant-budget-seconds NaN",
+            "--tenant-budget-seconds -5",
+            "--journal-expire-secs -1",
+            "--addr",
+            "--batch-window-ms 2",
+        ] {
+            let err = with_flags(line)
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} was accepted"));
+            let flag = line.split_whitespace().next().unwrap_or_default();
+            assert!(err.contains(flag), "{err}");
         }
     }
 }

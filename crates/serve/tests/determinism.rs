@@ -15,16 +15,17 @@
 //!   batched [`Server`]; each decoded [`WireReport`] must match the
 //!   solo run field for field, and identical `(spec, seed)` plans from
 //!   different tenants must produce byte-identical response payloads.
+//!   A session on a [`RemoteSim`] must match its solo run as well.
 
+use artisan_circuit::Topology;
 use artisan_resilience::{SessionReport, Supervisor};
 use artisan_serve::engine::BatchEngine;
 use artisan_serve::proto::{Request, Response, WireReport};
 use artisan_serve::server::{Server, ServerConfig};
-use artisan_serve::Client;
-use artisan_sim::{SimCache, Simulator, Spec};
+use artisan_serve::{Client, RemoteSim};
+use artisan_sim::{SimBackend, SimCache, Simulator, Spec};
 use std::collections::BTreeMap;
 use std::thread;
-use std::time::Duration;
 
 /// The mixed-tenant workload: overlapping seeds across specs so
 /// sessions dedup against each other, plus an exact duplicate plan
@@ -98,7 +99,7 @@ fn assert_reports_identical(context: &str, batched: &SessionReport, solo: &Sessi
 #[test]
 fn concurrent_engine_sessions_match_solo_runs() {
     let cache = SimCache::shared(1024);
-    let engine = BatchEngine::start(cache, Duration::from_millis(2), 64);
+    let engine = BatchEngine::start(cache, 64);
 
     let handles: Vec<_> = plans()
         .into_iter()
@@ -241,4 +242,41 @@ fn batched_server_matches_solo_runs_over_tcp() {
     }
 
     server.shutdown();
+}
+
+#[test]
+fn remote_sim_sessions_match_solo_runs() {
+    let mut server = Server::start(ServerConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+    for (spec, seed) in plans() {
+        // The supervisor reads the backend's ledger, so every session
+        // gets a fresh one.
+        let mut remote = RemoteSim::connect(server.addr()).unwrap_or_else(|e| panic!("{e}"));
+        let report = Supervisor::default().run(&spec, &mut remote, seed);
+        assert_reports_identical(
+            &format!("remote seed {seed}"),
+            &report,
+            &solo_report(&spec, seed),
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn remote_sim_fails_transiently_once_the_server_is_gone() {
+    let mut server = Server::start(ServerConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+    let mut remote = RemoteSim::connect(server.addr()).unwrap_or_else(|e| panic!("{e}"));
+    let topo = Topology::nmc_example();
+    assert!(remote.analyze_topology(&topo).is_ok(), "live server");
+    assert!(remote.drain_fault_notes().is_empty());
+
+    server.shutdown();
+    let err = remote
+        .analyze_topology(&topo)
+        .err()
+        .unwrap_or_else(|| panic!("analysis succeeded with the server gone"));
+    assert!(err.is_transient(), "{err:?} must be transient");
+    assert!(
+        !remote.drain_fault_notes().is_empty(),
+        "a transport failure must leave a fault note"
+    );
 }

@@ -589,6 +589,14 @@ impl SimCache {
         drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Inserts `result` only when it is a finite `Ok` report: errors and
+    /// poisoned (NaN/∞) metrics always re-run on the real backend.
+    pub fn store(&self, key: NetlistFingerprint, result: &Result<AnalysisReport>) {
+        if let Some(report) = cacheable(result) {
+            self.insert(key, report);
+        }
+    }
 }
 
 impl Default for SimCache {
@@ -651,12 +659,6 @@ impl<B: SimBackend> CachedSim<B> {
         Some(report)
     }
 
-    fn store(&self, fp: NetlistFingerprint, result: &Result<AnalysisReport>) {
-        if let Some(report) = cacheable(result) {
-            self.cache.insert(fp, report);
-        }
-    }
-
     /// Single-flight wrapper around one inner analysis: resolves the
     /// lookup through [`SimCache::begin`], runs `analyze` only when
     /// this caller leads (or must bypass a failed leader), and settles
@@ -694,7 +696,7 @@ impl<B: SimBackend> CachedSim<B> {
                 // single-flight protocol (a success still populates
                 // the cache through the ordinary insert path).
                 let result = analyze(&mut self.inner);
-                self.store(fp, &result);
+                self.cache.store(fp, &result);
                 result
             }
         };
@@ -776,7 +778,7 @@ impl<B: SimBackend> SimBackend for CachedSim<B> {
                         // Leading this key: completing the flight both
                         // inserts the report and releases any waiters.
                         Some(guard) => guard.complete(cacheable(&result)),
-                        None => self.store(fp, &result),
+                        None => self.cache.store(fp, &result),
                     }
                 }
                 out[i] = Some(result);
