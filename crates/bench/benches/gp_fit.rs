@@ -1,7 +1,8 @@
 //! Gaussian-process kernels — the BOBO inner loop's cost drivers: fit
-//! (Cholesky) and posterior prediction at the sizes the sliding window
-//! produces.
+//! (Cholesky) and posterior prediction, one query and a whole
+//! acquisition pool, at the sizes the sliding window produces.
 
+use artisan_math::DMatrix;
 use artisan_opt::gp::{GaussianProcess, GpHyperParams};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -34,6 +35,12 @@ fn bench_gp(c: &mut Criterion) {
         let query = vec![0.5; 34];
         c.bench_function(&format!("gp/predict_n{n}_d34"), |b| {
             b.iter(|| black_box(gp.predict(black_box(&query))))
+        });
+        // A BOBO acquisition pool: 400 candidates in one call.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let pool = DMatrix::from_fn(400, 34, |_, _| rng.gen_range(0.0..1.0));
+        c.bench_function(&format!("gp/predict_pool400_n{n}_d34"), |b| {
+            b.iter(|| black_box(gp.predict_pool(black_box(&pool))))
         });
     }
 }

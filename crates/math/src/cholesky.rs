@@ -1,9 +1,10 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 //!
-//! The Gaussian-process surrogate at the core of the BOBO baseline needs
-//! `K⁻¹y`, `K⁻¹k*`, and `log det K` for its posterior and marginal
-//! likelihood; all three come from one Cholesky factorization of the kernel
-//! Gram matrix.
+//! The Gaussian-process surrogate of the BOBO baseline factors its kernel
+//! Gram matrix `K` once per fit and solves `K⁻¹y` for its posterior-mean
+//! weights. Its pool prediction reads the factor's rows through
+//! [`Cholesky::factor`] and runs the forward substitution for many
+//! right-hand sides itself.
 
 use crate::{DMatrix, MathError, Result};
 
@@ -91,8 +92,9 @@ impl Cholesky {
         self.solve_upper(&y)
     }
 
-    /// Solves `L·y = b` (forward substitution). Exposed because the GP
-    /// posterior variance needs `L⁻¹ k*` on its own.
+    /// Solves `L·y = b` (forward substitution), the first half of
+    /// [`Self::solve`]: row by row, subtracting one `L[r][c]·y[c]`
+    /// product at a time, then dividing by the pivot.
     ///
     /// # Errors
     ///
@@ -140,7 +142,7 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// `log det A = 2·Σ log L_kk`, used by the GP marginal likelihood.
+    /// `log det A = 2·Σ log L_kk`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|k| self.l[(k, k)].ln()).sum::<f64>() * 2.0
     }

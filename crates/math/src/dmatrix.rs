@@ -62,8 +62,9 @@ impl DMatrix {
         })
     }
 
-    /// Builds a square matrix from a symmetric generator `f(i, j)` —
-    /// the usual way kernel Gram matrices are assembled.
+    /// Builds a matrix from a generator `f(r, c)`, called once per entry
+    /// in row-major order (so a generator drawing random numbers fills
+    /// the rows in the order it draws them).
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = DMatrix::zeros(rows, cols);
         for r in 0..rows {
@@ -86,6 +87,16 @@ impl DMatrix {
         self.cols
     }
 
+    /// Row `r` as a contiguous slice of `cols()` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Returns true for a square matrix.
     #[inline]
     pub fn is_square(&self) -> bool {
@@ -106,13 +117,7 @@ impl DMatrix {
             )));
         }
         Ok((0..self.rows)
-            .map(|r| {
-                self.data[r * self.cols..(r + 1) * self.cols]
-                    .iter()
-                    .zip(x)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
+            .map(|r| self.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
             .collect())
     }
 
@@ -176,6 +181,18 @@ mod tests {
     fn from_fn_builds_gram_like_matrix() {
         let m = DMatrix::from_fn(3, 3, |i, j| (i * 10 + j) as f64);
         assert_eq!(m[(2, 1)], 21.0);
+    }
+
+    #[test]
+    fn from_fn_calls_in_row_major_order_and_rows_slice() {
+        let mut calls = 0.0;
+        let m = DMatrix::from_fn(2, 3, |_, _| {
+            calls += 1.0;
+            calls
+        });
+        assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
+        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
+        assert!(DMatrix::zeros(2, 0).row(1).is_empty());
     }
 
     #[test]

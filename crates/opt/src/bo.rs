@@ -1,6 +1,7 @@
 //! Expected-improvement Bayesian optimization over the unit hypercube.
 
 use crate::gp::{GaussianProcess, GpHyperParams};
+use artisan_math::DMatrix;
 use rand::Rng;
 
 /// Standard normal PDF.
@@ -31,8 +32,10 @@ pub fn expected_improvement(mean: f64, variance: f64, best: f64) -> f64 {
 
 /// One BO proposal step: fit a GP on the history and return the
 /// candidate (from a random pool of `pool` points in `[0,1]^dim`) with
-/// maximal expected improvement. Falls back to a random point when the
-/// GP cannot be fitted (e.g. a single observation).
+/// maximal expected improvement, predicting the pool in one
+/// [`GaussianProcess::predict_pool`] call. Falls back to a random point
+/// when the GP cannot be fitted (e.g. a single observation), and to a
+/// random point drawn before the pool when no candidate's EI exceeds −∞.
 pub fn propose<R: Rng + ?Sized>(
     history_x: &[Vec<f64>],
     history_y: &[f64],
@@ -51,25 +54,85 @@ pub fn propose<R: Rng + ?Sized>(
         return random_point(rng);
     };
     let best = history_y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut best_candidate = random_point(rng);
+    let fallback = random_point(rng);
+    // One row per candidate, drawn in row-major order: the RNG stream of
+    // drawing the candidates one by one.
+    let candidates = DMatrix::from_fn(pool, dim, |_, _| rng.gen_range(0.0..1.0));
+    let mut best_row = None;
     let mut best_ei = f64::NEG_INFINITY;
-    for _ in 0..pool {
-        let c = random_point(rng);
-        let (m, v) = gp.predict(&c);
+    for (row, (m, v)) in gp.predict_pool(&candidates).into_iter().enumerate() {
         let ei = expected_improvement(m, v, best);
         if ei > best_ei {
             best_ei = ei;
-            best_candidate = c;
+            best_row = Some(row);
         }
     }
-    best_candidate
+    best_row.map_or(fallback, |row| candidates.row(row).to_vec())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::gp::tests::oracle_predict;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// `propose` as it was before pool prediction: each candidate drawn
+    /// and predicted on its own through the one-query oracle.
+    pub(crate) fn oracle_propose<R: Rng + ?Sized>(
+        history_x: &[Vec<f64>],
+        history_y: &[f64],
+        dim: usize,
+        pool: usize,
+        hp: GpHyperParams,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let random_point =
+            |rng: &mut R| -> Vec<f64> { (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect() };
+        if history_x.len() < 2 {
+            return random_point(rng);
+        }
+        let Ok(gp) = GaussianProcess::fit(history_x, history_y, hp) else {
+            return random_point(rng);
+        };
+        let best = history_y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut best_candidate = random_point(rng);
+        let mut best_ei = f64::NEG_INFINITY;
+        for _ in 0..pool {
+            let c = random_point(rng);
+            let (m, v) = oracle_predict(&gp, &c);
+            let ei = expected_improvement(m, v, best);
+            if ei > best_ei {
+                best_ei = ei;
+                best_candidate = c;
+            }
+        }
+        best_candidate
+    }
+
+    #[test]
+    fn propose_matches_the_oracle_and_leaves_the_rng_where_it_did() {
+        let mut data_rng = StdRng::seed_from_u64(9);
+        for (n, dim, pool) in [
+            (2, 1, 0),
+            (5, 3, 1),
+            (12, 34, 9),
+            (40, 34, 37),
+            (45, 34, 400),
+        ] {
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| data_rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum::<f64>().sin()).collect();
+            let hp = GpHyperParams::default();
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut oracle_rng = rng.clone();
+            let got = propose(&xs, &ys, dim, pool, hp, &mut rng);
+            let want = oracle_propose(&xs, &ys, dim, pool, hp, &mut oracle_rng);
+            assert_eq!(got, want, "n={n} dim={dim} pool={pool}");
+            assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+        }
+    }
 
     #[test]
     fn normal_cdf_sanity() {

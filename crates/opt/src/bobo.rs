@@ -140,11 +140,7 @@ impl Bobo {
             let topo = decode(&x, cl, &self.ranges);
             let eval = evaluate_batch(std::slice::from_ref(&topo), spec, sim)
                 .pop()
-                .unwrap_or_else(|| Evaluation {
-                    score: -10.0,
-                    performance: None,
-                    feasible: false,
-                });
+                .unwrap_or_else(Evaluation::failed);
             absorb(x, topo, eval, &mut xs, &mut ys, &mut best);
         }
 
@@ -179,7 +175,11 @@ impl Objective for Bobo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use artisan_sim::Simulator;
+    use crate::bo::tests::oracle_propose;
+    use crate::objective::evaluate;
+    use artisan_circuit::Netlist;
+    use artisan_sim::cost::CostLedger;
+    use artisan_sim::{AnalysisReport, Simulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -229,7 +229,6 @@ mod tests {
 
     #[test]
     fn batched_doe_matches_the_serial_loop() {
-        use crate::objective::evaluate;
         // Pure-DoE config: every candidate goes through the one
         // analyze_batch fan-out. The result must equal a hand-written
         // serial loop drawing the same RNG stream.
@@ -264,6 +263,94 @@ mod tests {
             "batching must not change billed simulations"
         );
         assert_eq!(sim.ledger().batched_solves(), 12);
+    }
+
+    /// Analyzes through the plain simulator and records every topology
+    /// it is asked for, in order.
+    #[derive(Default)]
+    struct Recording {
+        sim: Simulator,
+        seen: Vec<Topology>,
+    }
+
+    impl SimBackend for Recording {
+        fn analyze_topology(&mut self, topo: &Topology) -> artisan_sim::Result<AnalysisReport> {
+            self.seen.push(topo.clone());
+            self.sim.analyze_topology(topo)
+        }
+
+        fn analyze_netlist(&mut self, netlist: &Netlist) -> artisan_sim::Result<AnalysisReport> {
+            self.sim.analyze_netlist(netlist)
+        }
+
+        fn ledger(&self) -> &CostLedger {
+            self.sim.ledger()
+        }
+
+        fn ledger_mut(&mut self) -> &mut CostLedger {
+            self.sim.ledger_mut()
+        }
+    }
+
+    #[test]
+    fn sliding_window_trajectory_matches_the_oracle_loop() {
+        // A 20-point window over 70 evaluations slides, and re-appends the
+        // incumbent once it falls out; Table 3's budgets never slide it.
+        let config = BoboConfig {
+            budget: 70,
+            initial_samples: 10,
+            pool: 37,
+            gp_window: 20,
+            ..BoboConfig::default()
+        };
+        let spec = Spec::g1();
+        let mut sim = Recording::default();
+        let r = Bobo::new(config).run(&spec, &mut sim, &mut StdRng::seed_from_u64(5));
+        assert_eq!(r.evaluations, 70);
+
+        // Reference: the serial loop, proposing through the one-query
+        // oracle.
+        let ranges = SampleRanges::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut ref_sim = Simulator::new();
+        let mut seen = Vec::new();
+        let mut xs: Vec<Vec<f64>> = Vec::new();
+        let mut ys: Vec<f64> = Vec::new();
+        let mut reappended = 0;
+        for step in 0..config.budget {
+            let x = if step < config.initial_samples {
+                (0..DIM).map(|_| rng.gen_range(0.0..1.0)).collect()
+            } else {
+                let start = xs.len().saturating_sub(config.gp_window);
+                let mut wx = xs[start..].to_vec();
+                let mut wy = ys[start..].to_vec();
+                let (best_idx, _) = ys
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .unwrap();
+                if best_idx < start {
+                    wx.push(xs[best_idx].clone());
+                    wy.push(ys[best_idx]);
+                    reappended += 1;
+                }
+                oracle_propose(&wx, &wy, DIM, config.pool, config.gp, &mut rng)
+            };
+            let topo = decode(&x, spec.cl.value(), &ranges);
+            let eval = evaluate(&topo, &spec, &mut ref_sim);
+            seen.push(topo);
+            ys.push(if eval.score > 0.0 {
+                1.0 + eval.score.ln_1p() * 0.1
+            } else {
+                eval.score.max(-10.0) / 10.0
+            });
+            xs.push(x);
+        }
+        assert!(reappended > 0, "the incumbent never left the window");
+        assert_eq!(sim.seen.len(), seen.len());
+        for (step, (got, want)) in sim.seen.iter().zip(&seen).enumerate() {
+            assert_eq!(got, want, "analyzed topology {step}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! subject to the Table 2 spec constraints.
 
 use artisan_circuit::Topology;
-use artisan_sim::{Performance, SimBackend, Spec};
+use artisan_sim::{AnalysisReport, Performance, SimBackend, Spec};
 
 /// Scalarized objective value for one evaluated candidate.
 ///
@@ -45,13 +45,23 @@ pub struct Evaluation {
     pub feasible: bool,
 }
 
-/// Evaluates one topology under a spec, billing the simulation. Generic
-/// over the backend so optimizers run unchanged against the plain
-/// simulator or a fault-injected wrapper; a non-finite (poisoned) report
-/// is treated like a failed simulation rather than let +∞ metrics win
-/// the feasibility check.
-pub fn evaluate<B: SimBackend + ?Sized>(topo: &Topology, spec: &Spec, sim: &mut B) -> Evaluation {
-    match sim.analyze_topology(topo) {
+impl Evaluation {
+    /// A candidate whose simulation failed or came back non-finite: the
+    /// instability penalty, no performance, infeasible.
+    pub fn failed() -> Self {
+        Evaluation {
+            score: -10.0,
+            performance: None,
+            feasible: false,
+        }
+    }
+}
+
+/// Maps one simulator result to its [`Evaluation`]. A non-finite
+/// (poisoned) report is treated like a failed simulation rather than let
+/// +∞ metrics win the feasibility check.
+fn evaluation_of(result: artisan_sim::Result<AnalysisReport>, spec: &Spec) -> Evaluation {
+    match result {
         Ok(report) if report.performance.is_finite() => {
             let feasible = spec.check(&report.performance).success() && report.stable;
             Evaluation {
@@ -60,12 +70,15 @@ pub fn evaluate<B: SimBackend + ?Sized>(topo: &Topology, spec: &Spec, sim: &mut 
                 feasible,
             }
         }
-        Ok(_) | Err(_) => Evaluation {
-            score: -10.0,
-            performance: None,
-            feasible: false,
-        },
+        Ok(_) | Err(_) => Evaluation::failed(),
     }
+}
+
+/// Evaluates one topology under a spec, billing the simulation. Generic
+/// over the backend so optimizers run unchanged against the plain
+/// simulator or a fault-injected wrapper.
+pub fn evaluate<B: SimBackend + ?Sized>(topo: &Topology, spec: &Spec, sim: &mut B) -> Evaluation {
+    evaluation_of(sim.analyze_topology(topo), spec)
 }
 
 /// Evaluates many independent candidates in one [`SimBackend::analyze_batch`]
@@ -82,21 +95,7 @@ pub fn evaluate_batch<B: SimBackend + ?Sized>(
 ) -> Vec<Evaluation> {
     sim.analyze_batch(topos)
         .into_iter()
-        .map(|result| match result {
-            Ok(report) if report.performance.is_finite() => {
-                let feasible = spec.check(&report.performance).success() && report.stable;
-                Evaluation {
-                    score: score(&report.performance, spec, report.stable),
-                    performance: Some(report.performance),
-                    feasible,
-                }
-            }
-            Ok(_) | Err(_) => Evaluation {
-                score: -10.0,
-                performance: None,
-                feasible: false,
-            },
-        })
+        .map(|result| evaluation_of(result, spec))
         .collect()
 }
 
