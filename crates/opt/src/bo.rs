@@ -135,6 +135,29 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn ties_keep_the_first_candidate_of_the_pool() {
+        // A tiny lengthscale and signal variance put every candidate at
+        // the prior with z ≈ −1000, where EI is exactly 0: the whole pool
+        // ties, and the strict `>` keeps its first row.
+        let hp = GpHyperParams {
+            lengthscale: 1e-3,
+            signal_variance: 1e-6,
+            noise_variance: 1e-4,
+        };
+        let xs = vec![vec![0.1, 0.1], vec![0.9, 0.9]];
+        let ys = vec![0.0, 1.0];
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut replay = rng.clone();
+        let got = propose(&xs, &ys, 2, 9, hp, &mut rng);
+        let _fallback: Vec<f64> = (0..2).map(|_| replay.gen_range(0.0..1.0)).collect();
+        let first: Vec<f64> = (0..2).map(|_| replay.gen_range(0.0..1.0)).collect();
+        assert_eq!(got, first);
+        let gp = GaussianProcess::fit(&xs, &ys, hp).unwrap();
+        let (m, v) = gp.predict(&first);
+        assert_eq!(expected_improvement(m, v, 1.0), 0.0);
+    }
+
+    #[test]
     fn normal_cdf_sanity() {
         assert!((big_phi(0.0) - 0.5).abs() < 1e-7);
         assert!((big_phi(1.96) - 0.975).abs() < 1e-3);

@@ -182,14 +182,13 @@ impl GaussianProcess {
                         *acc += (p - q) * (p - q);
                     }
                 }
-                let (solved, rest) = v.split_at_mut(i);
-                let vi = &mut rest[0];
+                let mut vi = [0.0; LANES];
                 for ((t, m), &d) in vi.iter_mut().zip(&mut mean).zip(&d2) {
                     *t = kernel(d, &self.hp);
                     *m += *t * alpha;
                 }
                 let row = l.row(i);
-                for (&lic, vc) in row.iter().zip(solved.iter()) {
+                for (&lic, vc) in row.iter().zip(&v[..i]) {
                     for (t, &c) in vi.iter_mut().zip(vc) {
                         *t -= lic * c;
                     }
@@ -198,6 +197,7 @@ impl GaussianProcess {
                     *t /= row[i];
                     *e += *t * *t;
                 }
+                v[i] = vi;
             }
             out.extend(
                 mean.iter()
