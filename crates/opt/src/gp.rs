@@ -199,24 +199,16 @@ impl GaussianProcess {
                 }
                 v[i] = vi;
             }
-            out.extend(
-                mean.iter()
-                    .zip(&explained)
-                    .take(real)
-                    .map(|(&m, &e)| self.posterior(m, e)),
-            );
+            // var = k(x,x) − ‖L⁻¹k*‖², then undo the standardization.
+            out.extend(mean.iter().zip(&explained).take(real).map(|(&m, &e)| {
+                let var_n = (self.hp.signal_variance - e).max(1e-12);
+                (
+                    m * self.y_scale + self.y_mean,
+                    var_n * self.y_scale * self.y_scale,
+                )
+            }));
         }
         out
-    }
-
-    /// Destandardized posterior from the mean `k*·α` and the explained
-    /// variance `‖L⁻¹k*‖²`: var = k(x,x) − ‖L⁻¹k*‖².
-    fn posterior(&self, mean_n: f64, explained: f64) -> (f64, f64) {
-        let var_n = (self.hp.signal_variance - explained).max(1e-12);
-        (
-            mean_n * self.y_scale + self.y_mean,
-            var_n * self.y_scale * self.y_scale,
-        )
     }
 }
 
@@ -315,22 +307,30 @@ pub(crate) mod tests {
         (x, y)
     }
 
+    /// Every `predict_pool` result, and `predict` on the first query,
+    /// has the oracle's bits.
     fn assert_pool_matches_oracle(gp: &GaussianProcess, pool: &DMatrix) {
         let got = gp.predict_pool(pool);
         assert_eq!(got.len(), pool.rows());
-        for (r, &(mean, var)) in got.iter().enumerate() {
-            let (m, v) = oracle_predict(gp, pool.row(r));
-            assert_eq!(
-                mean.to_bits(),
-                m.to_bits(),
-                "mean of query {r}: {mean} vs {m}"
-            );
-            assert_eq!(
-                var.to_bits(),
-                v.to_bits(),
-                "variance of query {r}: {var} vs {v}"
-            );
+        for (r, &pred) in got.iter().enumerate() {
+            assert_same_bits(pred, oracle_predict(gp, pool.row(r)), r);
         }
+        if pool.rows() > 0 {
+            assert_same_bits(gp.predict(pool.row(0)), oracle_predict(gp, pool.row(0)), 0);
+        }
+    }
+
+    fn assert_same_bits((mean, var): (f64, f64), (m, v): (f64, f64), query: usize) {
+        assert_eq!(
+            mean.to_bits(),
+            m.to_bits(),
+            "mean of query {query}: {mean} vs {m}"
+        );
+        assert_eq!(
+            var.to_bits(),
+            v.to_bits(),
+            "variance of query {query}: {var} vs {v}"
+        );
     }
 
     proptest! {
@@ -375,17 +375,6 @@ pub(crate) mod tests {
         assert_eq!(gp.chol.factor(), &factor);
         let queries = DMatrix::from_fn(37, 4, |_, _| rng.gen_range(0.0..1.0));
         assert_pool_matches_oracle(&gp, &queries);
-    }
-
-    #[test]
-    fn predict_is_the_pool_path_on_one_query() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (x, y) = training_set(30, 4, 0, &mut rng);
-        let gp = GaussianProcess::fit(&x, &y, GpHyperParams::default()).unwrap();
-        let q = [0.1, 0.7, 0.3, 0.9];
-        let (m, v) = gp.predict(&q);
-        let (om, ov) = oracle_predict(&gp, &q);
-        assert_eq!((m.to_bits(), v.to_bits()), (om.to_bits(), ov.to_bits()));
     }
 
     #[test]
