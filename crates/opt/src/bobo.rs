@@ -295,7 +295,8 @@ mod tests {
     #[test]
     fn sliding_window_trajectory_matches_the_oracle_loop() {
         // A 20-point window over 70 evaluations slides, and re-appends the
-        // incumbent once it falls out; Table 3's budgets never slide it.
+        // incumbent once it falls out. `table3 --quick` (45 evaluations,
+        // window 160) never slides it.
         let config = BoboConfig {
             budget: 70,
             initial_samples: 10,
