@@ -140,7 +140,7 @@ impl GaussianProcess {
     /// Posterior mean and variance at every row of `queries`, in row
     /// order: a BO step's whole acquisition pool in one call.
     ///
-    /// Queries go through in blocks of [`LANES`]. Per training point,
+    /// Queries go through in blocks of eight lanes. Per training point,
     /// each lane computes its kernel entry, adds it to its mean and takes
     /// the next forward-substitution step of `L·v = k*`. A lane keeps the
     /// single-query order of operations: every sum starts at −0.0 (where

@@ -29,10 +29,10 @@ esac
 
 golden=tests/golden
 bin=target/release
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
 cargo build --release --quiet -p artisan-bench \
     --bin table3 --bin fig1 --bin fig3 --bin fig4 1>&2
+out=$(mktemp -d target/repro.XXXXXX)
+trap 'rm -rf "$out"' EXIT
 
 # Prints a table3 output without its wall-clock line.
 strip_clock() {
