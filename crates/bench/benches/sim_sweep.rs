@@ -1,15 +1,13 @@
-//! The parallel simulation engine's kernels: cached G/C-split assembly
-//! vs the legacy per-point element walk, workspace-reusing solves vs
-//! per-point allocation, the AC sweep at several worker counts, the
-//! batched candidate fan-out vs the serial analysis loop, and the
-//! content-addressed cache (miss vs hit).
+//! The simulation engine's kernels: cached G/C-split assembly,
+//! workspace-reusing solves, the sequential AC sweep, the batched
+//! candidate fan-out vs the serial analysis loop, the dense/sparse
+//! crossover, and the content-addressed cache (miss vs hit).
 
 use artisan_bench::netgen;
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
-use artisan_math::lu::LuDecomposition;
 use artisan_math::{Complex64, ThreadPool};
-use artisan_sim::ac::{sweep_with_pool, SweepConfig};
+use artisan_sim::ac::{sweep, SweepConfig};
 use artisan_sim::mna::{MnaMode, MnaSystem};
 use artisan_sim::{CachedSim, SimBackend, SimCache, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -26,8 +24,8 @@ fn nmc_system() -> (MnaSystem, Vec<f64>) {
     (sys, freqs)
 }
 
-/// Pure assembly: Y(s) + rhs(s) over the whole default grid, cached
-/// fused scale-add vs the legacy element walk.
+/// Pure assembly: Y(s) + rhs(s) over the whole default grid, one fused
+/// scale-add per point.
 fn bench_assembly(c: &mut Criterion) {
     let (sys, freqs) = nmc_system();
     c.bench_function("assemble/cached_gc_split", |b| {
@@ -40,20 +38,9 @@ fn bench_assembly(c: &mut Criterion) {
             }
         })
     });
-    c.bench_function("assemble/legacy_walk", |b| {
-        b.iter(|| {
-            for &f in &freqs {
-                black_box(
-                    sys.assemble_legacy(Complex64::jomega(2.0 * PI * f))
-                        .expect("assembles"),
-                );
-            }
-        })
-    });
 }
 
-/// Full per-point solves over the grid: one reused workspace vs the
-/// legacy walk + a fresh LU allocation per point.
+/// Full per-point solves over the grid through one reused workspace.
 fn bench_solve(c: &mut Criterion) {
     let (sys, freqs) = nmc_system();
     c.bench_function("sweep_solve/cached_workspace", |b| {
@@ -67,29 +54,15 @@ fn bench_solve(c: &mut Criterion) {
             }
         })
     });
-    c.bench_function("sweep_solve/legacy_alloc_per_point", |b| {
-        b.iter(|| {
-            for &f in &freqs {
-                let (y, rhs) = sys
-                    .assemble_legacy(Complex64::jomega(2.0 * PI * f))
-                    .expect("assembles");
-                let lu = LuDecomposition::new(y).expect("factors");
-                black_box(lu.solve(&rhs).expect("solves"));
-            }
-        })
-    });
 }
 
-/// The whole sweep (solves + phase unwrap) at pinned worker counts.
-fn bench_sweep_workers(c: &mut Criterion) {
+/// The whole sweep: solves plus phase unwrap, one sequential loop.
+fn bench_sweep(c: &mut Criterion) {
     let (sys, _) = nmc_system();
     let cfg = SweepConfig::default();
-    for workers in [1usize, 2, 4] {
-        let pool = ThreadPool::with_workers(workers);
-        c.bench_function(&format!("ac_sweep/workers_{workers}"), |b| {
-            b.iter(|| black_box(sweep_with_pool(&sys, &cfg, &pool).expect("sweeps")))
-        });
-    }
+    c.bench_function("ac_sweep", |b| {
+        b.iter(|| black_box(sweep(&sys, &cfg).expect("sweeps")))
+    });
 }
 
 /// The candidate batch (sibling-scoring / optimizer-DoE shape): the
@@ -202,7 +175,7 @@ criterion_group!(
     benches,
     bench_assembly,
     bench_solve,
-    bench_sweep_workers,
+    bench_sweep,
     bench_batch_workers,
     bench_sparse_crossover,
     bench_sim_cache,

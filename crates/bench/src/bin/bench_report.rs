@@ -1,8 +1,7 @@
-//! Emits `BENCH_sim.json`: machine-readable numbers for the parallel
-//! simulation engine — assembly and solve throughput (cached G/C split
-//! vs the legacy per-point element walk), whole-sweep throughput per
-//! worker count, scheduler session throughput per worker count (each
-//! with its speedup over one worker), and the PVT corner engine's
+//! Emits `BENCH_sim.json`: machine-readable numbers for the simulation
+//! engine — per-point assembly and solve throughput on the NMC example,
+//! candidate-batch and scheduler session throughput per worker count
+//! (each with its speedup over one worker), and the PVT corner engine's
 //! grid throughput against a naive per-corner analyze loop, with the
 //! shared-symbolic, verdict-cache, and dense/sparse agreement contracts
 //! asserted inline.
@@ -21,12 +20,11 @@ use artisan_bench::{arg_or, netgen, quick_mode};
 use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
 use artisan_circuit::{Netlist, Topology};
 use artisan_lint::Linter;
-use artisan_math::lu::LuDecomposition;
 use artisan_math::{Complex64, ThreadPool};
 use artisan_resilience::{
     FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
 };
-use artisan_sim::ac::{sweep_with_pool, SweepConfig};
+use artisan_sim::ac::{self, SweepConfig};
 use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
@@ -92,13 +90,12 @@ fn main() {
 
     let netlist = Topology::nmc_example().elaborate().expect("valid");
     let sys = MnaSystem::new(&netlist).expect("builds");
-    let cfg = SweepConfig::default();
-    let freqs = cfg.frequencies().expect("grid");
+    let freqs = SweepConfig::default().frequencies().expect("grid");
     let n_points = freqs.len();
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads_env = std::env::var(artisan_math::pool::THREADS_ENV).ok();
 
-    // --- assembly: cached fused scale-add vs legacy element walk ---
+    // --- per-point assembly and solves over the default grid ---
     let asm_cached = rate(reps, n_points, || {
         for &f in &freqs {
             black_box(
@@ -107,16 +104,6 @@ fn main() {
             );
         }
     });
-    let asm_legacy = rate(reps, n_points, || {
-        for &f in &freqs {
-            black_box(
-                sys.assemble_legacy(Complex64::jomega(2.0 * PI * f))
-                    .expect("assembles"),
-            );
-        }
-    });
-
-    // --- full solves: reused workspace vs walk + fresh LU per point ---
     let solve_cached = rate(reps, n_points, || {
         let mut ws = sys.workspace();
         for &f in &freqs {
@@ -126,34 +113,14 @@ fn main() {
             );
         }
     });
-    let solve_legacy = rate(reps, n_points, || {
-        for &f in &freqs {
-            let (y, rhs) = sys
-                .assemble_legacy(Complex64::jomega(2.0 * PI * f))
-                .expect("assembles");
-            let lu = LuDecomposition::new(y).expect("factors");
-            black_box(lu.solve(&rhs).expect("solves"));
-        }
-    });
 
-    // --- whole sweep and scheduler batch, per worker count ---
+    // --- scheduler batch and candidate batch, per worker count ---
     let worker_counts: Vec<usize> = {
         let mut w = vec![1, 2, 4, host_parallelism];
         w.sort_unstable();
         w.dedup();
         w
     };
-
-    let sweep_rates: Vec<(usize, f64)> = worker_counts
-        .iter()
-        .map(|&workers| {
-            let pool = ThreadPool::with_workers(workers);
-            let r = rate(reps, n_points, || {
-                black_box(sweep_with_pool(&sys, &cfg, &pool).expect("sweeps"));
-            });
-            (workers, r)
-        })
-        .collect();
 
     let session_reps = (reps / 8).max(1);
     let scheduler_rates: Vec<(usize, f64)> = worker_counts
@@ -610,9 +577,8 @@ fn main() {
         "dim-50 ladder should auto-select sparse"
     );
     let dense_ref = MnaSystem::with_mode(&lad50, MnaMode::Dense).expect("builds");
-    let one_worker = ThreadPool::with_workers(1);
-    let sweep_auto = sweep_with_pool(&auto_sys, &sparse_cfg, &one_worker).expect("sweeps");
-    let sweep_dense = sweep_with_pool(&dense_ref, &sparse_cfg, &one_worker).expect("sweeps");
+    let sweep_auto = ac::sweep(&auto_sys, &sparse_cfg).expect("sweeps");
+    let sweep_dense = ac::sweep(&dense_ref, &sparse_cfg).expect("sweeps");
     assert_eq!(sweep_auto.len(), sweep_dense.len());
     for (a, b) in sweep_auto.iter().zip(&sweep_dense) {
         assert!(
@@ -908,11 +874,8 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1},\n    \"legacy_points_per_sec\": {asm_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"legacy_alloc_points_per_sec\": {solve_legacy:.1},\n    \"speedup_cached_vs_legacy\": {:.3}\n  }},\n  \"sweep_threads\": [\n{}\n  ],\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"sparse\": {{\n    \"netlists\": \"behavioural gain ladders (netgen), forced dense vs forced sparse\",\n    \"grid_points\": {},\n    \"dims\": [\n{sparse_rows_json}\n  ],\n    \"speedup_at_dim50\": {speedup_at_dim50:.3},\n    \"hot_loop_allocations\": {hot_loop_allocations},\n    \"numeric_factors_per_sweep\": {hot_loop_factors},\n    \"symbolic_reuse_ok\": true,\n    \"dense_sparse_sweeps_agree\": {dense_sparse_sweeps_agree}\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }},\n  \"corners\": {{\n    \"workload\": \"27-corner default PVT grid, dim-80 loaded ladder, 1e4-1e8 Hz sweep at default density\",\n    \"grid_corners\": {corner_count},\n    \"naive_corner_analyses_per_sec\": {naive_corner_rate:.2},\n    \"engine_corner_evals_per_sec\": {engine_corner_rate:.2},\n    \"speedup_engine_vs_naive\": {corner_speedup:.3},\n    \"corner_symbolic_shared\": {corner_symbolic_shared},\n    \"cold_corner_sims_billed\": {cold_corner_sims},\n    \"warm_corner_sims_billed\": {warm_corner_sims},\n    \"worst_case_identical_cold_vs_warm\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1}\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"sparse\": {{\n    \"netlists\": \"behavioural gain ladders (netgen), forced dense vs forced sparse\",\n    \"grid_points\": {},\n    \"dims\": [\n{sparse_rows_json}\n  ],\n    \"speedup_at_dim50\": {speedup_at_dim50:.3},\n    \"hot_loop_allocations\": {hot_loop_allocations},\n    \"numeric_factors_per_sweep\": {hot_loop_factors},\n    \"symbolic_reuse_ok\": true,\n    \"dense_sparse_sweeps_agree\": {dense_sparse_sweeps_agree}\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }},\n  \"corners\": {{\n    \"workload\": \"27-corner default PVT grid, dim-80 loaded ladder, 1e4-1e8 Hz sweep at default density\",\n    \"grid_corners\": {corner_count},\n    \"naive_corner_analyses_per_sec\": {naive_corner_rate:.2},\n    \"engine_corner_evals_per_sec\": {engine_corner_rate:.2},\n    \"speedup_engine_vs_naive\": {corner_speedup:.3},\n    \"corner_symbolic_shared\": {corner_symbolic_shared},\n    \"cold_corner_sims_billed\": {cold_corner_sims},\n    \"warm_corner_sims_billed\": {warm_corner_sims},\n    \"worst_case_identical_cold_vs_warm\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
-        asm_cached / asm_legacy,
-        solve_cached / solve_legacy,
-        fmt_scaling(&sweep_rates, "sweeps_points_per_sec"),
         batch_topos.len(),
         fmt_scaling(&batch_rates, "batched_analyses_per_sec"),
         fmt_scaling(&scheduler_rates, "sessions_per_sec"),

@@ -15,9 +15,10 @@
 //!   the determinant polynomial from point evaluations,
 //! - [`stats`] — summary statistics for the experiment harness,
 //! - [`ThreadPool`] — a std-only scoped-thread pool for order-preserving
-//!   parallel maps (the AC sweep's per-frequency solves and the
-//!   resilience scheduler's session fan-out), sized by
-//!   `available_parallelism` and overridable with `ARTISAN_THREADS`.
+//!   parallel maps across independent analyses (the candidates of a
+//!   batch, the units of a corner grid, the resilience scheduler's
+//!   sessions), sized by `available_parallelism` and overridable with
+//!   `ARTISAN_THREADS`.
 //!
 //! Everything is implemented from first principles; the only dependency is
 //! `rand` for the root-finder's seed perturbations and test helpers.

@@ -1,8 +1,9 @@
 //! A from-scratch scoped-thread worker pool (std-only, no rayon).
 //!
-//! The AC sweep solves an independent linear system per frequency point
-//! and the scheduler runs independent supervised sessions — both are
-//! embarrassingly parallel maps. This module provides exactly that
+//! Parallelism in this workspace lives across independent analyses:
+//! the candidates of a batch, the (candidate × corner) units of a PVT
+//! grid, and the scheduler's supervised sessions. Each is an
+//! embarrassingly parallel map, and this module provides exactly that
 //! shape: [`ThreadPool::par_map_indexed`] fans a slice out over
 //! `std::thread::scope` workers and returns results in input order, so
 //! callers stay deterministic regardless of thread count.
@@ -16,10 +17,6 @@
 //! Work is distributed dynamically: workers pull the next index from a
 //! shared atomic counter, so a slow item (an ill-conditioned solve, a
 //! long session) never stalls the items behind it on the same worker.
-//! [`ThreadPool::par_map_with`] additionally gives every worker one
-//! reusable scratch value, created once per worker — the AC sweep uses
-//! it to reuse one LU workspace across all frequency points a worker
-//! handles instead of allocating per point.
 //!
 //! # Example
 //!
@@ -88,37 +85,23 @@ impl ThreadPool {
 
     /// Maps `f` over `items` in parallel, returning results in input
     /// order. `f` receives the item's index alongside the item.
+    ///
+    /// With one worker (or ≤ 1 item) this is a plain sequential loop on
+    /// the calling thread, so `ARTISAN_THREADS=1` runs are structurally
+    /// identical to a hand-written `for` loop.
     pub fn par_map_indexed<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
         U: Send,
         F: Fn(usize, &T) -> U + Sync,
     {
-        self.par_map_with(items, || (), |i, item, ()| f(i, item))
-    }
-
-    /// Like [`ThreadPool::par_map_indexed`], but gives each worker one
-    /// scratch value built by `scratch`, created once per worker and
-    /// reused across every item that worker processes.
-    ///
-    /// With one worker (or ≤ 1 item) this is a plain sequential loop —
-    /// no threads, one scratch value — so `ARTISAN_THREADS=1` runs are
-    /// structurally identical to a hand-written `for` loop.
-    pub fn par_map_with<T, U, S, C, F>(&self, items: &[T], scratch: C, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        C: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> U + Sync,
-    {
         let n = items.len();
         let workers = self.workers.min(n.max(1));
         if workers <= 1 {
-            let mut s = scratch();
             return items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| f(i, item, &mut s))
+                .map(|(i, item)| f(i, item))
                 .collect();
         }
 
@@ -130,14 +113,13 @@ impl ThreadPool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut s = scratch();
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= n {
                                 break;
                             }
-                            local.push((i, f(i, &items[i], &mut s)));
+                            local.push((i, f(i, &items[i])));
                         }
                         local
                     })
@@ -194,45 +176,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_reused_within_a_worker() {
-        // Each worker counts how many items it processed into its own
-        // scratch; the per-item outputs carry the running count, which
-        // can exceed 1 only if the scratch persisted across items.
-        let items: Vec<u32> = (0..100).collect();
-        let counts = ThreadPool::with_workers(2).par_map_with(
-            &items,
-            || 0usize,
-            |_, _, seen: &mut usize| {
-                *seen += 1;
-                *seen
-            },
-        );
-        let max = counts.iter().copied().max().unwrap_or(0);
-        assert!(max > 1, "scratch never survived across items: {counts:?}");
-        // And across exactly two workers, the two final counts sum to 100.
-        assert_eq!(counts.len(), 100);
-    }
-
-    #[test]
     fn one_worker_is_a_plain_sequential_loop() {
-        // A non-Sync-unfriendly scratch (Cell) still works sequentially,
-        // and the scratch factory runs exactly once.
-        let items: Vec<u64> = (0..10).collect();
+        // One worker spawns no thread: every item runs on the calling
+        // thread, in index order, so a shared counter reads 0, 1, 2, …
+        let caller = thread::current().id();
         let calls = AtomicUsize::new(0);
-        let got = ThreadPool::with_workers(1).par_map_with(
-            &items,
-            || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                0u64
-            },
-            |_, &x, acc| {
-                *acc += x;
-                *acc
-            },
-        );
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // Running prefix sums prove one scratch crossed the whole slice.
-        assert_eq!(got, vec![0, 1, 3, 6, 10, 15, 21, 28, 36, 45]);
+        let items: Vec<usize> = (0..10).collect();
+        let got = ThreadPool::with_workers(1).par_map_indexed(&items, |i, &x| {
+            assert_eq!(thread::current().id(), caller, "item {i} left the caller");
+            (calls.fetch_add(1, Ordering::Relaxed), i, x)
+        });
+        let expected: Vec<(usize, usize, usize)> = (0..10).map(|k| (k, k, k)).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

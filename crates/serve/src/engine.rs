@@ -15,7 +15,9 @@
 //!    up to `max_batch`; work that arrives while a batch computes
 //!    queues up and forms the next batch;
 //! 3. the drained jobs run through one
-//!    [`Simulator::analyze_batch_with_pool`] call on the shared pool;
+//!    [`Simulator::analyze_batch_with_pool`] call on the shared pool,
+//!    which fans them out one candidate per work item (a lone job runs
+//!    inline on the batcher thread);
 //! 4. finite successful reports are inserted into the shared
 //!    [`SimCache`] under the default analysis-config salt — the same
 //!    namespace `table3`'s persistent snapshot uses, so a drained
@@ -325,8 +327,8 @@ fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batc
         job.slot.fill(result);
     };
 
-    // Topologies fan out through the batch API (amortized pool +
-    // shared sweep machinery), one result per topology in order;
+    // Topologies fan out through the batch API (one candidate per
+    // pool worker), one result per topology in order;
     // netlists run individually (rare path — only RemoteSim sends
     // them).
     let topo_jobs: Vec<(&Job, &Topology)> = batch

@@ -1,25 +1,29 @@
-//! Logarithmic AC sweeps with unwrapped phase.
+//! Logarithmic AC sweeps with unwrapped phase, and the one measurement
+//! every analysis reads from them.
 //!
-//! Every frequency point is an independent linear solve, so the sweep
-//! splits into a parallel solve phase (fanned out over an
-//! [`artisan_math::ThreadPool`], one reusable [`MnaWorkspace`] per
-//! worker) and a sequential O(n) phase-unwrap post-pass. The parallel
-//! path produces bit-identical results to the sequential one: every
-//! point's arithmetic is self-contained and the unwrap runs over the
-//! index-ordered solutions either way.
+//! A sweep solves the MNA system at each grid frequency in order,
+//! through one reusable [`MnaWorkspace`], and unwraps the phase point by
+//! point. The paper's systems have dimension 3–12, so one candidate's
+//! sweep is a short sequential loop; parallelism lives across
+//! independent analyses (candidates, corners, sessions), never inside
+//! one.
+//!
+//! [`sweep`] returns the full curve. The analysis pipeline and the
+//! corner engine instead call the crate-private `measure`, which reads
+//! DC gain, GBW and phase margin and stops one point past the first
+//! unity-gain bracket. The solved prefix is the same arithmetic as the
+//! same prefix of [`sweep`], so the metrics equal [`unity_crossing`]
+//! over the full curve bit for bit.
+//!
+//! [`MnaWorkspace`]: crate::mna::MnaWorkspace
 
 use crate::error::SimError;
-use crate::mna::{MnaSystem, MnaWorkspace};
+use crate::metrics::Performance;
+use crate::mna::MnaSystem;
 use crate::Result;
-use artisan_math::{Complex64, ThreadPool};
+use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
+use artisan_math::Complex64;
 use std::f64::consts::PI;
-
-/// Minimum `points × dim` for the pooled solve phase to pay for its
-/// thread wake-up and merge overhead; below this [`sweep_with_pool`]
-/// runs the plain sequential loop (bit-identical results either way).
-/// The default 441-point sweep of the dim-3 NMC example (work 1323)
-/// stays sequential; a dim-50 behavioural ladder (work 22 050) fans out.
-pub const PAR_SWEEP_MIN_WORK: usize = 16_384;
 
 /// One point of an AC sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,11 +70,12 @@ impl SweepConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidSweep`] unless `0 < f_start < f_stop`,
-    /// so a malformed grid surfaces as a recoverable simulation failure
-    /// instead of bringing a design loop down.
+    /// Returns [`SimError::InvalidSweep`] unless `0 < f_start < f_stop`
+    /// with both bounds finite, so a malformed grid surfaces as a
+    /// recoverable simulation failure instead of bringing a design loop
+    /// down.
     pub fn frequencies(&self) -> Result<Vec<f64>> {
-        if !(self.f_start > 0.0 && self.f_stop > self.f_start) {
+        if !(self.f_start > 0.0 && self.f_stop > self.f_start && self.f_stop.is_finite()) {
             return Err(SimError::InvalidSweep {
                 f_start: self.f_start,
                 f_stop: self.f_stop,
@@ -86,85 +91,43 @@ impl SweepConfig {
     }
 }
 
-/// Runs an AC sweep: solves the MNA system at each grid frequency and
-/// unwraps the phase (removing ±360° jumps so that phase margin can be
-/// read off directly). Parallelism comes from the environment
-/// ([`ThreadPool::from_env`], honouring `ARTISAN_THREADS`); use
-/// [`sweep_with_pool`] to pin an explicit worker count.
+/// `s = jω` at `f` Hz.
+fn jomega(f: f64) -> Complex64 {
+    Complex64::jomega(2.0 * PI * f)
+}
+
+/// Runs an AC sweep: solves the MNA system at each grid frequency, in
+/// order through one workspace, and unwraps the phase (removing ±360°
+/// jumps so that phase margin can be read off directly).
 ///
 /// # Errors
 ///
-/// Propagates solver failures at any frequency point and rejects
-/// malformed sweep grids.
+/// Propagates the solver failure at the lowest failing frequency and
+/// rejects malformed sweep grids.
 pub fn sweep(sys: &MnaSystem, config: &SweepConfig) -> Result<Vec<AcPoint>> {
-    sweep_with_pool(sys, config, &ThreadPool::from_env())
+    let mut ws = sys.workspace();
+    let mut unwrapper = Unwrapper::default();
+    config
+        .frequencies()?
+        .into_iter()
+        .map(|f| Ok(unwrapper.next(f, sys.transfer_with(jomega(f), &mut ws)?)))
+        .collect()
 }
 
-/// [`sweep`] with an explicit thread pool. Results are bit-identical for
-/// every worker count: the per-point solves are independent (each worker
-/// reuses one [`MnaWorkspace`], fully overwritten per point) and the
-/// phase unwrap runs sequentially over the index-ordered solutions.
-///
-/// # Errors
-///
-/// Propagates the failure at the lowest failing frequency and rejects
-/// malformed sweep grids.
-pub fn sweep_with_pool(
-    sys: &MnaSystem,
-    config: &SweepConfig,
-    pool: &ThreadPool,
-) -> Result<Vec<AcPoint>> {
-    let freqs = config.frequencies()?;
-    // Solve phase: embarrassingly parallel, one workspace per worker —
-    // but fan-out only pays for itself when there is enough work to
-    // amortize thread wake-up and result merging. Below the work
-    // threshold (or with a single worker) run the plain sequential loop,
-    // which is bit-identical: the pooled path solves the same points in
-    // index order per worker and merges by index.
-    let work = freqs.len().saturating_mul(sys.dim());
-    let solved: Vec<Result<Complex64>> = if pool.workers() <= 1 || work < PAR_SWEEP_MIN_WORK {
-        let mut ws = sys.workspace();
-        freqs
-            .iter()
-            .map(|&f| sys.transfer_with(Complex64::jomega(2.0 * PI * f), &mut ws))
-            .collect()
-    } else {
-        pool.par_map_with(
-            &freqs,
-            || sys.workspace(),
-            |_, f, ws: &mut MnaWorkspace| sys.transfer_with(Complex64::jomega(2.0 * PI * f), ws),
-        )
-    };
-    // Deterministic error propagation: the lowest failing index wins,
-    // exactly as the sequential loop would report.
-    let mut hs = Vec::with_capacity(solved.len());
-    for h in solved {
-        hs.push(h?);
-    }
-    Ok(unwrap_points(&freqs, &hs))
-}
-
-/// Incremental form of the sequential phase-unwrap post-pass: removes
-/// ±360° jumps between adjacent points (assuming < 180° of true phase
-/// change per grid step, guaranteed by a dense log grid) and references
-/// everything to the first point's phase. Feeding points one at a time
-/// produces bit-identical output to the batch pass over the same
-/// sequence — the corner engine relies on this to stop a sweep early at
-/// the unity crossing without perturbing the prefix's arithmetic.
+/// The point-by-point phase unwrap: removes ±360° jumps between
+/// adjacent points (assuming < 180° of true phase change per grid step,
+/// guaranteed by a dense log grid) and references everything to the
+/// first point's phase.
 #[derive(Default)]
-pub(crate) struct Unwrapper {
+struct Unwrapper {
     prev_raw: Option<f64>,
     offset: f64,
     first_phase: f64,
 }
 
 impl Unwrapper {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Unwraps the next solution in frequency order into an [`AcPoint`].
-    pub(crate) fn next(&mut self, freq: f64, h: Complex64) -> AcPoint {
+    fn next(&mut self, freq: f64, h: Complex64) -> AcPoint {
         let raw = h.arg().to_degrees();
         if let Some(p) = self.prev_raw {
             let mut delta = raw - p;
@@ -187,18 +150,6 @@ impl Unwrapper {
             phase_rel: unwrapped - self.first_phase,
         }
     }
-}
-
-/// The batch phase-unwrap pass over index-ordered solutions.
-/// `pub(crate)` so the flattened batch path in [`crate::Simulator`] can
-/// unwrap chunk-merged solutions identically.
-pub(crate) fn unwrap_points(freqs: &[f64], hs: &[Complex64]) -> Vec<AcPoint> {
-    let mut unwrapper = Unwrapper::new();
-    freqs
-        .iter()
-        .zip(hs)
-        .map(|(&f, &h)| unwrapper.next(f, h))
-        .collect()
 }
 
 /// Finds the unity-gain crossing by log-linear interpolation between the
@@ -225,18 +176,90 @@ pub fn unity_crossing(points: &[AcPoint]) -> Option<(f64, f64)> {
     None
 }
 
+/// The AC half of a [`Performance`]: what [`measure`] reads off a
+/// system.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AcMetrics {
+    gain: Decibels,
+    gbw: Hertz,
+    pm: Degrees,
+}
+
+impl AcMetrics {
+    /// The full performance at static power `power`, with the FoM rated
+    /// against the load capacitance `cl`.
+    pub(crate) fn with_power(self, power: Watts, cl: f64) -> Performance {
+        Performance {
+            gain: self.gain,
+            gbw: self.gbw,
+            pm: self.pm,
+            power,
+            fom: Performance::fom_of(self.gbw.value(), cl, power.value()),
+        }
+    }
+}
+
+/// The one AC measurement of an analysis: DC gain, then the sweep up to
+/// the first unity crossing, whose GBW and phase margin it reads. The
+/// sweep stops one point past the first |H| = 1 bracket, so a solve
+/// that would fail only above the crossing is never attempted.
+///
+/// # Errors
+///
+/// In this order: a solver failure at DC (other than
+/// [`SimError::IllConditioned`], which retries at `f_start`) or at the
+/// fallback point; [`SimError::BadNetlist`] for a zero or non-finite DC
+/// gain; [`SimError::InvalidSweep`]; the failure at the lowest failing
+/// sweep point; [`SimError::NoUnityCrossing`].
+pub(crate) fn measure(sys: &MnaSystem, config: &SweepConfig) -> Result<AcMetrics> {
+    // DC gain: exact s = 0 solve, falling back to the sweep floor for
+    // networks with capacitively-coupled (DC-floating) internal nodes.
+    // One workspace serves the gain and every sweep point.
+    let mut ws = sys.workspace();
+    let h0 = match sys.transfer_with(Complex64::ZERO, &mut ws) {
+        Ok(h) => h,
+        Err(SimError::IllConditioned { .. }) => {
+            sys.transfer_with(jomega(config.f_start), &mut ws)?
+        }
+        Err(e) => return Err(e),
+    };
+    if h0.abs() <= 0.0 || !h0.is_finite() {
+        return Err(SimError::BadNetlist("zero or non-finite DC gain".into()));
+    }
+    let mut unwrapper = Unwrapper::default();
+    let mut prev: Option<AcPoint> = None;
+    for f in config.frequencies()? {
+        let point = unwrapper.next(f, sys.transfer_with(jomega(f), &mut ws)?);
+        if let Some((gbw_hz, phase_at_unity)) = prev.and_then(|a| unity_crossing(&[a, point])) {
+            return Ok(AcMetrics {
+                gain: Decibels::from_ratio(h0.abs()),
+                gbw: Hertz(gbw_hz),
+                // Phase margin: 180° + relative phase accumulated from DC.
+                pm: Degrees(180.0 + phase_at_unity),
+            });
+        }
+        prev = Some(point);
+    }
+    Err(SimError::NoUnityCrossing)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mna::MnaMode;
     use artisan_circuit::Netlist;
 
-    fn single_pole(gain: f64, fp: f64) -> MnaSystem {
+    fn single_pole_netlist(gain: f64, fp: f64) -> Netlist {
         // gm·R = gain, pole at fp via C = 1/(2πR·fp)
         let r = 10e3;
         let gm = gain / r;
         let c = 1.0 / (2.0 * PI * r * fp);
         let text = format!("* sp\nG1 out 0 in 0 {gm}\nR1 out 0 {r}\nC1 out 0 {c}\n.end\n");
-        MnaSystem::new(&Netlist::parse(&text).unwrap()).unwrap()
+        Netlist::parse(&text).unwrap()
+    }
+
+    fn single_pole(gain: f64, fp: f64) -> MnaSystem {
+        MnaSystem::new(&single_pole_netlist(gain, fp)).unwrap()
     }
 
     #[test]
@@ -270,80 +293,20 @@ mod tests {
         );
         assert_eq!(err.failure_label(), "Sweep");
         assert!(!err.is_transient());
-        // Inverted bounds are rejected the same way, and the sweep
-        // driver surfaces the error instead of panicking.
-        let inverted = SweepConfig {
-            f_start: 10.0,
-            f_stop: 1.0,
-            points_per_decade: 10,
-        };
-        assert!(inverted.frequencies().is_err());
+        // Inverted and infinite bounds are rejected the same way, and
+        // the sweep driver surfaces the error instead of panicking.
         let sys = single_pole(10.0, 1e3);
-        assert!(matches!(
-            sweep(&sys, &inverted),
-            Err(SimError::InvalidSweep { .. })
-        ));
-    }
-
-    /// Behavioural VCCS/R/C gain ladder with `dim` unknowns — large
-    /// enough to clear [`PAR_SWEEP_MIN_WORK`] on the default grid.
-    fn ladder(dim: usize) -> MnaSystem {
-        let name = |k: usize| {
-            if k == dim - 1 {
-                "out".to_string()
-            } else {
-                format!("x{k}")
-            }
-        };
-        let mut t = String::from("* ladder\n");
-        for k in 0..dim {
-            let node = name(k);
-            let prev = if k == 0 {
-                "in".to_string()
-            } else {
-                name(k - 1)
+        for (f_start, f_stop) in [(10.0, 1.0), (1.0, f64::INFINITY)] {
+            let bad = SweepConfig {
+                f_start,
+                f_stop,
+                points_per_decade: 10,
             };
-            t.push_str(&format!(
-                "G{k} {node} 0 {prev} 0 0.0002\nR{k} {node} 0 10000\nC{k} {node} 0 2e-12\n"
-            ));
-        }
-        t.push_str(".end\n");
-        MnaSystem::new(&Netlist::parse(&t).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn small_sweeps_take_the_sequential_path_with_identical_results() {
-        // The dim-3 default sweep sits below the work threshold, so all
-        // worker counts collapse to the same sequential loop — results
-        // must still be exactly what the pooled path produced before.
-        let sys = single_pole(1000.0, 1e3);
-        let cfg = SweepConfig::default();
-        assert!(cfg.frequencies().unwrap().len() * sys.dim() < PAR_SWEEP_MIN_WORK);
-        let seq = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(1)).unwrap();
-        let heuristic = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(8)).unwrap();
-        assert_eq!(heuristic, seq);
-    }
-
-    #[test]
-    fn large_sweeps_fan_out_bit_identically() {
-        let sys = ladder(40);
-        let cfg = SweepConfig::default();
-        assert!(cfg.frequencies().unwrap().len() * sys.dim() >= PAR_SWEEP_MIN_WORK);
-        let seq = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(1)).unwrap();
-        for workers in [2, 4] {
-            let par = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(workers)).unwrap();
-            assert_eq!(par, seq, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        let sys = single_pole(1000.0, 1e3);
-        let cfg = SweepConfig::default();
-        let seq = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(1)).unwrap();
-        for workers in [2, 3, 8] {
-            let par = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(workers)).unwrap();
-            assert_eq!(par, seq, "workers = {workers}");
+            assert!(bad.frequencies().is_err(), "{bad:?}");
+            assert!(
+                matches!(sweep(&sys, &bad), Err(SimError::InvalidSweep { .. })),
+                "{bad:?}"
+            );
         }
     }
 
@@ -381,6 +344,34 @@ mod tests {
         let sys = single_pole(0.5, 1e3);
         let pts = sweep(&sys, &SweepConfig::default()).unwrap();
         assert!(unity_crossing(&pts).is_none());
+        assert!(matches!(
+            measure(&sys, &SweepConfig::default()),
+            Err(SimError::NoUnityCrossing)
+        ));
+    }
+
+    #[test]
+    fn measure_stops_one_point_past_the_first_crossing() {
+        // Forced sparse, so the shared symbolic counts every solve.
+        let sys = MnaSystem::with_mode(&single_pole_netlist(1000.0, 1e3), MnaMode::Sparse).unwrap();
+        let symbolic = sys.sparse_symbolic().unwrap();
+        let cfg = SweepConfig::default();
+        let full = sweep(&sys, &cfg).unwrap();
+        let below = 1 + full
+            .windows(2)
+            .position(|w| w[0].h.abs() >= 1.0 && w[1].h.abs() < 1.0)
+            .unwrap();
+        assert!(below + 1 < full.len(), "the crossing is inside the band");
+        let before = symbolic.numeric_factor_count();
+        let metrics = measure(&sys, &cfg).unwrap();
+        // The DC solve, then sweep points 0..=below and nothing after.
+        assert_eq!(
+            symbolic.numeric_factor_count() - before,
+            1 + below as u64 + 1
+        );
+        let (f_u, phase) = unity_crossing(&full).unwrap();
+        assert_eq!(metrics.gbw.value().to_bits(), f_u.to_bits());
+        assert_eq!(metrics.pm.value().to_bits(), (180.0 + phase).to_bits());
     }
 
     #[test]

@@ -42,10 +42,10 @@ pub trait SimBackend {
     /// per-call ordering are exactly those of hand-written iteration,
     /// which is what wrapper backends with per-call state (fault
     /// injection dice) rely on. Backends with real fan-out (the
-    /// [`Simulator`] over the `artisan-math` thread pool, remote
-    /// batch services) override this with a parallel implementation
-    /// whose *results and ledger totals* must stay identical to the
-    /// serial loop.
+    /// [`Simulator`], one candidate per `artisan-math` pool worker;
+    /// remote batch services) override this with a parallel
+    /// implementation whose *results and ledger totals* must stay
+    /// identical to the serial loop.
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
         topos.iter().map(|t| self.analyze_topology(t)).collect()
     }
@@ -93,8 +93,9 @@ impl SimBackend for Simulator {
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        // The real parallel fan-out (thread pool at netlist
-        // granularity), bit-identical to the serial default.
+        // The real parallel fan-out: candidates across pool workers,
+        // each analysed on one sequential path, so the reports are
+        // bit-identical to the serial default.
         Simulator::analyze_batch(self, topos)
     }
 

@@ -23,15 +23,16 @@
 //! - **load** → `cl_scale`: only the `CL`-labelled load capacitor is
 //!   multiplied, and the FoM is recomputed against the scaled load.
 //!
-//! Multiplication by `1.0` is bit-exact in IEEE-754, so the nominal
-//! corner's netlist — and its metrics — are bit-identical to the plain
-//! analysis (property-pinned in `crates/sim/tests/properties.rs`).
-//!
 //! Corner evaluation is the AC-margin methodology: gain, GBW, and phase
-//! margin are re-measured per corner from the shared-symbolic system;
-//! pole/zero extraction and the ERC admission gate run once on the
-//! nominal netlist only (a positive value-only scaling changes neither
-//! the lint verdict nor which analysis the corner needs).
+//! margin are re-measured per corner from the shared-symbolic system,
+//! through the same crate-private AC measurement the nominal
+//! [`crate::Simulator`] pipeline calls; pole/zero extraction and the
+//! ERC admission gate run once on the nominal netlist only (a positive
+//! value-only scaling changes neither the lint verdict nor which
+//! analysis the corner needs). Multiplication by `1.0` is bit-exact in
+//! IEEE-754, so the nominal corner's metrics are the plain analysis's
+//! by construction (still property-pinned in
+//! `crates/sim/tests/properties.rs`).
 //!
 //! # Caching and cost
 //!
@@ -58,20 +59,19 @@
 //! preservation, and billed-seconds conservation for this stack. To run
 //! without corner sign-off, do not stack the wrapper.
 
-use crate::ac::{unity_crossing, Unwrapper};
+use crate::ac;
 use crate::backend::SimBackend;
 use crate::cache::SimCache;
 use crate::cost::CostLedger;
-use crate::error::SimError;
 use crate::fingerprint::{config_salt, NetlistFingerprint};
 use crate::metrics::Performance;
 use crate::mna::MnaSystem;
 use crate::simulator::{load_capacitance, AnalysisConfig, AnalysisReport};
 use crate::wire;
 use crate::Result;
-use artisan_circuit::units::{Decibels, Degrees, Farads, Hertz, Ohms, Siemens, Watts};
+use artisan_circuit::units::{Farads, Ohms, Siemens, Watts};
 use artisan_circuit::{Element, Netlist, Topology};
-use artisan_math::{Complex64, ThreadPool};
+use artisan_math::ThreadPool;
 use std::sync::Arc;
 
 /// Fingerprint salt separating memoized corner verdicts from memoized
@@ -281,14 +281,17 @@ impl CornerSummary {
 }
 
 /// Evaluates one corner against the nominal system: scale the netlist,
-/// share the donor's symbolic LU, and re-measure the AC metrics (DC
-/// gain, unity crossing, phase margin). Power and FoM are rescaled
-/// analytically from the nominal power (see the [module docs](self)).
+/// share the donor's symbolic LU, take the nominal analysis's AC
+/// measurement (DC gain, GBW and phase margin at the first unity
+/// crossing), then rescale power and FoM analytically from the nominal
+/// power (see the [module docs](self)).
 ///
 /// # Errors
 ///
 /// Propagates solver failures; a missing unity crossing at the corner is
 /// [`SimError::NoUnityCrossing`] exactly as in the nominal analysis.
+///
+/// [`SimError::NoUnityCrossing`]: crate::SimError::NoUnityCrossing
 pub fn evaluate_corner(
     config: &AnalysisConfig,
     netlist: &Netlist,
@@ -299,58 +302,12 @@ pub fn evaluate_corner(
 ) -> Result<Performance> {
     let scaled = corner.apply(netlist);
     let sys = MnaSystem::new_sharing_symbolic(&scaled, donor)?;
-    // DC gain with the same ill-conditioning fallback as the nominal
-    // pipeline, so the nominal corner is arithmetic-for-arithmetic
-    // identical to `Simulator`'s own report.
-    let mut ws = sys.workspace();
-    let h0 = match sys.transfer_with(Complex64::ZERO, &mut ws) {
-        Ok(h) => h,
-        Err(SimError::IllConditioned { .. }) => sys.transfer_with(
-            Complex64::jomega(2.0 * std::f64::consts::PI * config.sweep.f_start),
-            &mut ws,
-        )?,
-        Err(e) => return Err(e),
-    };
-    if h0.abs() <= 0.0 || !h0.is_finite() {
-        return Err(SimError::BadNetlist("zero or non-finite DC gain".into()));
-    }
-    let gain = Decibels::from_ratio(h0.abs());
-    // Sequential early-exit sweep per corner: the parallelism lives
-    // *across* corners (and candidates), not inside one corner's sweep.
-    // A corner verdict consumes the sweep only through the unity
-    // crossing, so the sweep stops one point past the first |H|=1
-    // bracket. The solved prefix — solves in index order, incremental
-    // unwrap, forward crossing scan — is bit-identical to the same
-    // prefix of a full sweep, so the nominal corner still reproduces
-    // the plain pipeline's GBW and PM exactly while off-crossing tail
-    // points (typically 15–25% of the grid, more on wide bands) are
-    // never factored at all.
-    let freqs = config.sweep.frequencies()?;
-    let mut points = Vec::with_capacity(freqs.len());
-    let mut unwrapper = Unwrapper::new();
-    for &f in &freqs {
-        let h = sys.transfer_with(Complex64::jomega(2.0 * std::f64::consts::PI * f), &mut ws)?;
-        points.push(unwrapper.next(f, h));
-        if let [.., a, b] = points.as_slice() {
-            if a.h.abs() >= 1.0 && b.h.abs() < 1.0 {
-                break;
-            }
-        }
-    }
-    let (gbw_hz, phase_at_unity) = unity_crossing(&points).ok_or(SimError::NoUnityCrossing)?;
-    let pm = 180.0 + phase_at_unity;
+    let ac = ac::measure(&sys, &config.sweep)?;
     // Supply scales both the rail and every branch current, so power
     // goes with gm_scale²; the load axis re-rates the FoM. Both are
     // bit-exact at the nominal point (×1.0).
     let power = Watts(nominal_power.value() * corner.gm_scale * corner.gm_scale);
-    let corner_cl = cl * corner.cl_scale;
-    Ok(Performance {
-        gain,
-        gbw: Hertz(gbw_hz),
-        pm: Degrees(pm),
-        power,
-        fom: Performance::fom_of(gbw_hz, corner_cl, power.value()),
-    })
+    Ok(ac.with_power(power, cl * corner.cl_scale))
 }
 
 /// Folds per-corner outcomes (in grid order) into a [`CornerSummary`].

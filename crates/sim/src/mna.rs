@@ -173,8 +173,8 @@ impl SparseRepr {
 /// Reusable per-solve scratch: the assembled `Y`, the right-hand side,
 /// the pivot permutation, and the solution vector. Build one with
 /// [`MnaSystem::workspace`] and feed it to [`MnaSystem::solve_with`] /
-/// [`MnaSystem::transfer_with`]; a sweep (or a pool worker) reuses one
-/// workspace across all its frequency points.
+/// [`MnaSystem::transfer_with`]; an analysis reuses one workspace for
+/// its DC solve and every sweep point.
 #[derive(Debug, Clone)]
 pub struct MnaWorkspace {
     y: CMatrix,
@@ -209,8 +209,6 @@ pub struct MnaWorkspace {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MnaSystem {
-    elements: Vec<Element>,
-    index: HashMap<Node, usize>,
     out_index: usize,
     dim: usize,
     /// Frequency-independent conductance stamps (resistors, VCCS).
@@ -382,8 +380,6 @@ impl MnaSystem {
         };
 
         Ok(MnaSystem {
-            elements: netlist.elements().to_vec(),
-            index,
             out_index,
             dim,
             g,
@@ -463,56 +459,6 @@ impl MnaSystem {
         y.assign_scale_add(&self.g, &self.c, s)?;
         let mut rhs = vec![Complex64::ZERO; self.dim];
         self.rhs_at(s, &mut rhs);
-        Ok((y, rhs))
-    }
-
-    /// The legacy per-point assembly: re-walks the element list and
-    /// stamps `G + sC` through the node index at every call, exactly as
-    /// the solver did before the `G`/`C` split. Retained only as the
-    /// baseline for the `sim_sweep` benchmark and the cached-vs-legacy
-    /// equivalence tests — production paths use [`MnaSystem::assemble`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadNetlist`] if an element references a node
-    /// absent from the unknown index — impossible for systems built by
-    /// [`MnaSystem::new`], which validates the same walk at
-    /// construction.
-    pub fn assemble_legacy(&self, s: Complex64) -> Result<(CMatrix, Vec<Complex64>)> {
-        let mut y = CMatrix::zeros(self.dim, self.dim);
-        let mut rhs = vec![Complex64::ZERO; self.dim];
-        for e in &self.elements {
-            match e {
-                Element::Resistor { a, b, ohms, .. } => {
-                    let v = Complex64::from_real(1.0 / ohms.value());
-                    stamp_into(&self.index, &mut y, &mut rhs, *a, *a, v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *a, *b, -v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *b, *b, v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *b, *a, -v)?;
-                }
-                Element::Capacitor { a, b, farads, .. } => {
-                    let v = s * Complex64::from_real(farads.value());
-                    stamp_into(&self.index, &mut y, &mut rhs, *a, *a, v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *a, *b, -v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *b, *b, v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *b, *a, -v)?;
-                }
-                Element::Vccs {
-                    out_p,
-                    out_n,
-                    ctrl_p,
-                    ctrl_n,
-                    gm,
-                    ..
-                } => {
-                    let v = Complex64::from_real(gm.value());
-                    stamp_into(&self.index, &mut y, &mut rhs, *out_p, *ctrl_p, v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *out_p, *ctrl_n, -v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *out_n, *ctrl_p, -v)?;
-                    stamp_into(&self.index, &mut y, &mut rhs, *out_n, *ctrl_n, v)?;
-                }
-            }
-        }
         Ok((y, rhs))
     }
 
@@ -790,33 +736,6 @@ mod tests {
         ));
         // But solvable at AC.
         assert!(sys.transfer(Complex64::jomega(1e3)).is_ok());
-    }
-
-    #[test]
-    fn cached_assembly_matches_legacy_walk() {
-        let netlist = Topology::nmc_example().elaborate().unwrap();
-        let sys = MnaSystem::new(&netlist).unwrap();
-        for f in [0.0, 1.0, 1e3, 1e6, 1e9] {
-            let s = Complex64::jomega(2.0 * PI * f);
-            let (yc, rhs_c) = sys.assemble(s).unwrap();
-            let (yl, rhs_l) = sys.assemble_legacy(s).unwrap();
-            for r in 0..sys.dim() {
-                for c in 0..sys.dim() {
-                    let (a, b) = (yc[(r, c)], yl[(r, c)]);
-                    let scale = a.abs().max(b.abs()).max(1.0);
-                    assert!(
-                        (a - b).abs() / scale < 1e-12,
-                        "Y({r},{c}) at f={f}: {a} vs {b}"
-                    );
-                }
-                let (a, b) = (rhs_c[r], rhs_l[r]);
-                let scale = a.abs().max(b.abs()).max(1.0);
-                assert!(
-                    (a - b).abs() / scale < 1e-12,
-                    "rhs[{r}] at f={f}: {a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]

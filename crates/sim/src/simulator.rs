@@ -1,4 +1,12 @@
-use crate::ac::{sweep_with_pool, unity_crossing, unwrap_points, AcPoint, SweepConfig};
+//! The analysis pipeline: ERC admission gate, MNA build, pole/zero
+//! extraction and stability, then the one AC measurement
+//! ([`crate::ac`]) shared with the corner engine.
+//!
+//! Each candidate is one short sequential path. [`Simulator::analyze_batch`]
+//! fans independent candidates over the thread pool, one candidate per
+//! work item, so every report is the same arithmetic as a serial loop.
+
+use crate::ac::{self, SweepConfig};
 use crate::corners::CornerSummary;
 use crate::cost::CostLedger;
 use crate::error::{BadNetlistReport, SimError};
@@ -6,15 +14,9 @@ use crate::metrics::{Performance, PowerModel};
 use crate::mna::MnaSystem;
 use crate::poles::{pole_zero, PoleZero, PoleZeroConfig};
 use crate::Result;
-use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
+use artisan_circuit::units::Watts;
 use artisan_circuit::{Netlist, Topology};
-use artisan_math::{Complex64, ThreadPool};
-
-/// Frequency-chunk length for the flattened batch path: small batches
-/// split each candidate's sweep into chunks of this many points so
-/// (candidate × chunk) work units can keep every pool worker busy. The
-/// default 441-point sweep yields 7 chunks per candidate.
-const FLAT_CHUNK: usize = 64;
+use artisan_math::ThreadPool;
 
 /// Analysis configuration: sweep band, pole extraction, and power model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,19 +72,6 @@ pub fn load_capacitance(netlist: &Netlist) -> Result<f64> {
         .find("CL")
         .map(|e| e.value())
         .ok_or_else(|| SimError::BadNetlist("netlist has no CL load element".into()))
-}
-
-/// A candidate carried through the admission gate, pole extraction, and
-/// DC-gain stages with its sweep still pending — the split that lets
-/// the flattened batch path interleave many candidates' sweep chunks
-/// over one pool.
-struct Prepared {
-    sys: MnaSystem,
-    pz: PoleZero,
-    stable: bool,
-    gain: Decibels,
-    power: Watts,
-    cl: f64,
 }
 
 /// The simulator façade: analyzes netlists/topologies and bills each run
@@ -167,11 +156,11 @@ impl Simulator {
         self.analyze_inner(netlist, cl, None)
     }
 
-    /// Analyzes many independent topologies in parallel at netlist
-    /// granularity over the environment-sized thread pool
-    /// (`ARTISAN_THREADS`), billing one simulation per candidate.
-    /// Results are returned in input order and are bit-identical to a
-    /// serial loop of [`Simulator::analyze_topology`] calls.
+    /// Analyzes many independent topologies over the environment-sized
+    /// thread pool (`ARTISAN_THREADS`), one candidate per work item,
+    /// billing one simulation per candidate. Results are returned in
+    /// input order and are bit-identical to a serial loop of
+    /// [`Simulator::analyze_topology`] calls.
     pub fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
         self.analyze_batch_with_pool(topos, &ThreadPool::from_env())
     }
@@ -191,117 +180,11 @@ impl Simulator {
         }
         self.ledger.record_batched_solves(topos.len() as u64);
         let config = self.config;
-        // A batch smaller than the pool would leave workers idle if it
-        // only fanned at netlist granularity: flatten (candidate ×
-        // frequency-chunk) work units instead. Bit-identical to the
-        // serial loop — per-point solves are independent and the merge
-        // restores index order (property-pinned in tests/properties.rs).
-        if pool.workers() > 1 && !topos.is_empty() && topos.len() < pool.workers() {
-            return Self::batch_flattened(&config, topos, pool);
-        }
-        // Fan out at *netlist* granularity; each candidate's inner
-        // sweep runs on one worker. Sweeps are bit-identical for any
-        // worker count, so the reports match the serial path exactly
-        // while avoiding nested thread fan-out.
-        let inner = ThreadPool::with_workers(1);
         pool.par_map_indexed(topos, |_, topo| {
             let netlist = elaborate_for_analysis(topo)?;
             let power = config.power.power_of_topology(topo);
-            Self::compute_report(
-                &config,
-                &netlist,
-                topo.skeleton.cl.value(),
-                Some(power),
-                &inner,
-            )
+            Self::compute_report(&config, &netlist, topo.skeleton.cl.value(), Some(power))
         })
-    }
-
-    /// The flattened small-batch path: prepare every candidate in
-    /// parallel, then interleave all candidates' sweep chunks over one
-    /// work list so even a single-candidate batch saturates the pool.
-    fn batch_flattened(
-        config: &AnalysisConfig,
-        topos: &[Topology],
-        pool: &ThreadPool,
-    ) -> Vec<Result<AnalysisReport>> {
-        // Stage A: per-candidate pipeline up to the sweep (gate, poles,
-        // DC gain) — the same checks in the same order as the serial
-        // loop, so failures are byte-identical.
-        let prepared: Vec<Result<Prepared>> = pool.par_map_indexed(topos, |_, topo| {
-            let netlist = elaborate_for_analysis(topo)?;
-            let power = config.power.power_of_topology(topo);
-            Self::prepare_candidate(config, &netlist, topo.skeleton.cl.value(), Some(power))
-        });
-        // The grid is shared; a malformed sweep fails every surviving
-        // candidate with the same error the per-candidate path raises.
-        let freqs = match config.sweep.frequencies() {
-            Ok(freqs) => freqs,
-            Err(_) => {
-                return prepared
-                    .into_iter()
-                    .map(|p| {
-                        p.and(Err(SimError::InvalidSweep {
-                            f_start: config.sweep.f_start,
-                            f_stop: config.sweep.f_stop,
-                        }))
-                    })
-                    .collect();
-            }
-        };
-        // Stage B: one flattened work list of (candidate, chunk) units.
-        // Each unit solves its frequency range sequentially in its own
-        // workspace; per-point arithmetic is self-contained, so chunk
-        // boundaries cannot change any value.
-        let chunk_count = freqs.len().div_ceil(FLAT_CHUNK);
-        let units: Vec<(usize, usize)> = (0..topos.len())
-            .filter(|&i| prepared[i].is_ok())
-            .flat_map(|i| (0..chunk_count).map(move |c| (i, c)))
-            .collect();
-        let solved: Vec<Vec<Result<Complex64>>> = pool.par_map_indexed(&units, |_, &(i, c)| {
-            let prep = match &prepared[i] {
-                Ok(prep) => prep,
-                Err(_) => unreachable!("units are built from prepared candidates only"),
-            };
-            let mut ws = prep.sys.workspace();
-            let lo = c * FLAT_CHUNK;
-            let hi = (lo + FLAT_CHUNK).min(freqs.len());
-            freqs[lo..hi]
-                .iter()
-                .map(|&f| {
-                    prep.sys
-                        .transfer_with(Complex64::jomega(2.0 * std::f64::consts::PI * f), &mut ws)
-                })
-                .collect()
-        });
-        // Merge: chunks are unit-ordered (candidate-major), so each
-        // surviving candidate consumes `chunk_count` lists. The lowest
-        // failing frequency index wins, exactly like the serial sweep.
-        let mut chunks = solved.into_iter();
-        prepared
-            .into_iter()
-            .map(|p| {
-                let prep = p?;
-                let mut hs = Vec::with_capacity(freqs.len());
-                let mut first_err: Option<SimError> = None;
-                for _ in 0..chunk_count {
-                    let chunk = chunks
-                        .next()
-                        .unwrap_or_else(|| unreachable!("one chunk list per surviving candidate"));
-                    for h in chunk {
-                        match h {
-                            Ok(h) if first_err.is_none() => hs.push(h),
-                            Err(e) if first_err.is_none() => first_err = Some(e),
-                            _ => {}
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                Self::finish_report(prep, unwrap_points(&freqs, &hs))
-            })
-            .collect()
     }
 
     fn analyze_inner(
@@ -311,13 +194,7 @@ impl Simulator {
         power_override: Option<Watts>,
     ) -> Result<AnalysisReport> {
         self.ledger.record_simulation();
-        Self::compute_report(
-            &self.config,
-            netlist,
-            cl,
-            power_override,
-            &ThreadPool::from_env(),
-        )
+        Self::compute_report(&self.config, netlist, cl, power_override)
     }
 
     /// The pure analysis pipeline: no billing, no `&mut self` — the
@@ -328,23 +205,7 @@ impl Simulator {
         netlist: &Netlist,
         cl: f64,
         power_override: Option<Watts>,
-        pool: &ThreadPool,
     ) -> Result<AnalysisReport> {
-        let prep = Self::prepare_candidate(config, netlist, cl, power_override)?;
-        let points = sweep_with_pool(&prep.sys, &config.sweep, pool)?;
-        Self::finish_report(prep, points)
-    }
-
-    /// Everything before the sweep: the ERC admission gate, pole/zero
-    /// extraction, the stability check, and the DC-gain solve — in the
-    /// exact order the monolithic pipeline ran them, so per-candidate
-    /// failures are byte-identical on every path.
-    fn prepare_candidate(
-        config: &AnalysisConfig,
-        netlist: &Netlist,
-        cl: f64,
-        power_override: Option<Watts>,
-    ) -> Result<Prepared> {
         // ERC admission gate: reject structurally broken netlists with
         // actionable diagnostics instead of letting them surface later
         // as opaque numerical failures (a floating node would otherwise
@@ -369,52 +230,12 @@ impl Simulator {
             });
         }
 
-        // DC gain: exact s = 0 solve, falling back to the sweep floor for
-        // networks with capacitively-coupled (DC-floating) internal nodes.
-        // One workspace serves both attempts.
-        let mut ws = sys.workspace();
-        let h0 = match sys.transfer_with(Complex64::ZERO, &mut ws) {
-            Ok(h) => h,
-            Err(SimError::IllConditioned { .. }) => sys.transfer_with(
-                Complex64::jomega(2.0 * std::f64::consts::PI * config.sweep.f_start),
-                &mut ws,
-            )?,
-            Err(e) => return Err(e),
-        };
-        if h0.abs() <= 0.0 || !h0.is_finite() {
-            return Err(SimError::BadNetlist("zero or non-finite DC gain".into()));
-        }
-        let gain = Decibels::from_ratio(h0.abs());
-
+        let ac = ac::measure(&sys, &config.sweep)?;
         let power = power_override.unwrap_or_else(|| config.power.power_of_netlist(netlist));
-
-        Ok(Prepared {
-            sys,
-            pz,
-            stable,
-            gain,
-            power,
-            cl,
-        })
-    }
-
-    /// Everything after the sweep: unity crossing, phase margin, and
-    /// report assembly.
-    fn finish_report(prep: Prepared, points: Vec<AcPoint>) -> Result<AnalysisReport> {
-        let (gbw_hz, phase_at_unity) = unity_crossing(&points).ok_or(SimError::NoUnityCrossing)?;
-        // Phase margin: 180° + relative phase accumulated from DC.
-        let pm = 180.0 + phase_at_unity;
-        let performance = Performance {
-            gain: prep.gain,
-            gbw: Hertz(gbw_hz),
-            pm: Degrees(pm),
-            power: prep.power,
-            fom: Performance::fom_of(gbw_hz, prep.cl, prep.power.value()),
-        };
         Ok(AnalysisReport {
-            performance,
-            pole_zero: prep.pz,
-            stable: prep.stable,
+            performance: ac.with_power(power, cl),
+            pole_zero: pz,
+            stable,
             worst_case: None,
         })
     }
@@ -555,6 +376,21 @@ mod tests {
             }
             other => panic!("expected BadNetlist with diagnostics, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn infinite_sweep_bound_is_an_invalid_sweep() {
+        let mut sim = Simulator::with_config(AnalysisConfig {
+            sweep: SweepConfig {
+                f_stop: f64::INFINITY,
+                ..SweepConfig::default()
+            },
+            ..AnalysisConfig::default()
+        });
+        assert!(matches!(
+            sim.analyze_topology(&Topology::nmc_example()),
+            Err(SimError::InvalidSweep { f_stop, .. }) if f_stop == f64::INFINITY
+        ));
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! hold over the whole sampled design space.
 
 use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
-use artisan_circuit::{Netlist, Topology};
-use artisan_math::{Complex64, MathError, ThreadPool};
-use artisan_sim::ac::{sweep_with_pool, SweepConfig};
+use artisan_circuit::{Element, Netlist, Node, Topology};
+use artisan_math::{CMatrix, Complex64, MathError, ThreadPool};
+use artisan_sim::ac::{sweep, unity_crossing, SweepConfig};
 use artisan_sim::mna::{MnaMode, MnaSystem};
 use artisan_sim::poles::{pole_zero, PoleZeroConfig};
 use artisan_sim::{CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// A netlist from the broken neighbourhood of the design space: a legal
 /// base (the paper's NMC example or a sampled topology) put through
@@ -24,6 +25,66 @@ fn broken_neighbourhood(seed: u64) -> Netlist {
     };
     let netlist = base.elaborate().expect("legal base elaborates");
     mutate_netlist(&mut rng, &netlist)
+}
+
+/// The per-point element walk that the cached G/C split replaced, kept
+/// as a test oracle: rebuilds the node index from the netlist and
+/// stamps `Y(s) = G + sC` element by element with source elimination
+/// (ground rows and columns vanish, the input column feeds the
+/// right-hand side for unit drive, the input row is dropped).
+fn assemble_by_element_walk(netlist: &Netlist, s: Complex64) -> (CMatrix, Vec<Complex64>) {
+    let index: HashMap<Node, usize> = netlist
+        .unknown_nodes()
+        .into_iter()
+        .enumerate()
+        .map(|(k, n)| (n, k))
+        .collect();
+    let mut y = CMatrix::zeros(index.len(), index.len());
+    let mut rhs = vec![Complex64::ZERO; index.len()];
+    let mut stamp = |r: Node, c: Node, v: Complex64| {
+        let Some(&ri) = index.get(&r) else { return };
+        match (c, index.get(&c)) {
+            (Node::Input, _) => rhs[ri] -= v,
+            (_, Some(&ci)) => y.stamp(ri, ci, v),
+            _ => {}
+        }
+    };
+    for e in netlist.elements() {
+        match e {
+            Element::Resistor { a, b, ohms, .. } => {
+                let v = Complex64::from_real(1.0 / ohms.value());
+                for (r, c, v) in [(*a, *a, v), (*a, *b, -v), (*b, *b, v), (*b, *a, -v)] {
+                    stamp(r, c, v);
+                }
+            }
+            Element::Capacitor { a, b, farads, .. } => {
+                let v = s * Complex64::from_real(farads.value());
+                for (r, c, v) in [(*a, *a, v), (*a, *b, -v), (*b, *b, v), (*b, *a, -v)] {
+                    stamp(r, c, v);
+                }
+            }
+            Element::Vccs {
+                out_p,
+                out_n,
+                ctrl_p,
+                ctrl_n,
+                gm,
+                ..
+            } => {
+                // I = gm·(v(cp) − v(cn)) leaves out_p, enters out_n.
+                let v = Complex64::from_real(gm.value());
+                for (r, c, v) in [
+                    (*out_p, *ctrl_p, v),
+                    (*out_p, *ctrl_n, -v),
+                    (*out_n, *ctrl_p, -v),
+                    (*out_n, *ctrl_n, v),
+                ] {
+                    stamp(r, c, v);
+                }
+            }
+        }
+    }
+    (y, rhs)
 }
 
 proptest! {
@@ -95,59 +156,36 @@ proptest! {
         }
     }
 
-    /// The parallel sweep is bit-identical to the sequential one on
-    /// random sampled topologies, for every worker count: same
-    /// frequencies, same complex transfer values, same unwrapped phase,
-    /// down to the last bit. When the sequential sweep fails, the
-    /// parallel one reports the same failure (lowest failing index
-    /// wins).
-    #[test]
-    fn parallel_sweep_is_bit_identical_on_random_netlists(seed in 0u64..2000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let topo = sample_topology(&mut rng, &SampleRanges::default(), 10e-12);
-        let netlist = topo.elaborate().expect("valid");
-        let sys = MnaSystem::new(&netlist).expect("builds");
-        let cfg = SweepConfig { f_start: 1.0, f_stop: 1e8, points_per_decade: 8 };
-        let seq = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(1));
-        for workers in [2usize, 3, 8] {
-            let par = sweep_with_pool(&sys, &cfg, &ThreadPool::with_workers(workers));
-            match (&seq, &par) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "workers = {}", workers),
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(format!("{a}"), format!("{b}"), "workers = {}", workers);
-                }
-                _ => prop_assert!(
-                    false,
-                    "sequential {:?} vs parallel ({} workers) {:?} disagree on success",
-                    seq.is_ok(), workers, par.is_ok()
-                ),
-            }
-        }
-    }
-
     /// The cached G/C-split assembly agrees with the legacy per-point
-    /// element walk on random sampled topologies, at random
-    /// frequencies, to floating-point round-off.
+    /// element walk to floating-point round-off, at DC and at a random
+    /// frequency, on a random sampled topology and on the paper's NMC
+    /// example (the fixed case).
     #[test]
     fn cached_assembly_matches_legacy_on_random_netlists(seed in 0u64..2000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let topo = sample_topology(&mut rng, &SampleRanges::default(), 10e-12);
-        let netlist = topo.elaborate().expect("valid");
-        let sys = MnaSystem::new(&netlist).expect("builds");
+        let sampled = sample_topology(&mut rng, &SampleRanges::default(), 10e-12)
+            .elaborate()
+            .expect("valid");
+        let nmc = Topology::nmc_example().elaborate().expect("valid");
         let f = 10f64.powf(rng.gen_range(0.0..9.0));
-        let s = Complex64::jomega(2.0 * std::f64::consts::PI * f);
-        let (y_new, rhs_new) = sys.assemble(s).expect("cached assembles");
-        let (y_old, rhs_old) = sys.assemble_legacy(s).expect("legacy assembles");
-        let y_scale = y_old.frobenius_norm().max(1e-30);
-        for r in 0..y_old.rows() {
-            for c in 0..y_old.cols() {
-                let (a, b) = (y_new[(r, c)], y_old[(r, c)]);
-                prop_assert!((a - b).abs() <= 1e-12 * y_scale, "{a} vs {b} at f = {f}");
+        for netlist in [&sampled, &nmc] {
+            let sys = MnaSystem::new(netlist).expect("builds");
+            for f in [0.0, f] {
+                let s = Complex64::jomega(2.0 * std::f64::consts::PI * f);
+                let (y_new, rhs_new) = sys.assemble(s).expect("cached assembles");
+                let (y_old, rhs_old) = assemble_by_element_walk(netlist, s);
+                let y_scale = y_old.frobenius_norm().max(1e-30);
+                for r in 0..y_old.rows() {
+                    for c in 0..y_old.cols() {
+                        let (a, b) = (y_new[(r, c)], y_old[(r, c)]);
+                        prop_assert!((a - b).abs() <= 1e-12 * y_scale, "{a} vs {b} at f = {f}");
+                    }
+                }
+                let r_scale: f64 = rhs_old.iter().map(|v| v.abs()).fold(1e-30, f64::max);
+                for (a, b) in rhs_new.iter().zip(&rhs_old) {
+                    prop_assert!((*a - *b).abs() <= 1e-12 * r_scale, "{a} vs {b} at f = {f}");
+                }
             }
-        }
-        let r_scale: f64 = rhs_old.iter().map(|v| v.abs()).fold(1e-30, f64::max);
-        for (a, b) in rhs_new.iter().zip(&rhs_old) {
-            prop_assert!((*a - *b).abs() <= 1e-12 * r_scale, "{a} vs {b} at f = {f}");
         }
     }
 
@@ -193,8 +231,9 @@ proptest! {
     }
 
     /// `analyze_batch` equals the hand-written serial loop on random
-    /// sampled topologies for every worker count: same reports, same
-    /// billed simulations.
+    /// sampled topologies for every worker count, including counts
+    /// above the batch size: the same bits in every f64 field, the same
+    /// errors, the same billed simulations.
     #[test]
     fn batch_equals_serial_for_any_worker_count(seed in 0u64..2000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -202,25 +241,64 @@ proptest! {
         let topos: Vec<Topology> = (0..n)
             .map(|_| sample_topology(&mut rng, &SampleRanges::default(), 10e-12))
             .collect();
-        let shape = |r: artisan_sim::Result<artisan_sim::AnalysisReport>| match r {
-            Ok(rep) => format!("{:?} stable={}", rep.performance, rep.stable),
-            Err(e) => format!("err {e}"),
-        };
         let mut serial_sim = Simulator::new();
-        let serial: Vec<String> = topos
+        let serial: Vec<_> = topos
             .iter()
-            .map(|t| shape(serial_sim.analyze_topology(t)))
+            .map(|t| serial_sim.analyze_topology(t))
             .collect();
-        for workers in [1usize, 2, 8] {
+        for workers in [1usize, 2, n + 1, n + 7] {
             let mut sim = Simulator::new();
-            let batch: Vec<String> = sim
-                .analyze_batch_with_pool(&topos, &ThreadPool::with_workers(workers))
-                .into_iter()
-                .map(shape)
-                .collect();
-            prop_assert_eq!(&batch, &serial, "workers = {}", workers);
+            let batch = sim.analyze_batch_with_pool(&topos, &ThreadPool::with_workers(workers));
+            prop_assert_eq!(batch.len(), n);
+            for (k, (got, want)) in batch.iter().zip(&serial).enumerate() {
+                match (got, want) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(
+                        report_bits(a), report_bits(b), "candidate {} workers {}", k, workers
+                    ),
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        format!("{a}"), format!("{b}"), "candidate {} workers {}", k, workers
+                    ),
+                    (a, b) => prop_assert!(
+                        false, "candidate {} workers {}: batch {:?} vs serial {:?}",
+                        k, workers, a.is_ok(), b.is_ok()
+                    ),
+                }
+            }
             prop_assert_eq!(sim.ledger().simulations(), n as u64);
             prop_assert_eq!(sim.ledger().batched_solves(), n as u64);
+        }
+    }
+
+    /// One analysis path: wherever an analysis succeeds, its GBW and
+    /// phase margin are [`unity_crossing`] over the full sweep, bit for
+    /// bit. The analysis stops one point past the first crossing, so a
+    /// full sweep may fail where the analysis succeeded — but only at a
+    /// frequency above the reported GBW.
+    #[test]
+    fn analysis_reads_the_first_crossing_of_the_full_sweep(seed in 0u64..4000) {
+        let netlist = if seed % 2 == 0 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            sample_topology(&mut rng, &SampleRanges::default(), 10e-12)
+                .elaborate()
+                .expect("valid")
+        } else {
+            broken_neighbourhood(seed)
+        };
+        let Ok(report) = Simulator::new().analyze_netlist(&netlist) else { return; };
+        let (gbw, pm) = (report.performance.gbw.value(), report.performance.pm.value());
+        let sys = MnaSystem::new(&netlist).expect("an analyzed netlist builds");
+        match sweep(&sys, &SweepConfig::default()) {
+            Ok(points) => {
+                let (f_u, phase) = unity_crossing(&points)
+                    .unwrap_or_else(|| panic!("the analysis found a crossing the sweep lacks"));
+                prop_assert_eq!(gbw.to_bits(), f_u.to_bits());
+                prop_assert_eq!(pm.to_bits(), (180.0 + phase).to_bits());
+            }
+            Err(SimError::IllConditioned { frequency }) => prop_assert!(
+                frequency > gbw,
+                "sweep failed at {} Hz, below the reported GBW {} Hz", frequency, gbw
+            ),
+            Err(e) => prop_assert!(false, "unexpected sweep failure: {}", e),
         }
     }
 
@@ -577,7 +655,7 @@ proptest! {
 
 /// Every f64 an [`artisan_sim::AnalysisReport`] carries, as raw bit
 /// patterns (plus the stability flag), *excluding* the corner verdict —
-/// the bit-identity properties below compare nominal analysis results
+/// the bit-identity properties compare nominal analysis results
 /// exactly, with no tolerance to hide a drifted code path.
 fn report_bits(r: &artisan_sim::AnalysisReport) -> Vec<u64> {
     let mut v = vec![
@@ -597,43 +675,6 @@ fn report_bits(r: &artisan_sim::AnalysisReport) -> Vec<u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The flattened (netlist × frequency-chunk) batch path — taken
-    /// when the batch is smaller than the worker count — is
-    /// bit-identical to the serial loop on every f64 field, for any
-    /// worker count. (Billing equivalence is covered by
-    /// `batch_equals_serial_for_any_worker_count`.)
-    #[test]
-    fn flattened_small_batches_are_bit_identical_to_serial(seed in 0u64..2000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(1usize..4);
-        let topos: Vec<Topology> = (0..n)
-            .map(|_| sample_topology(&mut rng, &SampleRanges::default(), 10e-12))
-            .collect();
-        let mut serial_sim = Simulator::new();
-        let serial: Vec<_> = topos
-            .iter()
-            .map(|t| serial_sim.analyze_topology(t))
-            .collect();
-        // workers > batch size forces the flattened work-unit path.
-        for workers in [n + 1, n + 7] {
-            let mut sim = Simulator::new();
-            let batch = sim.analyze_batch_with_pool(&topos, &ThreadPool::with_workers(workers));
-            for (k, (got, want)) in batch.iter().zip(&serial).enumerate() {
-                match (got, want) {
-                    (Ok(a), Ok(b)) => prop_assert_eq!(
-                        report_bits(a), report_bits(b), "candidate {} workers {}", k, workers
-                    ),
-                    (Err(a), Err(b)) => prop_assert_eq!(
-                        format!("{a}"), format!("{b}"), "candidate {}", k
-                    ),
-                    (a, b) => prop_assert!(
-                        false, "candidate {}: flattened {:?} vs serial {:?}", k, a.is_ok(), b.is_ok()
-                    ),
-                }
-            }
-        }
-    }
 
     /// A nominal-only corner grid is observationally inert: the wrapped
     /// report reproduces the bare simulator's bit-for-bit (every f64
