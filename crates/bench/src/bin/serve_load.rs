@@ -31,6 +31,7 @@
 //! smoke path), records latency/throughput/stats, and with `--drain`
 //! finishes by requesting a graceful drain.
 
+use artisan_bench::arg_or;
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
 use artisan_resilience::Supervisor;
@@ -44,15 +45,6 @@ use std::io::{self, Write as _};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)

@@ -9,7 +9,10 @@
 
 pub mod netgen;
 
-/// Parses a `--flag value` style argument from `std::env::args`.
+/// The value of `--flag value` among the process arguments, parsed as
+/// a `T`; `default` when the flag is absent. A flag whose value is
+/// missing or does not parse exits with status 2 and a message naming
+/// the flag (see [`parse_flag`]).
 ///
 /// # Example
 ///
@@ -18,12 +21,37 @@ pub mod netgen;
 /// assert!(trials >= 1);
 /// ```
 pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    parse_flag(&args, flag, default).unwrap_or_else(|message| {
+        let name = std::path::Path::new(&program).file_name();
+        eprintln!("{}: {message}", name.unwrap_or_default().to_string_lossy());
+        std::process::exit(2);
+    })
+}
+
+/// The value following the first `flag` in `args`, parsed as a `T`;
+/// `default` when `flag` is absent.
+///
+/// # Errors
+///
+/// A message naming the flag when its value is missing or malformed.
+pub fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let raw = args
+        .get(at + 1)
+        .ok_or_else(|| format!("{flag} is missing its value"))?;
+    raw.parse().map_err(|_| {
+        let kind = std::any::type_name::<T>();
+        format!("{flag}={raw:?} is not a valid {kind}")
+    })
 }
 
 /// True when `--quick` was passed (reduced budgets for smoke runs).
@@ -33,8 +61,42 @@ pub fn quick_mode() -> bool {
 
 #[cfg(test)]
 mod tests {
+    use super::parse_flag;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
     #[test]
     fn arg_parsing_defaults() {
         assert_eq!(super::arg_or("--nope", 7usize), 7);
+    }
+
+    #[test]
+    fn absent_flags_give_the_default_and_present_ones_their_value() {
+        let line = args("--quick --trials 3 --fault-rate 0.2 --journal dir");
+        assert_eq!(parse_flag(&line, "--seed", 2024u64), Ok(2024));
+        assert_eq!(parse_flag(&line, "--trials", 10usize), Ok(3));
+        assert_eq!(parse_flag(&line, "--fault-rate", 0.0), Ok(0.2));
+        assert_eq!(
+            parse_flag(&line, "--journal", String::new()),
+            Ok("dir".to_string())
+        );
+        assert_eq!(parse_flag(&args(""), "--trials", 10usize), Ok(10));
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_errors_naming_the_flag() {
+        for (line, flag) in [
+            ("--trials ten", "--trials"),
+            ("--fault-rate 0,2", "--fault-rate"),
+            ("--seed -1", "--seed"),
+            ("--quick --trials", "--trials"),
+        ] {
+            let err = parse_flag(&args(line), flag, 10u64)
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} was accepted"));
+            assert!(err.contains(flag), "{err}");
+        }
     }
 }

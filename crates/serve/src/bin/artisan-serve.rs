@@ -1,14 +1,15 @@
 //! The design-server daemon.
 //!
 //! ```text
-//! artisan-serve [--addr HOST:PORT] [--max-inflight N] [--max-batch N]
+//! artisan-serve [--addr HOST:PORT] [--max-inflight N]
 //!               [--cache-capacity N] [--tenant-max-inflight N]
 //!               [--tenant-budget-seconds S] [--journal-expire-secs S]
 //! ```
 //!
-//! Flags override the `ARTISAN_SERVE_*` environment; a malformed
-//! setting, a flag without its value or an unknown argument exits with
-//! status 2 and a message naming it. Terminal journals are expired on
+//! `ARTISAN_SIM_CACHE_DIR` and `ARTISAN_JOURNAL_DIR` name the cache
+//! snapshot and journal directories. A malformed flag value, a flag
+//! without its value or an unknown argument exits with status 2 and a
+//! message naming it. Terminal journals are expired on
 //! drain only when `--journal-expire-secs` is given. The daemon prints
 //! the bound address on stdout (`listening on <addr>`) and serves
 //! until either a client sends a `drain` frame or stdin reaches EOF —
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match ServerConfig::from_env().and_then(|config| config.with_flags(&args)) {
+    let config = match ServerConfig::from_env().with_flags(&args) {
         Ok(config) => config,
         Err(e) => {
             eprintln!("artisan-serve: {e}");

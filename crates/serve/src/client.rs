@@ -9,7 +9,7 @@ use artisan_circuit::{Netlist, Topology};
 use artisan_math::MathError;
 use artisan_sim::cost::CostLedger;
 use artisan_sim::{
-    elaborate_for_analysis, load_capacitance, AnalysisReport, Result, SimBackend, SimError,
+    admit_netlist, admit_topology, bill_batch, AnalysisReport, Result, SimBackend, SimError,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -57,12 +57,11 @@ impl Client {
 /// A [`SimBackend`] that proxies every analysis to a remote design
 /// server.
 ///
-/// Candidates that fail [`elaborate_for_analysis`] or
-/// [`load_capacitance`] are rejected locally and unbilled; every other
-/// analysis bills one simulation and batches bill up front, as the local
-/// [`artisan_sim::Simulator`] does, so a supervised session on a
-/// `RemoteSim` produces the same `SessionReport` cost fields as a solo
-/// run. Transport failures and server `busy` replies surface as
+/// It bills as the local [`artisan_sim::Simulator`] does
+/// ([`admit_topology`], [`admit_netlist`], [`bill_batch`]): rejected
+/// candidates locally and unbilled, any other analysis one simulation,
+/// batches up front. So a supervised session on a `RemoteSim` produces
+/// the same `SessionReport` cost fields as a solo run. Transport failures and server `busy` replies surface as
 /// *transient* errors ([`MathError::DegenerateInput`], which
 /// `SimError::is_transient` accepts), so supervisors retry with
 /// backoff — admission-control backpressure composes with the retry
@@ -158,22 +157,17 @@ impl RemoteSim {
 
 impl SimBackend for RemoteSim {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        elaborate_for_analysis(topo)?;
-        self.ledger.record_simulation();
+        admit_topology(&mut self.ledger, topo)?;
         self.analyze_remote(WorkItem::Topo(topo.clone()))
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        load_capacitance(netlist)?;
-        self.ledger.record_simulation();
+        admit_netlist(&mut self.ledger, netlist)?;
         self.analyze_remote(WorkItem::Net(netlist.clone()))
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        for _ in topos {
-            self.ledger.record_simulation();
-        }
-        self.ledger.record_batched_solves(topos.len() as u64);
+        bill_batch(&mut self.ledger, topos.len());
         self.analyze_remote_many(topos.iter().cloned().map(WorkItem::Topo).collect(), true)
     }
 

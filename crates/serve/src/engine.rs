@@ -7,42 +7,50 @@
 //! turns that concurrency into batch width:
 //!
 //! 1. every in-flight session holds a *lease*; submitted jobs are keyed
-//!    by netlist fingerprint: a cache hit is answered at once, and a job
-//!    whose key is already queued or computing shares that job's result
-//!    (cross-tenant single-flight, failures included); only the rest
-//!    land in the one ingress queue;
-//! 2. whenever the batcher thread wakes, it drains whatever is queued,
-//!    up to `max_batch`; work that arrives while a batch computes
-//!    queues up and forms the next batch;
+//!    by netlist fingerprint and claimed through the shared
+//!    [`SimCache`]'s single-flight ([`SimCache::claim`]): a cache hit
+//!    is answered at once, a job whose key another caller is computing
+//!    waits for that result (cross-tenant single-flight, failures
+//!    included), and only leads land in the one ingress queue, each
+//!    carrying its [`Lead`];
+//! 2. whenever the batcher thread wakes, it drains the whole queue;
+//!    work that arrives while a batch computes queues up and forms the
+//!    next batch;
 //! 3. the drained jobs run through one
 //!    [`Simulator::analyze_batch_with_pool`] call on the shared pool,
 //!    which fans them out one candidate per work item (a lone job runs
 //!    inline on the batcher thread);
-//! 4. finite successful reports are inserted into the shared
-//!    [`SimCache`] under the default analysis-config salt — the same
-//!    namespace `table3`'s persistent snapshot uses, so a drained
-//!    server's snapshot warm-starts every other consumer.
+//! 4. each result is published through its lead, which stores a finite
+//!    report in the cache under the default analysis-config salt — the
+//!    same namespace `table3`'s persistent snapshot uses, so a drained
+//!    server's snapshot warm-starts every other consumer — and wakes
+//!    every waiter.
+//!
+//! The batcher holds the leads and never waits on a flight; session
+//! threads hold none, so they may wait. That is the single-flight's
+//! publish-before-wait rule, and it keeps the engine deadlock-free. A
+//! waiter whose flight was abandoned computes the item itself.
 //!
 //! Crucially the engine is **billing-invisible**: [`EngineBackend`]
-//! rejects candidates with the simulator's own pre-simulation rules
-//! ([`elaborate_for_analysis`], [`load_capacitance`]) and bills what the
-//! plain [`Simulator`] bills, in the same order, so a session run
-//! through the engine produces a `SessionReport` field-identical to a
-//! solo run — batching and caching only change wall-clock time. The
-//! determinism suite pins this.
+//! bills with the simulator's own rule ([`admit_topology`],
+//! [`admit_netlist`], [`bill_batch`]), so a session run through the
+//! engine produces a `SessionReport` field-identical to a solo run —
+//! batching and caching only change wall-clock time. The determinism
+//! suite pins this.
 
 use crate::proto::WorkItem;
 use artisan_circuit::{Netlist, Topology};
 use artisan_math::ThreadPool;
+use artisan_sim::cache::{Claim, Flight, Lead};
 use artisan_sim::cost::CostLedger;
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::{
-    elaborate_for_analysis, load_capacitance, AnalysisConfig, AnalysisReport, NetlistFingerprint,
-    Result, SimBackend, SimCache, Simulator,
+    admit_netlist, admit_topology, bill_batch, elaborate_for_analysis, load_capacitance,
+    AnalysisConfig, AnalysisReport, NetlistFingerprint, Result, SimBackend, SimCache, Simulator,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Counters the batcher maintains; snapshot via [`BatchEngine::stats`].
@@ -54,161 +62,145 @@ pub struct EngineStats {
     pub jobs: u64,
     /// Jobs that required a fresh computation.
     pub unique_computed: u64,
-    /// Jobs answered by the computation of an identical job that was
-    /// queued or computing when they were submitted.
+    /// Jobs answered by another caller's computation of their key,
+    /// in flight when they were submitted.
     pub dedup_shared: u64,
     /// Jobs answered straight from the shared cache.
     pub cache_served: u64,
-    /// Histogram of batch occupancies: `occupancy[k]` counts batches
-    /// that drained `k+1` jobs (capped at the last bucket).
-    pub occupancy: Vec<u64>,
+    /// Batch occupancies: `occupancy[&k]` counts batches that drained
+    /// `k` jobs.
+    pub occupancy: BTreeMap<u64, u64>,
 }
 
 impl EngineStats {
-    fn record_batch(&mut self, drained: usize, max_batch: usize) {
+    fn record_batch(&mut self, drained: usize) {
         self.batches += 1;
         self.jobs += drained as u64;
         self.unique_computed += drained as u64;
-        if self.occupancy.len() < max_batch {
-            self.occupancy.resize(max_batch, 0);
-        }
-        let bucket = drained.clamp(1, self.occupancy.len());
-        self.occupancy[bucket - 1] += 1;
+        *self.occupancy.entry(drained as u64).or_default() += 1;
     }
 }
 
-/// One result slot, shared between the batcher and every session that
-/// submitted its key while it was queued or computing.
-struct Slot {
-    result: Mutex<Option<Result<AnalysisReport>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn filled(value: Result<AnalysisReport>) -> Arc<Slot> {
-        let slot = Slot::new();
-        slot.fill(value);
-        slot
-    }
-
-    fn fill(&self, value: Result<AnalysisReport>) {
-        let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = Some(value);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<AnalysisReport> {
-        let mut guard = self.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(value) = guard.as_ref() {
-                return value.clone();
-            }
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
+/// A queued computation: the item and the lead its result lands.
 struct Job {
     item: WorkItem,
-    key: Option<NetlistFingerprint>,
-    slot: Arc<Slot>,
+    lead: Lead,
 }
 
-/// The work the batcher has still to answer.
-#[derive(Default)]
-struct Ingress {
-    /// Jobs waiting for the batcher, in arrival order.
-    queue: VecDeque<Job>,
-    /// The slot of every keyed job that is queued or computing.
-    flights: HashMap<NetlistFingerprint, Arc<Slot>>,
+/// How a submitted item will be answered.
+enum Answer {
+    Now(Result<AnalysisReport>),
+    /// The flight's result; the item is kept to compute it here if the
+    /// flight is abandoned.
+    Flight(Arc<Flight>, WorkItem),
 }
 
 struct EngineShared {
-    ingress: Mutex<Ingress>,
+    queue: Mutex<Vec<Job>>,
     arrived: Condvar,
     cache: Arc<SimCache>,
     stats: Mutex<EngineStats>,
     shutdown: AtomicBool,
-    max_batch: usize,
     salt: u64,
 }
 
-impl EngineShared {
-    fn fingerprint(&self, item: &WorkItem) -> Option<NetlistFingerprint> {
-        match item {
-            WorkItem::Topo(t) => {
-                NetlistFingerprint::of_topology(t).map(|fp| fp.with_salt(self.salt))
-            }
-            WorkItem::Net(n) => Some(NetlistFingerprint::of_netlist(n).with_salt(self.salt)),
-        }
+/// `item` on a scratch default-config simulator — the config the
+/// batcher and a solo session's `Simulator::new()` use, so the result
+/// is bit-identical to theirs.
+fn compute(item: &WorkItem) -> Result<AnalysisReport> {
+    let mut sim = Simulator::new();
+    match item {
+        WorkItem::Topo(t) => sim.analyze_topology(t),
+        WorkItem::Net(n) => sim.analyze_netlist(n),
     }
+}
 
-    /// Submits a set of jobs atomically, under one lock, so the batcher
-    /// sees a whole sweep at once instead of nibbling it into
-    /// lease-width micro-batches. A job whose key is queued or computing
-    /// shares that job's slot, errors included; a cache hit is answered
-    /// now (billing happened in the caller, cache service is wall-clock
-    /// only); the rest queue. A key's flight ends only after its result
-    /// has reached the cache, so a key whose report the cache keeps is
-    /// computed once while it stays resident. `Err` items were rejected
-    /// before submission; their slots carry the rejection and never
-    /// reach the engine's counters.
-    fn submit_many(&self, items: Vec<Result<WorkItem>>) -> Vec<Arc<Slot>> {
+impl EngineShared {
+    /// Submits a set of jobs atomically, claiming each under the queue
+    /// lock, so the batcher sees a whole sweep at once instead of
+    /// nibbling it into lease-width micro-batches. A cache hit is
+    /// answered now (billing happened in the caller, cache service is
+    /// wall-clock only); a job whose key is in flight shares that
+    /// flight's result, errors included; a lead queues with its job. A
+    /// topology without a fingerprint is one that fails to elaborate,
+    /// answered now with the simulator's own error. Neither it nor an
+    /// `Err` item (rejected before submission) reaches the counters.
+    fn submit_many(&self, items: Vec<Result<WorkItem>>) -> Vec<Answer> {
         let keyed: Vec<_> = items
             .into_iter()
-            .map(|item| item.map(|item| (self.fingerprint(&item), item)))
-            .collect();
-        let (mut shared, mut served) = (0u64, 0u64);
-        let mut ingress = self.ingress.lock().unwrap_or_else(|e| e.into_inner());
-        let queued = ingress.queue.len();
-        let slots = keyed
-            .into_iter()
             .map(|item| {
-                let (key, item) = match item {
-                    Ok(keyed) => keyed,
-                    Err(rejection) => return Slot::filled(Err(rejection)),
+                let item = item?;
+                let key = match &item {
+                    WorkItem::Topo(t) => NetlistFingerprint::of_topology(t),
+                    WorkItem::Net(n) => Some(NetlistFingerprint::of_netlist(n)),
                 };
-                if let Some(fp) = key {
-                    if let Some(slot) = ingress.flights.get(&fp) {
-                        shared += 1;
-                        return Arc::clone(slot);
-                    }
-                    if let Some(report) = self.cache.get(fp) {
-                        served += 1;
-                        return Slot::filled(Ok(report));
-                    }
-                }
-                let slot = Slot::new();
-                if let Some(fp) = key {
-                    ingress.flights.insert(fp, Arc::clone(&slot));
-                }
-                ingress.queue.push_back(Job {
-                    item,
-                    key,
-                    slot: Arc::clone(&slot),
-                });
-                slot
+                Ok((key.map(|fp| fp.with_salt(self.salt)), item))
             })
             .collect();
-        if ingress.queue.len() > queued {
+        let (mut shared, mut served) = (0u64, 0u64);
+        let mut queue = lock(&self.queue);
+        let queued = queue.len();
+        let answers = keyed
+            .into_iter()
+            .map(|keyed| {
+                let (key, item) = match keyed {
+                    Ok((Some(key), item)) => (key, item),
+                    Ok((None, item)) => return Answer::Now(compute(&item)),
+                    Err(rejection) => return Answer::Now(Err(rejection)),
+                };
+                match self.cache.claim(key) {
+                    Claim::Hit(report) => {
+                        served += 1;
+                        Answer::Now(Ok(report))
+                    }
+                    Claim::Join(flight) => {
+                        shared += 1;
+                        Answer::Flight(flight, item)
+                    }
+                    Claim::Lead(lead) => {
+                        let flight = lead.flight();
+                        queue.push(Job {
+                            item: item.clone(),
+                            lead,
+                        });
+                        Answer::Flight(flight, item)
+                    }
+                }
+            })
+            .collect();
+        if queue.len() > queued {
             self.arrived.notify_all();
         }
-        drop(ingress);
+        drop(queue);
         if shared + served > 0 {
-            let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
+            let mut stats = lock(&self.stats);
             stats.jobs += shared + served;
             stats.dedup_shared += shared;
             stats.cache_served += served;
         }
-        slots
+        answers
     }
+
+    /// Submits `items` and waits for every answer. The caller holds no
+    /// lead, so it may wait; a flight abandoned by a failed batch is
+    /// computed here.
+    fn run(&self, items: Vec<Result<WorkItem>>) -> Vec<Result<AnalysisReport>> {
+        self.submit_many(items)
+            .into_iter()
+            .map(|answer| match answer {
+                Answer::Now(result) => result,
+                Answer::Flight(flight, item) => {
+                    self.cache.wait(&flight).unwrap_or_else(|| compute(&item))
+                }
+            })
+            .collect()
+    }
+}
+
+/// Recovers the guard even if another thread panicked while holding the
+/// lock: the queue and the counters change in single steps.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The batching engine: owns the batcher thread, the shared cache
@@ -220,16 +212,14 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// Starts the batcher over `cache`; one batch drains at most
-    /// `max_batch` jobs.
-    pub fn start(cache: Arc<SimCache>, max_batch: usize) -> BatchEngine {
+    /// Starts the batcher over `cache`.
+    pub fn start(cache: Arc<SimCache>) -> BatchEngine {
         let shared = Arc::new(EngineShared {
-            ingress: Mutex::new(Ingress::default()),
+            queue: Mutex::new(Vec::new()),
             arrived: Condvar::new(),
             cache,
             stats: Mutex::new(EngineStats::default()),
             shutdown: AtomicBool::new(false),
-            max_batch: max_batch.max(1),
             salt: config_salt(&AnalysisConfig::default()),
         });
         let worker = Arc::clone(&shared);
@@ -250,11 +240,7 @@ impl BatchEngine {
 
     /// Snapshot of the batcher's counters.
     pub fn stats(&self) -> EngineStats {
-        self.shared
-            .stats
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        lock(&self.shared.stats).clone()
     }
 }
 
@@ -275,91 +261,71 @@ fn batcher_loop(shared: &EngineShared) {
     // environment-sized pool.
     let mut sim = Simulator::new();
     let pool = ThreadPool::from_env();
-    let mut done: Vec<Job> = Vec::new();
     loop {
         let batch = {
-            let mut ingress = shared.ingress.lock().unwrap_or_else(|e| e.into_inner());
-            // The finished batch's results are in its slots and, when
-            // cacheable, in the cache: its keys stop taking joiners.
-            for fp in done.drain(..).filter_map(|job| job.key) {
-                ingress.flights.remove(&fp);
-            }
+            let mut queue = lock(&shared.queue);
             // Sleep until work arrives or shutdown.
-            while ingress.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                ingress = shared
+            while queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
+                queue = shared
                     .arrived
-                    .wait(ingress)
+                    .wait(queue)
                     .unwrap_or_else(|e| e.into_inner());
             }
-            if ingress.queue.is_empty() {
+            if queue.is_empty() {
                 // Shutdown with a drained queue: done.
                 return;
             }
-            // Drain without waiting for more work. A wait would buy no
-            // dedup: a job submitted while this batch computes shares
-            // the slot of any queued or computing job with its key,
-            // failures included. Everything else queues up and forms
-            // the next batch.
-            let take = ingress.queue.len().min(shared.max_batch);
-            ingress.queue.drain(..take).collect::<Vec<Job>>()
+            // Drain everything without waiting for more work. A wait
+            // would buy no dedup: a job submitted while this batch
+            // computes joins the flight of any queued or computing job
+            // with its key, failures included. Everything else queues
+            // up and forms the next batch.
+            std::mem::take(&mut *queue)
         };
-        run_batch(shared, &mut sim, &pool, &batch);
-        done = batch;
+        run_batch(shared, &mut sim, &pool, batch);
     }
 }
 
 /// Executes one drained batch: one parallel compute for the topologies,
-/// then each result to its slot and, when cacheable, to the shared
-/// cache. Submission already answered cache hits and duplicates, so
-/// every keyed job here is the only one with its key. The batch is
-/// counted before any result is released, so a caller holding its
-/// results finds them in [`BatchEngine::stats`].
-fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batch: &[Job]) {
-    shared
-        .stats
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .record_batch(batch.len(), shared.max_batch);
-    let settle = |job: &Job, result: Result<AnalysisReport>| {
-        if let Some(fp) = job.key {
-            shared.cache.store(fp, &result);
+/// then each result published through its job's lead. Submission
+/// already answered cache hits and in-flight keys, so every job here
+/// leads its key. The batch is counted before any result is released,
+/// so a caller holding its results finds them in [`BatchEngine::stats`].
+fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batch: Vec<Job>) {
+    lock(&shared.stats).record_batch(batch.len());
+    // Topologies fan out through the batch API (one candidate per pool
+    // worker), one result per topology in order; netlists run
+    // individually (rare path — only RemoteSim sends them).
+    let (mut topos, mut topo_leads, mut nets) = (Vec::new(), Vec::new(), Vec::new());
+    for Job { item, lead } in batch {
+        match item {
+            WorkItem::Topo(t) => {
+                topos.push(t);
+                topo_leads.push(lead);
+            }
+            WorkItem::Net(n) => nets.push((n, lead)),
         }
-        job.slot.fill(result);
-    };
-
-    // Topologies fan out through the batch API (one candidate per
-    // pool worker), one result per topology in order;
-    // netlists run individually (rare path — only RemoteSim sends
-    // them).
-    let topo_jobs: Vec<(&Job, &Topology)> = batch
-        .iter()
-        .filter_map(|job| match &job.item {
-            WorkItem::Topo(t) => Some((job, t)),
-            WorkItem::Net(_) => None,
-        })
-        .collect();
-    let topos: Vec<Topology> = topo_jobs.iter().map(|(_, t)| (*t).clone()).collect();
-    let topo_results = sim.analyze_batch_with_pool(&topos, pool);
-    for ((job, _), result) in topo_jobs.into_iter().zip(topo_results) {
-        settle(job, result);
     }
-    for job in batch {
-        if let WorkItem::Net(netlist) = &job.item {
-            settle(job, sim.analyze_netlist(netlist));
-        }
+    let results = sim.analyze_batch_with_pool(&topos, pool);
+    for (lead, result) in topo_leads.into_iter().zip(results) {
+        lead.publish(result);
+    }
+    for (netlist, lead) in nets {
+        lead.publish(sim.analyze_netlist(&netlist));
     }
 }
 
 /// A per-session [`SimBackend`] over the shared engine.
 ///
-/// Bills its own [`CostLedger`] as the plain [`Simulator`] does:
-/// candidates that fail [`elaborate_for_analysis`] or
-/// [`load_capacitance`] are rejected locally and unbilled; everything
-/// else bills one simulation before compute; batches bill up front plus
-/// the batch counter. Cache
-/// hits and cross-tenant dedup are *not* billed — they are wall-clock
+/// Bills its own [`CostLedger`] with the plain [`Simulator`]'s rule
+/// ([`admit_topology`], [`admit_netlist`], [`bill_batch`]). Cache hits
+/// and cross-tenant dedup are *not* billed — they are wall-clock
 /// effects invisible to the cost model, which is what makes batched
 /// session reports field-identical to solo runs.
+///
+/// It claims keys in the engine's cache, so a [`artisan_sim::CachedSim`]
+/// over that same cache must not wrap it: the inner request would join
+/// the wrapper's own flight.
 pub struct EngineBackend {
     shared: Arc<EngineShared>,
     ledger: CostLedger,
@@ -370,59 +336,50 @@ impl EngineBackend {
     /// submission, so the batcher sees the whole sweep at once instead
     /// of one job per blocking round-trip. Items that fail
     /// [`elaborate_for_analysis`] or [`load_capacitance`] are answered
-    /// inline and never billed, as on the single-item paths; valid items
-    /// are billed up front like `analyze_batch`.
+    /// inline and never billed, as on the single-item paths; the
+    /// admitted items are billed up front as one batch.
     pub fn analyze_items(&mut self, items: Vec<WorkItem>) -> Vec<Result<AnalysisReport>> {
-        let checked: Vec<Result<WorkItem>> = items
+        let admitted: Vec<Result<WorkItem>> = items
             .into_iter()
             .map(|item| {
                 match &item {
                     WorkItem::Topo(t) => elaborate_for_analysis(t).map(drop),
                     WorkItem::Net(n) => load_capacitance(n).map(drop),
                 }?;
-                self.ledger.record_simulation();
                 Ok(item)
             })
             .collect();
-        let valid = checked.iter().filter(|c| c.is_ok()).count();
-        if valid > 0 {
-            self.ledger.record_batched_solves(valid as u64);
-        }
-        let slots = self.shared.submit_many(checked);
-        slots.iter().map(|slot| slot.wait()).collect()
+        bill_batch(
+            &mut self.ledger,
+            admitted.iter().filter(|item| item.is_ok()).count(),
+        );
+        self.shared.run(admitted)
     }
 }
 
 impl SimBackend for EngineBackend {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        elaborate_for_analysis(topo)?;
-        self.ledger.record_simulation();
+        admit_topology(&mut self.ledger, topo)?;
         self.shared
-            .submit_many(vec![Ok(WorkItem::Topo(topo.clone()))])[0]
-            .wait()
+            .run(vec![Ok(WorkItem::Topo(topo.clone()))])
+            .remove(0)
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        load_capacitance(netlist)?;
-        self.ledger.record_simulation();
+        admit_netlist(&mut self.ledger, netlist)?;
         self.shared
-            .submit_many(vec![Ok(WorkItem::Net(netlist.clone()))])[0]
-            .wait()
+            .run(vec![Ok(WorkItem::Net(netlist.clone()))])
+            .remove(0)
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        // Bill everything up front, exactly like the simulator's
-        // batch path (which bills even candidates that later fail).
-        for _ in topos {
-            self.ledger.record_simulation();
-        }
-        self.ledger.record_batched_solves(topos.len() as u64);
-        let items = topos
-            .iter()
-            .map(|t| Ok(WorkItem::Topo(t.clone())))
-            .collect();
-        let slots = self.shared.submit_many(items);
-        slots.iter().map(|slot| slot.wait()).collect()
+        bill_batch(&mut self.ledger, topos.len());
+        self.shared.run(
+            topos
+                .iter()
+                .map(|t| Ok(WorkItem::Topo(t.clone())))
+                .collect(),
+        )
     }
 
     fn ledger(&self) -> &CostLedger {
@@ -454,7 +411,7 @@ mod tests {
             }
         };
         let (ok, failed) = (sample(true), sample(false));
-        let engine = BatchEngine::start(SimCache::shared(64), 256);
+        let engine = BatchEngine::start(SimCache::shared(64));
         let results = engine
             .lease()
             .analyze_items(vec![ok.clone(), failed.clone(), ok, failed]);

@@ -9,7 +9,8 @@
 //!   frame protocol and every request/response codec;
 //! - [`engine`] — the server's only compute path: one loop that drains
 //!   candidate evaluations from concurrent tenants into shared
-//!   `analyze_batch` calls, with cache serving and submit-time dedup;
+//!   `analyze_batch` calls, claiming every job through the shared
+//!   `SimCache`'s single-flight;
 //! - [`server`] — the TCP accept loop, per-tenant admission control
 //!   with explicit `busy` backpressure, and the graceful drain
 //!   sequence (finish in-flight, snapshot cache, expire journals);
@@ -17,13 +18,12 @@
 //!   `SimBackend` that proxies analyses to a server, making the
 //!   simulator fleet-shardable.
 //!
-//! Binaries: `artisan-serve` (the daemon; drains on stdin EOF, the
-//! std-only stand-in for SIGTERM) and `serve_load` (the load
-//! generator behind `BENCH_serve.json`).
+//! Binary: `artisan-serve`, the daemon; it drains on stdin EOF, the
+//! std-only stand-in for SIGTERM. Its load generator, `serve_load`
+//! (behind `BENCH_serve.json`), lives in `artisan-bench`.
 //!
 //! A server reads no environment variables except the thread pool's
-//! one-time `ARTISAN_THREADS`. The `artisan-serve` daemon reads
-//! `ARTISAN_SERVE_ADDR`, `ARTISAN_SERVE_MAX_INFLIGHT` and the
+//! one-time `ARTISAN_THREADS`. The `artisan-serve` daemon reads the
 //! workspace-wide `ARTISAN_SIM_CACHE_DIR` / `ARTISAN_JOURNAL_DIR` once at
 //! entry, applies its flags ([`server::ServerConfig::with_flags`]) and
 //! passes them down.
@@ -40,4 +40,4 @@ pub mod server;
 pub use client::{Client, RemoteSim};
 pub use engine::{BatchEngine, EngineBackend, EngineStats};
 pub use proto::{Request, Response, WireOutcome, WireReport, WireStats, WorkItem};
-pub use server::{Server, ServerConfig, ADDR_ENV, MAX_INFLIGHT_ENV};
+pub use server::{Server, ServerConfig};

@@ -17,12 +17,14 @@
 //! ## Drain
 //!
 //! On a [`Request::Drain`] frame (or stdin EOF in the daemon — the
-//! std-only stand-in for SIGTERM), the server stops admitting, waits
-//! for in-flight sessions to finish, shuts the batch engine down,
-//! snapshots the shared cache into [`ServerConfig::cache_dir`] (the
-//! `table3` warm-start namespace), expires terminal journals when
-//! configured, and only then answers with the final counters and stops
-//! accepting.
+//! std-only stand-in for SIGTERM), the server stops admitting and waits
+//! for in-flight sessions to finish. Each session waited for its own
+//! jobs, so every result it submitted has been published to the cache.
+//! The server then reads the final counters, snapshots the shared cache
+//! into [`ServerConfig::cache_dir`] (the `table3` warm-start
+//! namespace), expires terminal journals when configured, and only then
+//! answers and stops accepting. The batch engine stops when the server
+//! is dropped, once its queue has run.
 //!
 //! ## Configuration
 //!
@@ -53,20 +55,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Bind address (`host:port`; port 0 picks an ephemeral port).
-pub const ADDR_ENV: &str = "ARTISAN_SERVE_ADDR";
-/// Global concurrent-session admission bound.
-pub const MAX_INFLIGHT_ENV: &str = "ARTISAN_SERVE_MAX_INFLIGHT";
-
 /// Everything that shapes a server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bind address.
+    /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Global concurrent design-session cap; excess gets `busy`.
     pub max_inflight: usize,
-    /// Maximum jobs one batch drains.
-    pub max_batch: usize,
     /// Shared cache capacity (reports).
     pub cache_capacity: usize,
     /// Per-tenant concurrent session cap.
@@ -88,7 +83,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_inflight: 32,
-            max_batch: 256,
             cache_capacity: 4096,
             tenant_max_inflight: 8,
             tenant_testbed_budget: f64::INFINITY,
@@ -100,35 +94,15 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The defaults overridden by `ARTISAN_SERVE_ADDR`,
-    /// `ARTISAN_SERVE_MAX_INFLIGHT`, `ARTISAN_SIM_CACHE_DIR` and
-    /// `ARTISAN_JOURNAL_DIR`. For binaries to call once at entry.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the variable when `ARTISAN_SERVE_MAX_INFLIGHT`
-    /// is not a non-negative integer.
-    pub fn from_env() -> Result<Self, String> {
-        Ok(ServerConfig {
+    /// The defaults with the workspace-wide `ARTISAN_SIM_CACHE_DIR` and
+    /// `ARTISAN_JOURNAL_DIR` directories. For binaries to call once at
+    /// entry.
+    pub fn from_env() -> Self {
+        ServerConfig {
             cache_dir: snapshot_dir_from_env(),
             journal_dir: journal_dir_from_env(),
-            ..Self::from_lookup(|key| std::env::var(key).ok())?
-        })
-    }
-
-    /// The defaults overridden by the `ARTISAN_SERVE_*` settings that
-    /// `lookup` returns for each variable name; errors as
-    /// [`ServerConfig::from_env`].
-    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let defaults = ServerConfig::default();
-        Ok(ServerConfig {
-            addr: lookup(ADDR_ENV).unwrap_or(defaults.addr),
-            max_inflight: match lookup(MAX_INFLIGHT_ENV) {
-                Some(raw) => parse_setting(MAX_INFLIGHT_ENV, &raw)?,
-                None => defaults.max_inflight,
-            },
-            ..defaults
-        })
+            ..ServerConfig::default()
+        }
     }
 
     /// `self` overridden by the `artisan-serve` flags in `args` (the
@@ -148,7 +122,6 @@ impl ServerConfig {
             match flag.as_str() {
                 "--addr" => self.addr = raw?.clone(),
                 "--max-inflight" => self.max_inflight = parse_setting(flag, raw?)?,
-                "--max-batch" => self.max_batch = parse_setting(flag, raw?)?,
                 "--cache-capacity" => self.cache_capacity = parse_setting(flag, raw?)?,
                 "--tenant-max-inflight" => self.tenant_max_inflight = parse_setting(flag, raw?)?,
                 "--tenant-budget-seconds" => {
@@ -171,7 +144,7 @@ impl ServerConfig {
     }
 }
 
-/// `raw`, the value of setting `name`, parsed as a `T`.
+/// `raw`, the value of flag `name`, parsed as a `T`.
 fn parse_setting<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
     raw.trim().parse().map_err(|_| {
         let kind = std::any::type_name::<T>();
@@ -209,13 +182,7 @@ impl ServerShared {
             unique_computed: engine.unique_computed,
             dedup_shared: engine.dedup_shared,
             cache_served: engine.cache_served,
-            occupancy: engine
-                .occupancy
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| **n > 0)
-                .map(|(i, n)| ((i + 1) as u64, *n))
-                .collect(),
+            occupancy: engine.occupancy.into_iter().collect(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_entries: cache.entries as u64,
@@ -297,7 +264,7 @@ impl Server {
             None => SimCache::shared(config.cache_capacity),
         };
         let shared = Arc::new(ServerShared {
-            engine: BatchEngine::start(Arc::clone(&cache), config.max_batch),
+            engine: BatchEngine::start(Arc::clone(&cache)),
             config,
             cache,
             supervisor: Supervisor::default(),
@@ -518,8 +485,8 @@ fn run_drain(shared: &Arc<ServerShared>) -> Response {
     while shared.inflight.load(Ordering::SeqCst) > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    // Let queued engine work finish (leases are gone, so the queue can
-    // only shrink); final counters are read after the flush.
+    // Every session waited for its own jobs, so their results are in
+    // the cache and the counters.
     let stats = shared.stats();
     // Snapshot the shared cache into the persistent warm-start
     // namespace, when a cache dir is configured.
@@ -547,40 +514,6 @@ fn run_drain(shared: &Arc<ServerShared>) -> Response {
 mod tests {
     use super::*;
 
-    fn lookup<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |key| {
-            vars.iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| (*v).to_string())
-        }
-    }
-
-    #[test]
-    fn settings_override_the_defaults() {
-        let config = ServerConfig::from_lookup(lookup(&[
-            (ADDR_ENV, "127.0.0.1:7070"),
-            (MAX_INFLIGHT_ENV, " 4 "),
-        ]))
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(config.addr, "127.0.0.1:7070");
-        assert_eq!(config.max_inflight, 4);
-        let unset = ServerConfig::from_lookup(lookup(&[])).unwrap_or_else(|e| panic!("{e}"));
-        let defaults = ServerConfig::default();
-        assert_eq!(unset.addr, defaults.addr);
-        assert_eq!(unset.max_inflight, defaults.max_inflight);
-        assert!(unset.cache_dir.is_none() && unset.journal_dir.is_none());
-    }
-
-    #[test]
-    fn malformed_counts_are_errors_naming_the_variable() {
-        for bad in ["", "many", "-1", "2.5"] {
-            let err = ServerConfig::from_lookup(lookup(&[(MAX_INFLIGHT_ENV, bad)]))
-                .err()
-                .unwrap_or_else(|| panic!("{MAX_INFLIGHT_ENV}={bad:?} was accepted"));
-            assert!(err.contains(MAX_INFLIGHT_ENV), "{err}");
-        }
-    }
-
     fn with_flags(line: &str) -> Result<ServerConfig, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         ServerConfig::default().with_flags(&args)
@@ -589,13 +522,12 @@ mod tests {
     #[test]
     fn flags_override_the_settings() {
         let config = with_flags(
-            "--addr 127.0.0.1:7070 --max-inflight 4 --max-batch 16 --cache-capacity 128 \
+            "--addr 127.0.0.1:7070 --max-inflight 4 --cache-capacity 128 \
              --tenant-max-inflight 2 --tenant-budget-seconds 3600.5 --journal-expire-secs 0",
         )
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(config.addr, "127.0.0.1:7070");
         assert_eq!(config.max_inflight, 4);
-        assert_eq!(config.max_batch, 16);
         assert_eq!(config.cache_capacity, 128);
         assert_eq!(config.tenant_max_inflight, 2);
         assert_eq!(config.tenant_testbed_budget, 3600.5);
@@ -611,7 +543,6 @@ mod tests {
     fn malformed_flags_are_errors_naming_the_flag() {
         for line in [
             "--max-inflight lots",
-            "--max-batch -1",
             "--cache-capacity 2.5",
             "--tenant-max-inflight 4x",
             "--tenant-budget-seconds lots",

@@ -16,15 +16,25 @@
 //!   solo run field for field, and identical `(spec, seed)` plans from
 //!   different tenants must produce byte-identical response payloads.
 //!   A session on a [`RemoteSim`] must match its solo run as well.
+//!
+//! One shared single-flight: a [`BatchEngine`] and a [`CachedSim`] over
+//! one [`SimCache`] and one salt coalesce onto each other's flights, and
+//! a leader that panics never strands the engine's waiter.
 
-use artisan_circuit::Topology;
+use artisan_circuit::{Netlist, Topology};
 use artisan_resilience::{SessionReport, Supervisor};
 use artisan_serve::engine::BatchEngine;
 use artisan_serve::proto::{Request, Response, WireReport};
 use artisan_serve::server::{Server, ServerConfig};
 use artisan_serve::{Client, RemoteSim};
-use artisan_sim::{SimBackend, SimCache, Simulator, Spec};
+use artisan_sim::cost::CostLedger;
+use artisan_sim::fingerprint::config_salt;
+use artisan_sim::{
+    AnalysisConfig, AnalysisReport, CachedSim, Result, SimBackend, SimCache, Simulator, Spec,
+};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread;
 
 /// The mixed-tenant workload: overlapping seeds across specs so
@@ -99,7 +109,7 @@ fn assert_reports_identical(context: &str, batched: &SessionReport, solo: &Sessi
 #[test]
 fn concurrent_engine_sessions_match_solo_runs() {
     let cache = SimCache::shared(1024);
-    let engine = BatchEngine::start(cache, 64);
+    let engine = BatchEngine::start(cache);
 
     let handles: Vec<_> = plans()
         .into_iter()
@@ -279,4 +289,104 @@ fn remote_sim_fails_transiently_once_the_server_is_gone() {
         !remote.drain_fault_notes().is_empty(),
         "a transport failure must leave a fault note"
     );
+}
+
+/// A `CachedSim` leader's inner backend: parks its topology analysis
+/// until a caller waits on the shared cache's flight, then computes on
+/// a plain simulator, or panics when `panics` is set.
+struct ParkedSim {
+    inner: Simulator,
+    cache: Arc<SimCache>,
+    panics: bool,
+}
+
+impl SimBackend for ParkedSim {
+    fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
+        while self.cache.waiting() == 0 {
+            thread::yield_now();
+        }
+        assert!(!self.panics, "injected leader panic");
+        self.inner.analyze_topology(topo)
+    }
+
+    fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
+        self.inner.analyze_netlist(netlist)
+    }
+
+    fn ledger(&self) -> &CostLedger {
+        self.inner.ledger()
+    }
+
+    fn ledger_mut(&mut self) -> &mut CostLedger {
+        self.inner.ledger_mut()
+    }
+}
+
+/// Runs one `CachedSim` leader (salted as `CachedSim::for_simulator`
+/// salts a default simulator, the engine's namespace) and, once it
+/// leads, one engine request for the same topology. Returns the
+/// leader's outcome (`None` when it panicked), its billed simulations,
+/// the engine's answer and the engine.
+fn share_one_flight(
+    panics: bool,
+) -> (
+    Option<Result<AnalysisReport>>,
+    u64,
+    Result<AnalysisReport>,
+    BatchEngine,
+) {
+    let cache = SimCache::shared(64);
+    let engine = BatchEngine::start(Arc::clone(&cache));
+    let topo = Topology::nmc_example();
+    let salt = config_salt(&AnalysisConfig::default());
+    let (leader, engine_result) = thread::scope(|scope| {
+        let leader = scope.spawn(|| {
+            let parked = ParkedSim {
+                inner: Simulator::new(),
+                cache: Arc::clone(&cache),
+                panics,
+            };
+            let mut sim = CachedSim::new(parked, Arc::clone(&cache)).with_salt(salt);
+            let outcome = catch_unwind(AssertUnwindSafe(|| sim.analyze_topology(&topo))).ok();
+            (outcome, sim.ledger().simulations())
+        });
+        while cache.in_flight_keys() == 0 {
+            thread::yield_now();
+        }
+        let engine_result = engine.lease().analyze_topology(&topo);
+        let leader = leader
+            .join()
+            .unwrap_or_else(|_| panic!("leader thread panicked"));
+        (leader, engine_result)
+    });
+    assert_eq!(cache.in_flight_keys(), 0, "every flight must land");
+    assert_eq!(cache.waiting(), 0);
+    (leader.0, leader.1, engine_result, engine)
+}
+
+#[test]
+fn engine_requests_join_a_cached_sim_leaders_flight() {
+    let solo = Simulator::new()
+        .analyze_topology(&Topology::nmc_example())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let (leader, simulations, engine_result, engine) = share_one_flight(false);
+    let leader = leader.unwrap_or_else(|| panic!("leader panicked"));
+    assert_eq!(leader.unwrap_or_else(|e| panic!("{e}")), solo);
+    assert_eq!(engine_result.unwrap_or_else(|e| panic!("{e}")), solo);
+    assert_eq!(simulations, 1, "one inner simulation");
+    let stats = engine.stats();
+    assert_eq!((stats.dedup_shared, stats.unique_computed), (1, 0));
+}
+
+#[test]
+fn a_panicking_leader_never_strands_an_engine_waiter() {
+    let solo = Simulator::new()
+        .analyze_topology(&Topology::nmc_example())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let (leader, _, engine_result, engine) = share_one_flight(true);
+    assert!(leader.is_none(), "the leader's panic was caught");
+    // The waiter computed the abandoned item itself.
+    assert_eq!(engine_result.unwrap_or_else(|e| panic!("{e}")), solo);
+    let stats = engine.stats();
+    assert_eq!((stats.dedup_shared, stats.unique_computed), (1, 0));
 }

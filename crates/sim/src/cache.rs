@@ -50,21 +50,44 @@
 //!
 //! # Single-flight miss coalescing
 //!
-//! When several sessions sharing one `Arc<SimCache>` miss on the *same*
-//! fingerprint concurrently, exactly one of them (the **leader**)
-//! performs the inner analysis while the rest block on a per-key
-//! in-flight cell and receive the leader's report when it lands. A
-//! coalesced waiter bills a cache hit (plus an informational
-//! [`CostLedger::record_coalesced_wait`]) — it never paid for a
-//! simulation, so it must not be billed for one. If the leader's
-//! analysis fails (errors are never cached), waiters fall back to their
-//! own inner analysis rather than re-queueing, so progress is always
-//! guaranteed. The batch path ([`SimBackend::analyze_batch`]) claims
-//! leadership for its misses without ever *waiting* on a foreign leader
-//! — two batches blocking on each other's keys would deadlock — so
-//! cross-batch duplicate misses may still simulate twice; only the
-//! blocking single-analysis path coalesces.
+//! [`SimCache`] is the workspace's one single-flight. A non-blocking
+//! [`SimCache::claim`] answers a key one of three ways: a resident
+//! report ([`Claim::Hit`]), another caller's computation of the key
+//! ([`Claim::Join`]), or leadership ([`Claim::Lead`]). The leader
+//! computes and [`Lead::publish`]es its whole result, errors included:
+//! a finite `Ok` report is stored, the key leaves the registry, and the
+//! result moves into the flight. A joiner blocks in [`SimCache::wait`]
+//! until then. Dropping a [`Lead`] unpublished abandons its flight, so
+//! a panicking leader never strands its waiters. A [`Lead`] owns its
+//! cache handle, so it can travel with queued work to another thread.
 //!
+//! Each caller keeps its own policy for what a flight hands back:
+//!
+//! - [`CachedSim`]'s single-analysis path bills a joined cacheable
+//!   report as a cache hit (plus an informational
+//!   [`CostLedger::record_coalesced_wait`]) — it never paid for a
+//!   simulation, so it must not be billed for one. After a failed,
+//!   uncacheable or abandoned leader it runs its own inner analysis
+//!   rather than re-queueing, so progress is always guaranteed.
+//! - [`CachedSim`]'s batch path never waits: it forwards leads and
+//!   joins alike to the inner batch, then publishes its leads.
+//!   Duplicates inside one batch therefore simulate once per
+//!   occurrence, like the serial loop.
+//! - The design server's engine shares a joined result as it is,
+//!   failures included, and its waiters compute an abandoned item
+//!   themselves.
+//!
+//! One rule keeps this deadlock-free: **a caller publishes every lead
+//! it holds before it waits on any flight.** A single analysis waits
+//! holding no lead, and a batch never waits. The rule forbids one
+//! stacking: a `CachedSim` must not wrap a backend that claims keys in
+//! the same cache with the same salt (such as the server's engine over
+//! its own cache), since the inner request would join the wrapper's
+//! own flight.
+//!
+//! [`CacheStats`] count a hit per [`Claim::Hit`] and a miss per
+//! [`Claim::Lead`]; a `CachedSim` join that yields a cacheable report
+//! counts as `coalesced`, and any other `CachedSim` join as a miss.
 //! Coalescing changes no report value and no aggregate count of inner
 //! analyses; like miss billing in general, *which* session records the
 //! miss versus the coalesced hit depends on cross-session timing (see
@@ -176,102 +199,84 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// State of one in-flight computation: `Pending` while the leader runs,
-/// then `Done` with the leader's cacheable report (`None` when the
-/// leader failed or produced an uncacheable result). The report is
-/// boxed: flights are rare and short-lived, and the box keeps the
-/// condvar-guarded state small.
+/// State of one in-flight computation. It lives behind the flight's
+/// `Arc`, so the landed result moves in without a box.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum FlightState {
+    /// The leader is still computing.
     Pending,
-    Done(Box<Option<AnalysisReport>>),
+    /// The leader published its whole result, errors included.
+    Landed(Result<AnalysisReport>),
+    /// The leader was dropped without publishing.
+    Abandoned,
 }
 
-/// A per-key in-flight cell: waiters block on the condvar until the
-/// leader flips the state to `Done`.
+/// One key's in-flight computation: waiters block in
+/// [`SimCache::wait`] until its [`Lead`] publishes or is dropped.
 #[derive(Debug)]
-struct Flight {
+pub struct Flight {
     state: Mutex<FlightState>,
     done: Condvar,
 }
 
-impl Flight {
-    fn new() -> Arc<Flight> {
-        Arc::new(Flight {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        })
-    }
-}
-
-/// Outcome of [`SimCache::begin`]: either the cache served a report, or
-/// the caller was elected leader and owns a [`FlightGuard`] it must
-/// complete, or it must bypass the cache after a failed leader.
+/// Outcome of [`SimCache::claim`]. Never blocks. Matched at once, so a
+/// boxed hit would only add an allocation to every cache hit.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum Lookup<'a> {
+pub enum Claim {
     /// The key was resident: a plain cache hit.
     Hit(AnalysisReport),
-    /// Another session was already computing this key; this caller
-    /// blocked until the leader finished and received its report.
-    Joined(AnalysisReport),
-    /// This caller is the leader: it must perform the inner analysis
-    /// and [`FlightGuard::complete`] the flight (dropping the guard
-    /// without completing releases waiters empty-handed).
-    Lead(FlightGuard<'a>),
-    /// The leader's analysis failed (failures are never cached), so
-    /// this caller should run its own inner analysis directly without
-    /// re-entering the single-flight protocol — that guarantees
-    /// termination even under repeated failures.
-    Bypass,
+    /// Another caller is computing the key; [`SimCache::wait`] on the
+    /// flight for its result.
+    Join(Arc<Flight>),
+    /// This caller computes the key and must [`Lead::publish`] the
+    /// result.
+    Lead(Lead),
 }
 
-/// Leadership token for one in-flight key. Completing it publishes the
-/// leader's result to every coalesced waiter and (when cacheable)
-/// inserts it into the cache; dropping it without completing wakes
-/// waiters with no result, sending them down the bypass path — so a
-/// panicking leader can never strand its waiters.
+/// Leadership of one in-flight key. [`Lead::publish`] hands the
+/// leader's result to every waiter; dropping the lead unpublished
+/// abandons the flight, so a panicking leader never strands its
+/// waiters.
 #[derive(Debug)]
-pub struct FlightGuard<'a> {
-    cache: &'a SimCache,
+pub struct Lead {
+    cache: Arc<SimCache>,
     key: NetlistFingerprint,
+    flight: Arc<Flight>,
     open: bool,
 }
 
-impl FlightGuard<'_> {
-    /// The fingerprint this flight is computing.
-    pub fn key(&self) -> NetlistFingerprint {
-        self.key
+impl Lead {
+    /// The flight this lead will land — what the leader's own caller
+    /// waits on when the computation runs elsewhere.
+    pub fn flight(&self) -> Arc<Flight> {
+        Arc::clone(&self.flight)
     }
 
-    /// Publishes the leader's result: `Some(report)` is inserted into
-    /// the cache and handed to every waiter (who bill cache hits);
-    /// `None` (failed or uncacheable analysis) releases waiters down
-    /// the bypass path.
-    pub fn complete(mut self, report: Option<AnalysisReport>) {
-        self.finish(report);
+    /// Publishes the leader's result: a finite `Ok` report is stored,
+    /// the key is deregistered, and `result` moves into the flight for
+    /// every waiter.
+    pub fn publish(mut self, result: Result<AnalysisReport>) {
+        // Store before deregistering: a claim racing between the
+        // registry removal and the shard insert must still hit.
+        self.cache.store(self.key, &result);
+        self.land(FlightState::Landed(result));
     }
 
-    fn finish(&mut self, report: Option<AnalysisReport>) {
-        if !self.open {
-            return;
-        }
+    fn land(&mut self, state: FlightState) {
         self.open = false;
-        if let Some(report) = &report {
-            // Insert before deregistering: a lookup racing between the
-            // registry removal and the shard insert must still hit.
-            self.cache.insert(self.key, report.clone());
-        }
-        let flight = lock(&self.cache.in_flight).remove(&self.key);
-        if let Some(flight) = flight {
-            *lock(&flight.state) = FlightState::Done(Box::new(report));
-            flight.done.notify_all();
-        }
+        lock(&self.cache.in_flight).remove(&self.key);
+        *lock(&self.flight.state) = state;
+        self.flight.done.notify_all();
     }
 }
 
-impl Drop for FlightGuard<'_> {
+impl Drop for Lead {
     fn drop(&mut self) {
-        self.finish(None);
+        if self.open {
+            self.land(FlightState::Abandoned);
+        }
     }
 }
 
@@ -473,8 +478,8 @@ impl SimCache {
     }
 
     /// Looks up a memoized report, refreshing its recency on a hit.
-    /// Never blocks on in-flight computations (see [`SimCache::begin`]
-    /// for the coalescing entry point).
+    /// Never blocks on, or joins, in-flight computations (see
+    /// [`SimCache::claim`] for the coalescing entry point).
     pub fn get(&self, key: NetlistFingerprint) -> Option<AnalysisReport> {
         match self.probe(key) {
             Some(report) => Some(report),
@@ -485,42 +490,49 @@ impl SimCache {
         }
     }
 
-    /// Single-flight lookup. Returns [`Lookup::Hit`] for a resident
-    /// key; otherwise either elects this caller leader for the key
-    /// ([`Lookup::Lead`] — perform the analysis, then
-    /// [`FlightGuard::complete`]) or blocks until the current leader
-    /// lands and returns [`Lookup::Joined`] with its report
-    /// ([`Lookup::Bypass`] when the leader failed).
-    pub fn begin(&self, key: NetlistFingerprint) -> Lookup<'_> {
+    /// Single-flight claim on `key`; never blocks. A resident key is a
+    /// [`Claim::Hit`] (counted as a hit). A key another caller is
+    /// computing is a [`Claim::Join`] (counted by the caller's policy).
+    /// Otherwise this caller leads (counted as a miss) and must
+    /// [`Lead::publish`] its result before it waits on any flight.
+    pub fn claim(self: &Arc<Self>, key: NetlistFingerprint) -> Claim {
         if let Some(report) = self.probe(key) {
-            return Lookup::Hit(report);
+            return Claim::Hit(report);
         }
-        let flight = {
-            let mut registry = lock(&self.in_flight);
-            // Re-probe under the registry lock: a leader completing
-            // between the shard probe above and this lock has already
-            // inserted its report and deregistered — claiming
-            // leadership now would re-simulate a resident key.
-            if let Some(report) = self.probe(key) {
-                return Lookup::Hit(report);
+        let mut registry = lock(&self.in_flight);
+        // Re-probe under the registry lock: a leader publishing between
+        // the shard probe above and this lock has already stored its
+        // report and deregistered — leading now would re-simulate a
+        // resident key.
+        if let Some(report) = self.probe(key) {
+            return Claim::Hit(report);
+        }
+        match registry.entry(key) {
+            MapEntry::Occupied(entry) => Claim::Join(Arc::clone(entry.get())),
+            MapEntry::Vacant(slot) => {
+                let flight = Arc::new(Flight {
+                    state: Mutex::new(FlightState::Pending),
+                    done: Condvar::new(),
+                });
+                slot.insert(Arc::clone(&flight));
+                drop(registry);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Claim::Lead(Lead {
+                    cache: Arc::clone(self),
+                    key,
+                    flight,
+                    open: true,
+                })
             }
-            match registry.entry(key) {
-                MapEntry::Occupied(entry) => Arc::clone(entry.get()),
-                MapEntry::Vacant(slot) => {
-                    slot.insert(Flight::new());
-                    drop(registry);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Lead(FlightGuard {
-                        cache: self,
-                        key,
-                        open: true,
-                    });
-                }
-            }
-        };
-        // Coalesce: block until the leader publishes. No cache lock is
-        // held here, so the leader (and unrelated lookups) make
-        // progress while we wait.
+        }
+    }
+
+    /// Blocks until `flight` lands and returns its leader's result,
+    /// errors included, or `None` when the leader abandoned it. Counted
+    /// in the [`SimCache::waiting`] gauge while blocked. No cache lock
+    /// is held here, so the leader (and unrelated lookups) make
+    /// progress while we wait.
+    pub fn wait(&self, flight: &Flight) -> Option<Result<AnalysisReport>> {
         self.waiting.fetch_add(1, Ordering::SeqCst);
         let mut state = lock(&flight.state);
         while matches!(*state, FlightState::Pending) {
@@ -530,40 +542,12 @@ impl SimCache {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
         let outcome = match &*state {
-            FlightState::Done(report) => (**report).clone(),
-            FlightState::Pending => unreachable!("wait loop exits only on Done"),
+            FlightState::Landed(result) => Some(result.clone()),
+            FlightState::Pending | FlightState::Abandoned => None,
         };
         drop(state);
         self.waiting.fetch_sub(1, Ordering::SeqCst);
-        match outcome {
-            Some(report) => {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                Lookup::Joined(report)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Bypass
-            }
-        }
-    }
-
-    /// Non-blocking leadership claim for the batch path: returns a
-    /// guard when no leader is in flight for `key`, `None` when one is
-    /// (the caller should simulate independently rather than block —
-    /// two batches waiting on each other's keys would deadlock). Does
-    /// not count a miss; batch callers account misses themselves.
-    fn try_lead(&self, key: NetlistFingerprint) -> Option<FlightGuard<'_>> {
-        match lock(&self.in_flight).entry(key) {
-            MapEntry::Occupied(_) => None,
-            MapEntry::Vacant(slot) => {
-                slot.insert(Flight::new());
-                Some(FlightGuard {
-                    cache: self,
-                    key,
-                    open: true,
-                })
-            }
-        }
+        outcome
     }
 
     /// Inserts (or refreshes) a report, evicting the least-recently
@@ -653,54 +637,48 @@ impl<B: SimBackend> CachedSim<B> {
         &self.cache
     }
 
-    fn lookup(&mut self, fp: NetlistFingerprint) -> Option<AnalysisReport> {
-        let report = self.cache.get(fp)?;
-        self.inner.ledger_mut().record_cache_hit();
-        Some(report)
-    }
-
-    /// Single-flight wrapper around one inner analysis: resolves the
-    /// lookup through [`SimCache::begin`], runs `analyze` only when
-    /// this caller leads (or must bypass a failed leader), and settles
-    /// the ledger accounts.
+    /// Single-flight wrapper around one inner analysis: claims `fp`,
+    /// runs `analyze` only when this caller leads (or its leader
+    /// failed, produced an uncacheable report or was abandoned), and
+    /// settles the ledger accounts.
     fn coalesced_analyze(
         &mut self,
         fp: NetlistFingerprint,
         analyze: impl Fn(&mut B) -> Result<AnalysisReport>,
     ) -> Result<AnalysisReport> {
-        // Clone the Arc so the flight guard borrows the cache itself,
-        // not `self` — the inner backend needs `&mut self.inner` while
-        // the guard is live.
-        let cache = Arc::clone(&self.cache);
-        let result = match cache.begin(fp) {
-            Lookup::Hit(report) => {
+        match self.cache.claim(fp) {
+            Claim::Hit(report) => {
                 self.inner.ledger_mut().record_cache_hit();
                 Ok(report)
             }
-            Lookup::Joined(report) => {
-                // The leader paid for the simulation; a coalesced
-                // waiter bills retrieval cost like any other hit, plus
-                // the informational coalesced-wait count.
-                let ledger = self.inner.ledger_mut();
-                ledger.record_cache_hit();
-                ledger.record_coalesced_wait();
-                Ok(report)
-            }
-            Lookup::Lead(guard) => {
+            Claim::Lead(lead) => {
                 let result = analyze(&mut self.inner);
-                guard.complete(cacheable(&result));
+                lead.publish(result.clone());
                 result
             }
-            Lookup::Bypass => {
-                // The leader failed; run our own analysis outside the
-                // single-flight protocol (a success still populates
-                // the cache through the ordinary insert path).
+            Claim::Join(flight) => {
+                if let Some(Ok(report)) = self.cache.wait(&flight) {
+                    if report.performance.is_finite() {
+                        // The leader paid for the simulation; a
+                        // coalesced waiter bills retrieval cost like any
+                        // other hit, plus the informational
+                        // coalesced-wait count.
+                        self.cache.coalesced.fetch_add(1, Ordering::Relaxed);
+                        let ledger = self.inner.ledger_mut();
+                        ledger.record_cache_hit();
+                        ledger.record_coalesced_wait();
+                        return Ok(report);
+                    }
+                }
+                // Run our own analysis outside the single-flight
+                // protocol, which guarantees termination even under
+                // repeated failures (a success still fills the cache).
+                self.cache.misses.fetch_add(1, Ordering::Relaxed);
                 let result = analyze(&mut self.inner);
                 self.cache.store(fp, &result);
                 result
             }
-        };
-        result
+        }
     }
 }
 
@@ -740,53 +718,53 @@ impl<B: SimBackend> SimBackend for CachedSim<B> {
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
-        // Partition hits from misses, forward the misses as one smaller
-        // batch (keeping the inner backend's parallel fan-out), then
-        // merge in input order. Duplicate misses within one batch are
-        // simulated per occurrence — same cost as the serial loop.
-        let fps: Vec<Option<NetlistFingerprint>> = topos
-            .iter()
-            .map(|t| NetlistFingerprint::of_topology(t).map(|fp| fp.with_salt(self.salt)))
-            .collect();
-        let mut out: Vec<Option<Result<AnalysisReport>>> = fps
-            .iter()
-            .map(|fp| fp.and_then(|fp| self.lookup(fp)).map(Ok))
-            .collect();
-        let miss_idx: Vec<usize> = (0..topos.len()).filter(|&i| out[i].is_none()).collect();
-        if !miss_idx.is_empty() {
-            // Claim single-flight leadership for each distinct missed
-            // key without blocking (waiting on a foreign leader from a
-            // batch could deadlock two batches against each other), so
-            // concurrent single-analysis callers coalesce onto this
-            // batch's solves instead of duplicating them.
-            let cache = Arc::clone(&self.cache);
-            let mut guards: HashMap<NetlistFingerprint, FlightGuard<'_>> = HashMap::new();
-            for &i in &miss_idx {
-                if let Some(fp) = fps[i] {
-                    if let MapEntry::Vacant(slot) = guards.entry(fp) {
-                        if let Some(guard) = cache.try_lead(fp) {
-                            slot.insert(guard);
-                        }
-                    }
+        // Claim every keyed item without waiting (a batch holds leads,
+        // so it must never wait on a flight): serve the hits and
+        // forward leads and joins alike as one smaller inner batch,
+        // keeping its parallel fan-out. A join is another caller's key
+        // or this batch's own duplicate, so duplicates within one batch
+        // simulate per occurrence — the serial loop's cost. Then
+        // publish the leads, which also releases concurrent
+        // single-analysis waiters, and merge in input order.
+        let mut out: Vec<Option<Result<AnalysisReport>>> = Vec::with_capacity(topos.len());
+        let mut forwarded: Vec<(usize, Option<NetlistFingerprint>, Option<Lead>)> = Vec::new();
+        for (i, topo) in topos.iter().enumerate() {
+            out.push(None);
+            // A non-elaborating topology has no identity; it takes the
+            // real error path (and is billed there) every time.
+            let Some(fp) = NetlistFingerprint::of_topology(topo) else {
+                forwarded.push((i, None, None));
+                continue;
+            };
+            let fp = fp.with_salt(self.salt);
+            let lead = match self.cache.claim(fp) {
+                Claim::Hit(report) => {
+                    self.inner.ledger_mut().record_cache_hit();
+                    out[i] = Some(Ok(report));
+                    continue;
                 }
-            }
-            let miss_topos: Vec<Topology> = miss_idx.iter().map(|&i| topos[i].clone()).collect();
+                Claim::Join(_) => {
+                    self.cache.misses.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                Claim::Lead(lead) => Some(lead),
+            };
+            forwarded.push((i, Some(fp), lead));
+        }
+        if !forwarded.is_empty() {
+            let miss_topos: Vec<Topology> =
+                forwarded.iter().map(|(i, ..)| topos[*i].clone()).collect();
             let miss_results = self.inner.analyze_batch(&miss_topos);
-            for (&i, result) in miss_idx.iter().zip(miss_results) {
-                if let Some(fp) = fps[i] {
-                    match guards.remove(&fp) {
-                        // Leading this key: completing the flight both
-                        // inserts the report and releases any waiters.
-                        Some(guard) => guard.complete(cacheable(&result)),
-                        None => self.cache.store(fp, &result),
-                    }
+            for ((i, fp, lead), result) in forwarded.into_iter().zip(miss_results) {
+                match (lead, fp) {
+                    (Some(lead), _) => lead.publish(result.clone()),
+                    (None, Some(fp)) => self.cache.store(fp, &result),
+                    (None, None) => {}
                 }
                 out[i] = Some(result);
             }
-            // Duplicate occurrences already completed their key's
-            // flight above; any guard left here had no result (holes)
-            // and is released empty by drop.
-            drop(guards);
+            // Leads left unpublished (an inner batch that answered
+            // short) were dropped above, abandoning their flights.
         }
         out.into_iter()
             .map(|r| {

@@ -74,7 +74,8 @@ pub use metrics::{Performance, PowerModel};
 pub use mna::{MnaMode, MnaSystem, MnaWorkspace, SPARSE_MIN_DIM};
 pub use screen::{LintVerdict, ScreenedSim};
 pub use simulator::{
-    elaborate_for_analysis, load_capacitance, AnalysisConfig, AnalysisReport, Simulator,
+    admit_netlist, admit_topology, bill_batch, elaborate_for_analysis, load_capacitance,
+    AnalysisConfig, AnalysisReport, Simulator,
 };
 pub use spec::{Spec, SpecCheck, SpecReport};
 

@@ -74,6 +74,44 @@ pub fn load_capacitance(netlist: &Netlist) -> Result<f64> {
         .ok_or_else(|| SimError::BadNetlist("netlist has no CL load element".into()))
 }
 
+/// The testbed billing rule for one topology: one that fails
+/// [`elaborate_for_analysis`] is rejected unbilled; any other bills one
+/// simulation to `ledger` before compute. Every testbed backend
+/// applies it to single-candidate calls, so all of them bill alike.
+///
+/// # Errors
+///
+/// The [`elaborate_for_analysis`] rejection.
+pub fn admit_topology(ledger: &mut CostLedger, topo: &Topology) -> Result<Netlist> {
+    let netlist = elaborate_for_analysis(topo)?;
+    ledger.record_simulation();
+    Ok(netlist)
+}
+
+/// [`admit_topology`] for a flat netlist: one that fails
+/// [`load_capacitance`] is rejected unbilled; any other bills one
+/// simulation. Returns the load capacitance.
+///
+/// # Errors
+///
+/// The [`load_capacitance`] rejection.
+pub fn admit_netlist(ledger: &mut CostLedger, netlist: &Netlist) -> Result<f64> {
+    let cl = load_capacitance(netlist)?;
+    ledger.record_simulation();
+    Ok(cl)
+}
+
+/// The testbed billing rule for a batch: every one of its `candidates`
+/// bills one simulation up front, however it later fares (what the
+/// serial loop bills, in deterministic order), plus the informational
+/// `batched_solves` counter.
+pub fn bill_batch(ledger: &mut CostLedger, candidates: usize) {
+    for _ in 0..candidates {
+        ledger.record_simulation();
+    }
+    ledger.record_batched_solves(candidates as u64);
+}
+
 /// The simulator façade: analyzes netlists/topologies and bills each run
 /// to its internal [`CostLedger`].
 ///
@@ -139,9 +177,14 @@ impl Simulator {
     ///
     /// Propagates elaboration and analysis failures.
     pub fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
-        let netlist = elaborate_for_analysis(topo)?;
+        let netlist = admit_topology(&mut self.ledger, topo)?;
         let power = self.config.power.power_of_topology(topo);
-        self.analyze_inner(&netlist, topo.skeleton.cl.value(), Some(power))
+        Self::compute_report(
+            &self.config,
+            &netlist,
+            topo.skeleton.cl.value(),
+            Some(power),
+        )
     }
 
     /// Analyzes a flat netlist. The load capacitance (for FoM) is taken
@@ -152,8 +195,8 @@ impl Simulator {
     /// Returns [`SimError::BadNetlist`] when no `CL` element exists, plus
     /// all analysis failures.
     pub fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
-        let cl = load_capacitance(netlist)?;
-        self.analyze_inner(netlist, cl, None)
+        let cl = admit_netlist(&mut self.ledger, netlist)?;
+        Self::compute_report(&self.config, netlist, cl, None)
     }
 
     /// Analyzes many independent topologies over the environment-sized
@@ -172,29 +215,13 @@ impl Simulator {
         topos: &[Topology],
         pool: &ThreadPool,
     ) -> Vec<Result<AnalysisReport>> {
-        // Bill everything up front: one simulation per candidate no
-        // matter how it fares (exactly what the serial loop bills, in
-        // deterministic order), plus the informational batch counter.
-        for _ in topos {
-            self.ledger.record_simulation();
-        }
-        self.ledger.record_batched_solves(topos.len() as u64);
+        bill_batch(&mut self.ledger, topos.len());
         let config = self.config;
         pool.par_map_indexed(topos, |_, topo| {
             let netlist = elaborate_for_analysis(topo)?;
             let power = config.power.power_of_topology(topo);
             Self::compute_report(&config, &netlist, topo.skeleton.cl.value(), Some(power))
         })
-    }
-
-    fn analyze_inner(
-        &mut self,
-        netlist: &Netlist,
-        cl: f64,
-        power_override: Option<Watts>,
-    ) -> Result<AnalysisReport> {
-        self.ledger.record_simulation();
-        Self::compute_report(&self.config, netlist, cl, power_override)
     }
 
     /// The pure analysis pipeline: no billing, no `&mut self` — the
