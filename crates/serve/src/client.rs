@@ -61,8 +61,8 @@ impl Client {
 /// ([`admit_topology`], [`admit_netlist`], [`bill_batch`]): rejected
 /// candidates locally and unbilled, any other analysis one simulation,
 /// batches up front. So a supervised session on a `RemoteSim` produces
-/// the same `SessionReport` cost fields as a solo run. Transport failures and server `busy` replies surface as
-/// *transient* errors ([`MathError::DegenerateInput`], which
+/// the same `SessionReport` cost fields as a solo run. Transport
+/// failures and server `busy` replies surface as *transient* errors ([`MathError::DegenerateInput`], which
 /// `SimError::is_transient` accepts), so supervisors retry with
 /// backoff — admission-control backpressure composes with the retry
 /// policy for free. Each failure also leaves a fault note for
@@ -87,88 +87,52 @@ impl RemoteSim {
         })
     }
 
-    fn transport_failure(&mut self, context: &str, err: &io::Error) -> SimError {
-        self.notes.push(format!("remote {context}: {err}"));
-        SimError::Math(MathError::DegenerateInput(TRANSPORT_FAILURE_MSG))
-    }
-
-    fn analyze_remote(&mut self, item: WorkItem) -> Result<AnalysisReport> {
-        let mut results = self.analyze_remote_many(vec![item], false);
-        match results.pop() {
-            Some(result) => result,
-            None => Err(SimError::Math(MathError::DegenerateInput(
-                TRANSPORT_FAILURE_MSG,
-            ))),
-        }
-    }
-
-    fn analyze_remote_many(
-        &mut self,
-        items: Vec<WorkItem>,
-        batch: bool,
-    ) -> Vec<Result<AnalysisReport>> {
-        let n = items.len();
-        let request = if batch {
-            Request::AnalyzeBatch { items }
-        } else {
-            match items.into_iter().next() {
-                Some(item) => Request::Analyze { item },
-                None => return Vec::new(),
-            }
-        };
-        let fail = |err: SimError| -> Vec<Result<AnalysisReport>> {
-            (0..n).map(|_| Err(err.clone())).collect()
-        };
-        match self.client.call(&request) {
-            Err(e) => {
-                let err = self.transport_failure("analysis call", &e);
-                fail(err)
-            }
-            Ok(Response::Analysis { results }) if results.len() == n => results,
-            Ok(Response::Analysis { results }) => {
-                self.notes.push(format!(
+    /// Sends `request` for `n` items and returns one result per item. A
+    /// transport failure, a `busy` reply or a malformed answer fails
+    /// every item transiently and leaves a fault note.
+    fn analyze_remote(&mut self, request: &Request, n: usize) -> Vec<Result<AnalysisReport>> {
+        let (note, message) = match self.client.call(request) {
+            Ok(Response::Analysis { results }) if results.len() == n => return results,
+            Err(e) => (format!("remote analysis call: {e}"), TRANSPORT_FAILURE_MSG),
+            Ok(Response::Analysis { results }) => (
+                format!(
                     "remote analysis answered {} results for {n} items",
                     results.len()
-                ));
-                fail(SimError::Math(MathError::DegenerateInput(
-                    TRANSPORT_FAILURE_MSG,
-                )))
-            }
-            Ok(Response::Busy { reason }) => {
-                self.notes.push(format!("remote busy: {reason}"));
-                fail(SimError::Math(MathError::DegenerateInput(REMOTE_BUSY_MSG)))
-            }
+                ),
+                TRANSPORT_FAILURE_MSG,
+            ),
+            Ok(Response::Busy { reason }) => (format!("remote busy: {reason}"), REMOTE_BUSY_MSG),
             Ok(Response::Error { message }) => {
-                self.notes.push(format!("remote error: {message}"));
-                fail(SimError::Math(MathError::DegenerateInput(
-                    TRANSPORT_FAILURE_MSG,
-                )))
+                (format!("remote error: {message}"), TRANSPORT_FAILURE_MSG)
             }
-            Ok(_) => {
-                self.notes
-                    .push("remote analysis answered with wrong response kind".to_string());
-                fail(SimError::Math(MathError::DegenerateInput(
-                    TRANSPORT_FAILURE_MSG,
-                )))
-            }
-        }
+            Ok(_) => (
+                "remote analysis answered with wrong response kind".to_string(),
+                TRANSPORT_FAILURE_MSG,
+            ),
+        };
+        self.notes.push(note);
+        let err = SimError::Math(MathError::DegenerateInput(message));
+        (0..n).map(|_| Err(err.clone())).collect()
     }
 }
 
 impl SimBackend for RemoteSim {
     fn analyze_topology(&mut self, topo: &Topology) -> Result<AnalysisReport> {
         admit_topology(&mut self.ledger, topo)?;
-        self.analyze_remote(WorkItem::Topo(topo.clone()))
+        let item = WorkItem::Topo(topo.clone());
+        self.analyze_remote(&Request::Analyze { item }, 1).remove(0)
     }
 
     fn analyze_netlist(&mut self, netlist: &Netlist) -> Result<AnalysisReport> {
         admit_netlist(&mut self.ledger, netlist)?;
-        self.analyze_remote(WorkItem::Net(netlist.clone()))
+        let item = WorkItem::Net(netlist.clone());
+        self.analyze_remote(&Request::Analyze { item }, 1).remove(0)
     }
 
     fn analyze_batch(&mut self, topos: &[Topology]) -> Vec<Result<AnalysisReport>> {
         bill_batch(&mut self.ledger, topos.len());
-        self.analyze_remote_many(topos.iter().cloned().map(WorkItem::Topo).collect(), true)
+        let items = topos.iter().cloned().map(WorkItem::Topo).collect();
+        self.analyze_remote(&Request::AnalyzeBatch { items }, topos.len())
     }
 
     fn ledger(&self) -> &CostLedger {

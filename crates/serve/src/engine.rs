@@ -81,12 +81,6 @@ impl EngineStats {
     }
 }
 
-/// A queued computation: the item and the lead its result lands.
-struct Job {
-    item: WorkItem,
-    lead: Lead,
-}
-
 /// How a submitted item will be answered.
 enum Answer {
     Now(Result<AnalysisReport>),
@@ -96,7 +90,8 @@ enum Answer {
 }
 
 struct EngineShared {
-    queue: Mutex<Vec<Job>>,
+    /// Queued leads, each with the item whose result it publishes.
+    queue: Mutex<Vec<(WorkItem, Lead)>>,
     arrived: Condvar,
     cache: Arc<SimCache>,
     stats: Mutex<EngineStats>,
@@ -116,16 +111,16 @@ fn compute(item: &WorkItem) -> Result<AnalysisReport> {
 }
 
 impl EngineShared {
-    /// Submits a set of jobs atomically, claiming each under the queue
-    /// lock, so the batcher sees a whole sweep at once instead of
-    /// nibbling it into lease-width micro-batches. A cache hit is
-    /// answered now (billing happened in the caller, cache service is
-    /// wall-clock only); a job whose key is in flight shares that
-    /// flight's result, errors included; a lead queues with its job. A
-    /// topology without a fingerprint is one that fails to elaborate,
-    /// answered now with the simulator's own error. Neither it nor an
-    /// `Err` item (rejected before submission) reaches the counters.
-    fn submit_many(&self, items: Vec<Result<WorkItem>>) -> Vec<Answer> {
+    /// Submits a set of jobs and waits for every answer. Jobs are
+    /// claimed under the queue lock, so the batcher sees a whole sweep
+    /// at once instead of nibbling it into lease-width micro-batches. A
+    /// cache hit is answered now (billing happened in the caller, cache
+    /// service is wall-clock only); a job whose key is in flight shares
+    /// that flight's result, errors included; a lead queues. A topology
+    /// without a fingerprint is one that fails to elaborate, answered
+    /// now with the simulator's own error. Neither it nor an `Err` item
+    /// (rejected before submission) reaches the counters.
+    fn run(&self, items: Vec<Result<WorkItem>>) -> Vec<Result<AnalysisReport>> {
         let keyed: Vec<_> = items
             .into_iter()
             .map(|item| {
@@ -140,7 +135,7 @@ impl EngineShared {
         let (mut shared, mut served) = (0u64, 0u64);
         let mut queue = lock(&self.queue);
         let queued = queue.len();
-        let answers = keyed
+        let answers: Vec<Answer> = keyed
             .into_iter()
             .map(|keyed| {
                 let (key, item) = match keyed {
@@ -159,10 +154,7 @@ impl EngineShared {
                     }
                     Claim::Lead(lead) => {
                         let flight = lead.flight();
-                        queue.push(Job {
-                            item: item.clone(),
-                            lead,
-                        });
+                        queue.push((item.clone(), lead));
                         Answer::Flight(flight, item)
                     }
                 }
@@ -178,14 +170,9 @@ impl EngineShared {
             stats.dedup_shared += shared;
             stats.cache_served += served;
         }
+        // This thread holds no lead, so it may wait. A flight abandoned
+        // by a failed leader is computed here.
         answers
-    }
-
-    /// Submits `items` and waits for every answer. The caller holds no
-    /// lead, so it may wait; a flight abandoned by a failed batch is
-    /// computed here.
-    fn run(&self, items: Vec<Result<WorkItem>>) -> Vec<Result<AnalysisReport>> {
-        self.submit_many(items)
             .into_iter()
             .map(|answer| match answer {
                 Answer::Now(result) => result,
@@ -291,13 +278,18 @@ fn batcher_loop(shared: &EngineShared) {
 /// already answered cache hits and in-flight keys, so every job here
 /// leads its key. The batch is counted before any result is released,
 /// so a caller holding its results finds them in [`BatchEngine::stats`].
-fn run_batch(shared: &EngineShared, sim: &mut Simulator, pool: &ThreadPool, batch: Vec<Job>) {
+fn run_batch(
+    shared: &EngineShared,
+    sim: &mut Simulator,
+    pool: &ThreadPool,
+    batch: Vec<(WorkItem, Lead)>,
+) {
     lock(&shared.stats).record_batch(batch.len());
     // Topologies fan out through the batch API (one candidate per pool
     // worker), one result per topology in order; netlists run
     // individually (rare path — only RemoteSim sends them).
     let (mut topos, mut topo_leads, mut nets) = (Vec::new(), Vec::new(), Vec::new());
-    for Job { item, lead } in batch {
+    for (item, lead) in batch {
         match item {
             WorkItem::Topo(t) => {
                 topos.push(t);

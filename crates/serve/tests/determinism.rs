@@ -23,7 +23,7 @@
 
 use artisan_circuit::{Netlist, Topology};
 use artisan_resilience::{SessionReport, Supervisor};
-use artisan_serve::engine::BatchEngine;
+use artisan_serve::engine::{BatchEngine, EngineStats};
 use artisan_serve::proto::{Request, Response, WireReport};
 use artisan_serve::server::{Server, ServerConfig};
 use artisan_serve::{Client, RemoteSim};
@@ -291,9 +291,9 @@ fn remote_sim_fails_transiently_once_the_server_is_gone() {
     );
 }
 
-/// A `CachedSim` leader's inner backend: parks its topology analysis
-/// until a caller waits on the shared cache's flight, then computes on
-/// a plain simulator, or panics when `panics` is set.
+/// A `CachedSim` leader's inner backend: parks until a caller waits on
+/// the shared cache's flight, then analyzes on a plain simulator, or
+/// panics when `panics` is set.
 struct ParkedSim {
     inner: Simulator,
     cache: Arc<SimCache>,
@@ -322,24 +322,20 @@ impl SimBackend for ParkedSim {
     }
 }
 
-/// Runs one `CachedSim` leader (salted as `CachedSim::for_simulator`
-/// salts a default simulator, the engine's namespace) and, once it
-/// leads, one engine request for the same topology. Returns the
-/// leader's outcome (`None` when it panicked), its billed simulations,
-/// the engine's answer and the engine.
-fn share_one_flight(
-    panics: bool,
-) -> (
-    Option<Result<AnalysisReport>>,
-    u64,
-    Result<AnalysisReport>,
-    BatchEngine,
-) {
+/// A `CachedSim` over one cache with the engine — salted as
+/// `CachedSim::for_simulator` salts a default simulator — leads the NMC
+/// example; once it leads, an engine request for it joins that flight.
+/// Both answers must equal the solo report (a leader that panicked has
+/// none) and every flight must land. Returns the engine's counters.
+fn share_one_flight(panics: bool) -> EngineStats {
     let cache = SimCache::shared(64);
     let engine = BatchEngine::start(Arc::clone(&cache));
     let topo = Topology::nmc_example();
+    let solo = Simulator::new()
+        .analyze_topology(&topo)
+        .unwrap_or_else(|e| panic!("{e}"));
     let salt = config_salt(&AnalysisConfig::default());
-    let (leader, engine_result) = thread::scope(|scope| {
+    thread::scope(|scope| {
         let leader = scope.spawn(|| {
             let parked = ParkedSim {
                 inner: Simulator::new(),
@@ -347,46 +343,38 @@ fn share_one_flight(
                 panics,
             };
             let mut sim = CachedSim::new(parked, Arc::clone(&cache)).with_salt(salt);
-            let outcome = catch_unwind(AssertUnwindSafe(|| sim.analyze_topology(&topo))).ok();
-            (outcome, sim.ledger().simulations())
+            let report = catch_unwind(AssertUnwindSafe(|| sim.analyze_topology(&topo)));
+            (report.ok(), sim.ledger().simulations())
         });
         while cache.in_flight_keys() == 0 {
             thread::yield_now();
         }
-        let engine_result = engine.lease().analyze_topology(&topo);
-        let leader = leader
+        let joined = engine.lease().analyze_topology(&topo);
+        assert_eq!(joined.unwrap_or_else(|e| panic!("{e}")), solo, "engine");
+        let (report, simulations) = leader
             .join()
             .unwrap_or_else(|_| panic!("leader thread panicked"));
-        (leader, engine_result)
+        match report {
+            Some(report) => {
+                assert_eq!(report.unwrap_or_else(|e| panic!("{e}")), solo, "leader");
+                assert_eq!(simulations, 1, "one inner simulation");
+            }
+            None => assert!(panics, "only the injected panic may stop the leader"),
+        }
     });
-    assert_eq!(cache.in_flight_keys(), 0, "every flight must land");
-    assert_eq!(cache.waiting(), 0);
-    (leader.0, leader.1, engine_result, engine)
+    assert_eq!((cache.in_flight_keys(), cache.waiting()), (0, 0));
+    engine.stats()
 }
 
 #[test]
 fn engine_requests_join_a_cached_sim_leaders_flight() {
-    let solo = Simulator::new()
-        .analyze_topology(&Topology::nmc_example())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let (leader, simulations, engine_result, engine) = share_one_flight(false);
-    let leader = leader.unwrap_or_else(|| panic!("leader panicked"));
-    assert_eq!(leader.unwrap_or_else(|e| panic!("{e}")), solo);
-    assert_eq!(engine_result.unwrap_or_else(|e| panic!("{e}")), solo);
-    assert_eq!(simulations, 1, "one inner simulation");
-    let stats = engine.stats();
+    let stats = share_one_flight(false);
     assert_eq!((stats.dedup_shared, stats.unique_computed), (1, 0));
 }
 
 #[test]
 fn a_panicking_leader_never_strands_an_engine_waiter() {
-    let solo = Simulator::new()
-        .analyze_topology(&Topology::nmc_example())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let (leader, _, engine_result, engine) = share_one_flight(true);
-    assert!(leader.is_none(), "the leader's panic was caught");
-    // The waiter computed the abandoned item itself.
-    assert_eq!(engine_result.unwrap_or_else(|e| panic!("{e}")), solo);
-    let stats = engine.stats();
+    // The engine's waiter computed the abandoned item itself.
+    let stats = share_one_flight(true);
     assert_eq!((stats.dedup_shared, stats.unique_computed), (1, 0));
 }

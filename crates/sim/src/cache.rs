@@ -50,48 +50,36 @@
 //!
 //! # Single-flight miss coalescing
 //!
-//! [`SimCache`] is the workspace's one single-flight. A non-blocking
-//! [`SimCache::claim`] answers a key one of three ways: a resident
-//! report ([`Claim::Hit`]), another caller's computation of the key
-//! ([`Claim::Join`]), or leadership ([`Claim::Lead`]). The leader
-//! computes and [`Lead::publish`]es its whole result, errors included:
-//! a finite `Ok` report is stored, the key leaves the registry, and the
-//! result moves into the flight. A joiner blocks in [`SimCache::wait`]
-//! until then. Dropping a [`Lead`] unpublished abandons its flight, so
-//! a panicking leader never strands its waiters. A [`Lead`] owns its
-//! cache handle, so it can travel with queued work to another thread.
+//! [`SimCache`] is the workspace's one single-flight. The non-blocking
+//! [`SimCache::claim`] answers a key with a resident report
+//! ([`Claim::Hit`]), another caller's flight ([`Claim::Join`]) or
+//! leadership ([`Claim::Lead`]). [`Lead::publish`] stores a finite `Ok`
+//! report, deregisters the key and moves the whole result, errors
+//! included, into the flight that [`SimCache::wait`] blocks on. A
+//! [`Lead`] dropped unpublished abandons its flight, so a panicking
+//! leader never strands its waiters. Each caller keeps its own policy:
+//! a [`CachedSim`] single analysis bills a joined cacheable report as a
+//! cache hit plus an informational [`CostLedger::record_coalesced_wait`]
+//! (it never paid for a simulation) and otherwise runs its own
+//! analysis, so progress is guaranteed; a [`CachedSim`] batch forwards
+//! its joins to the inner batch with its leads, so duplicates within
+//! one batch simulate once per occurrence; the server's engine shares
+//! joined failures too.
 //!
-//! Each caller keeps its own policy for what a flight hands back:
+//! **A caller publishes every lead it holds before it waits on any
+//! flight**: a single analysis waits holding no lead and a batch never
+//! waits, so no two callers deadlock. Hence one stacking rule: a
+//! `CachedSim` must not wrap a backend that claims keys in its own
+//! cache under its salt (the server's `EngineBackend` over the engine's
+//! cache), since the inner request would join the wrapper's own flight.
 //!
-//! - [`CachedSim`]'s single-analysis path bills a joined cacheable
-//!   report as a cache hit (plus an informational
-//!   [`CostLedger::record_coalesced_wait`]) — it never paid for a
-//!   simulation, so it must not be billed for one. After a failed,
-//!   uncacheable or abandoned leader it runs its own inner analysis
-//!   rather than re-queueing, so progress is always guaranteed.
-//! - [`CachedSim`]'s batch path never waits: it forwards leads and
-//!   joins alike to the inner batch, then publishes its leads.
-//!   Duplicates inside one batch therefore simulate once per
-//!   occurrence, like the serial loop.
-//! - The design server's engine shares a joined result as it is,
-//!   failures included, and its waiters compute an abandoned item
-//!   themselves.
-//!
-//! One rule keeps this deadlock-free: **a caller publishes every lead
-//! it holds before it waits on any flight.** A single analysis waits
-//! holding no lead, and a batch never waits. The rule forbids one
-//! stacking: a `CachedSim` must not wrap a backend that claims keys in
-//! the same cache with the same salt (such as the server's engine over
-//! its own cache), since the inner request would join the wrapper's
-//! own flight.
-//!
-//! [`CacheStats`] count a hit per [`Claim::Hit`] and a miss per
-//! [`Claim::Lead`]; a `CachedSim` join that yields a cacheable report
-//! counts as `coalesced`, and any other `CachedSim` join as a miss.
-//! Coalescing changes no report value and no aggregate count of inner
-//! analyses; like miss billing in general, *which* session records the
-//! miss versus the coalesced hit depends on cross-session timing (see
-//! "Sharing across sessions" above).
+//! [`CacheStats`] count a hit per hit claim and a miss per lead; a
+//! `CachedSim` join counts as `coalesced` when it yields a cacheable
+//! report and as a miss otherwise. Coalescing changes no report value
+//! and no aggregate count of inner analyses; like miss billing in
+//! general, *which* session records the miss versus the coalesced hit
+//! depends on cross-session timing (see "Sharing across sessions"
+//! above).
 //!
 //! # Persistence
 //!
@@ -577,8 +565,9 @@ impl SimCache {
     /// Inserts `result` only when it is a finite `Ok` report: errors and
     /// poisoned (NaN/∞) metrics always re-run on the real backend.
     pub fn store(&self, key: NetlistFingerprint, result: &Result<AnalysisReport>) {
-        if let Some(report) = cacheable(result) {
-            self.insert(key, report);
+        match result {
+            Ok(report) if report.performance.is_finite() => self.insert(key, report.clone()),
+            _ => {}
         }
     }
 }
@@ -679,15 +668,6 @@ impl<B: SimBackend> CachedSim<B> {
                 result
             }
         }
-    }
-}
-
-/// The cacheable payload of a result: only finite `Ok` reports — errors
-/// and poisoned (NaN/∞) metrics must re-run on the real backend.
-fn cacheable(result: &Result<AnalysisReport>) -> Option<AnalysisReport> {
-    match result {
-        Ok(report) if report.performance.is_finite() => Some(report.clone()),
-        _ => None,
     }
 }
 

@@ -48,9 +48,8 @@ pub struct AnalysisReport {
 }
 
 /// The pre-simulation rejection rule for a topology: one that fails to
-/// elaborate is `BadNetlist(<elaboration message>)`. Every backend
-/// applies it before billing, so single-candidate calls never bill a
-/// rejected topology (batch calls bill every candidate up front).
+/// elaborate is `BadNetlist(<elaboration message>)`. [`admit_topology`]
+/// applies it before billing.
 ///
 /// # Errors
 ///
@@ -61,8 +60,9 @@ pub fn elaborate_for_analysis(topo: &Topology) -> Result<Netlist> {
 }
 
 /// The pre-simulation rejection rule for a flat netlist: one without a
-/// `CL` element is `BadNetlist("netlist has no CL load element")` and is
-/// never billed. Returns the load capacitance the FoM is rated against.
+/// `CL` element is `BadNetlist("netlist has no CL load element")`
+/// ([`admit_netlist`] applies it before billing). Returns the load
+/// capacitance the FoM is rated against.
 ///
 /// # Errors
 ///
@@ -74,10 +74,9 @@ pub fn load_capacitance(netlist: &Netlist) -> Result<f64> {
         .ok_or_else(|| SimError::BadNetlist("netlist has no CL load element".into()))
 }
 
-/// The testbed billing rule for one topology: one that fails
-/// [`elaborate_for_analysis`] is rejected unbilled; any other bills one
-/// simulation to `ledger` before compute. Every testbed backend
-/// applies it to single-candidate calls, so all of them bill alike.
+/// The billing rule every testbed backend applies to one topology: one
+/// that fails [`elaborate_for_analysis`] is rejected unbilled; any other
+/// bills one simulation to `ledger` before compute.
 ///
 /// # Errors
 ///
@@ -88,9 +87,8 @@ pub fn admit_topology(ledger: &mut CostLedger, topo: &Topology) -> Result<Netlis
     Ok(netlist)
 }
 
-/// [`admit_topology`] for a flat netlist: one that fails
-/// [`load_capacitance`] is rejected unbilled; any other bills one
-/// simulation. Returns the load capacitance.
+/// [`admit_topology`] for a flat netlist, with [`load_capacitance`] as
+/// the rejection rule. Returns the load capacitance.
 ///
 /// # Errors
 ///
@@ -101,9 +99,8 @@ pub fn admit_netlist(ledger: &mut CostLedger, netlist: &Netlist) -> Result<f64> 
     Ok(cl)
 }
 
-/// The testbed billing rule for a batch: every one of its `candidates`
-/// bills one simulation up front, however it later fares (what the
-/// serial loop bills, in deterministic order), plus the informational
+/// The billing rule for a batch: each of its `candidates` bills one
+/// simulation up front, however it fares, plus the informational
 /// `batched_solves` counter.
 pub fn bill_batch(ledger: &mut CostLedger, candidates: usize) {
     for _ in 0..candidates {
