@@ -81,6 +81,19 @@ fn rate<F: FnMut()>(reps: usize, events_per_rep: usize, mut routine: F) -> f64 {
     (reps * events_per_rep) as f64 / secs.max(1e-12)
 }
 
+/// [`rate`] over as many repetitions as fill at least `min_secs`.
+fn rate_for<F: FnMut()>(min_secs: f64, events_per_rep: usize, mut routine: F) -> f64 {
+    // Warm-up, not measured.
+    routine();
+    let start = Instant::now();
+    let mut reps = 0;
+    while reps == 0 || start.elapsed().as_secs_f64() < min_secs {
+        routine();
+        reps += 1;
+    }
+    (reps * events_per_rep) as f64 / start.elapsed().as_secs_f64()
+}
+
 fn main() {
     let divisor = if quick_mode() { 4 } else { 1 };
     let reps: usize = (arg_or("--reps", 40usize) / divisor).max(1);
@@ -781,14 +794,14 @@ fn main() {
     );
     let corner_symbolic_shared = true;
 
-    // The legs run in five alternating pairs and the row reports the
-    // pair with the median ratio: one pair of short legs swings with
-    // CPU steal on a shared host, so a single ratio is not comparable
+    // Each leg runs for at least half a second, the legs alternate in
+    // five pairs, and the row reports the pair with the median ratio:
+    // a 70 ms engine leg swung the ratio between 10× and 20× with CPU
+    // steal on a shared host, so one short pair is not comparable
     // between runs.
-    let corner_reps = (reps / 8).max(2);
     let mut corner_pairs: Vec<(f64, f64)> = (0..5)
         .map(|_| {
-            let naive = rate(corner_reps, corner_count, || {
+            let naive = rate_for(0.5, corner_count, || {
                 for corner in &corner_points {
                     let scaled = corner.apply(&corner_netlist);
                     black_box(
@@ -798,7 +811,7 @@ fn main() {
                     );
                 }
             });
-            let engine = rate(corner_reps, corner_count, || {
+            let engine = rate_for(0.5, corner_count, || {
                 black_box(artisan_sim::corners::evaluate_grid_with_pool(
                     &corner_config,
                     &corner_netlist,

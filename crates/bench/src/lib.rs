@@ -12,7 +12,7 @@ pub mod netgen;
 /// The value of `--flag value` among the process arguments, parsed as
 /// a `T`; `default` when the flag is absent. A flag whose value is
 /// missing or does not parse exits with status 2 and a message naming
-/// the flag (see [`parse_flag`]).
+/// the flag.
 ///
 /// # Example
 ///
@@ -37,11 +37,7 @@ pub fn arg_or<T: std::str::FromStr>(flag: &str, default: T) -> T {
 /// # Errors
 ///
 /// A message naming the flag when its value is missing or malformed.
-pub fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
     let Some(at) = args.iter().position(|a| a == flag) else {
         return Ok(default);
     };

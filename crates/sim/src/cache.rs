@@ -134,13 +134,13 @@ struct Shard {
 /// Counters describing a cache's lifetime behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups that returned a memoized report.
+    /// Reads that returned a memoized report.
     pub hits: u64,
-    /// Lookups that found nothing (each miss either led or bypassed an
-    /// in-flight computation; coalesced waits are counted separately).
+    /// Reads that found nothing: a `get` miss, a lead, or a `CachedSim`
+    /// join that received no cacheable report.
     pub misses: u64,
-    /// Lookups that blocked on another session's in-flight analysis of
-    /// the same key and received its report — single-flight coalescing.
+    /// `CachedSim` joins that received another caller's cacheable
+    /// report — single-flight coalescing.
     pub coalesced: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
