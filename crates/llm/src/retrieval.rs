@@ -4,6 +4,9 @@
 //! answering a prompter question reduces to retrieving the best-matching
 //! training question and emitting (a perturbed copy of) its answer.
 //!
+//! The index is inverted: each term keeps its postings, the (document,
+//! normalized weight) pairs of the documents that contain it, in
+//! document order. A query touches only the postings of its own terms.
 //! Every floating-point sum runs in sorted term order, never in hash-map
 //! iteration order, so identical queries score bit-identically across
 //! calls, index builds and processes.
@@ -35,20 +38,13 @@ pub struct Hit {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfIndex {
-    /// Raw term-frequency vectors per document.
-    docs: Vec<HashMap<String, f64>>,
-    /// Document frequency per term.
-    df: HashMap<String, usize>,
-    /// Normalized tf-idf vectors (built by `finalize`).
-    vectors: Vec<HashMap<String, f64>>,
+    /// Postings per term, in document order: the raw term frequency
+    /// until `finalize`, the normalized tf-idf weight after it. A term's
+    /// document frequency is the length of its list.
+    postings: HashMap<String, Vec<(usize, f64)>>,
+    /// Number of documents added.
+    docs: usize,
     finalized: bool,
-}
-
-/// Euclidean norm of a term vector, summed in sorted term order.
-fn norm(v: &HashMap<String, f64>) -> f64 {
-    let mut terms: Vec<(&String, &f64)> = v.iter().collect();
-    terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    terms.iter().map(|(_, &x)| x * x).sum::<f64>().sqrt()
 }
 
 fn tokenize(text: &str) -> Vec<String> {
@@ -76,6 +72,11 @@ fn stem(word: &str) -> String {
     w.to_string()
 }
 
+/// Inverse document frequency of a term found in `df` of `n` documents.
+fn idf(n: f64, df: usize) -> f64 {
+    ((n + 1.0) / (df as f64 + 1.0)).ln() + 1.0
+}
+
 impl TfIdfIndex {
     /// An empty index.
     pub fn new() -> Self {
@@ -93,86 +94,92 @@ impl TfIdfIndex {
         for w in tokenize(text) {
             *tf.entry(w).or_insert(0.0) += 1.0;
         }
-        for term in tf.keys() {
-            *self.df.entry(term.clone()).or_insert(0) += 1;
+        let doc_id = self.docs;
+        for (term, freq) in tf {
+            self.postings.entry(term).or_default().push((doc_id, freq));
         }
-        self.docs.push(tf);
-        self.docs.len() - 1
+        self.docs += 1;
+        doc_id
     }
 
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.docs
     }
 
     /// True when no documents have been added.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.docs == 0
     }
 
-    /// Builds the normalized tf-idf vectors. Must be called once after
-    /// all documents are added and before queries.
+    /// Turns the term frequencies into normalized tf-idf weights. Must be
+    /// called once after all documents are added and before queries.
+    ///
+    /// Each document's norm sums its squared weights in sorted term
+    /// order, starting from −0.0 as `Iterator::sum` does.
     pub fn finalize(&mut self) {
-        let n = self.docs.len() as f64;
-        self.vectors = self
-            .docs
-            .iter()
-            .map(|tf| {
-                let mut v: HashMap<String, f64> = tf
-                    .iter()
-                    .map(|(term, &freq)| {
-                        let df = self.df[term] as f64;
-                        let idf = ((n + 1.0) / (df + 1.0)).ln() + 1.0;
-                        (term.clone(), (1.0 + freq.ln()) * idf)
-                    })
-                    .collect();
-                let norm = norm(&v);
+        let n = self.docs as f64;
+        let mut terms: Vec<(&String, &mut Vec<(usize, f64)>)> = self.postings.iter_mut().collect();
+        terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut sq_norms = vec![-0.0; self.docs];
+        for (_, list) in &mut terms {
+            let idf = idf(n, list.len());
+            for (doc, w) in list.iter_mut() {
+                *w = (1.0 + w.ln()) * idf;
+                sq_norms[*doc] += *w * *w;
+            }
+        }
+        for (_, list) in terms {
+            for (doc, w) in list.iter_mut() {
+                let norm = sq_norms[*doc].sqrt();
                 if norm > 0.0 {
-                    for x in v.values_mut() {
-                        *x /= norm;
-                    }
+                    *w /= norm;
                 }
-                v
-            })
-            .collect();
+            }
+        }
         self.finalized = true;
     }
 
     /// Returns the top-`k` documents by cosine similarity to the query.
+    ///
+    /// Each document's dot product adds the query's terms in sorted
+    /// order, starting from −0.0, so its score has the bits of a
+    /// `sum()` over that document's matching terms.
     ///
     /// # Panics
     ///
     /// Panics if the index has not been finalized.
     pub fn query(&self, text: &str, k: usize) -> Vec<Hit> {
         assert!(self.finalized, "finalize the index before querying");
-        let n = self.docs.len() as f64;
+        let n = self.docs as f64;
         let mut q: BTreeMap<String, f64> = BTreeMap::new();
         for w in tokenize(text) {
             *q.entry(w).or_insert(0.0) += 1.0;
         }
-        for (term, x) in q.iter_mut() {
-            let df = self.df.get(term).copied().unwrap_or(0) as f64;
-            let idf = ((n + 1.0) / (df + 1.0)).ln() + 1.0;
-            *x = (1.0 + x.ln()) * idf;
-        }
-        let qnorm = q.values().map(|x| x * x).sum::<f64>().sqrt();
+        let terms: Vec<(f64, &[(usize, f64)])> = q
+            .iter()
+            .map(|(term, &count)| {
+                let list = self.postings.get(term).map_or(&[][..], Vec::as_slice);
+                ((1.0 + count.ln()) * idf(n, list.len()), list)
+            })
+            .collect();
+        let qnorm = terms.iter().map(|(x, _)| x * x).sum::<f64>().sqrt();
         if qnorm == 0.0 {
             return Vec::new();
         }
 
-        let mut hits: Vec<Hit> = self
-            .vectors
-            .iter()
+        let mut dots = vec![-0.0; self.docs];
+        for (x, list) in terms {
+            for &(doc, y) in list {
+                dots[doc] += x * y;
+            }
+        }
+        let mut hits: Vec<Hit> = dots
+            .into_iter()
             .enumerate()
-            .map(|(doc_id, v)| {
-                let dot: f64 = q
-                    .iter()
-                    .filter_map(|(term, &x)| v.get(term).map(|&y| x * y))
-                    .sum();
-                Hit {
-                    doc_id,
-                    score: dot / qnorm,
-                }
+            .map(|(doc_id, dot)| Hit {
+                doc_id,
+                score: dot / qnorm,
             })
             .filter(|h| h.score > 0.0)
             .collect();
@@ -185,6 +192,221 @@ impl TfIdfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The full-scan scorer the inverted index replaced, kept as the
+    /// oracle: one normalized term vector per document, and a query
+    /// probes every vector once per query term.
+    struct FullScan {
+        df: HashMap<String, usize>,
+        vectors: Vec<HashMap<String, f64>>,
+    }
+
+    /// Euclidean norm of a term vector, summed in sorted term order.
+    fn norm(v: &HashMap<String, f64>) -> f64 {
+        let mut terms: Vec<(&String, &f64)> = v.iter().collect();
+        terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        terms.iter().map(|(_, &x)| x * x).sum::<f64>().sqrt()
+    }
+
+    impl FullScan {
+        fn new(texts: &[String]) -> Self {
+            let docs: Vec<HashMap<String, f64>> = texts
+                .iter()
+                .map(|text| {
+                    let mut tf: HashMap<String, f64> = HashMap::new();
+                    for w in tokenize(text) {
+                        *tf.entry(w).or_insert(0.0) += 1.0;
+                    }
+                    tf
+                })
+                .collect();
+            let mut df: HashMap<String, usize> = HashMap::new();
+            for term in docs.iter().flat_map(HashMap::keys) {
+                *df.entry(term.clone()).or_insert(0) += 1;
+            }
+            let n = docs.len() as f64;
+            let vectors = docs
+                .iter()
+                .map(|tf| {
+                    let mut v: HashMap<String, f64> = tf
+                        .iter()
+                        .map(|(term, &freq)| {
+                            let df = df[term] as f64;
+                            let idf = ((n + 1.0) / (df + 1.0)).ln() + 1.0;
+                            (term.clone(), (1.0 + freq.ln()) * idf)
+                        })
+                        .collect();
+                    let norm = norm(&v);
+                    if norm > 0.0 {
+                        for x in v.values_mut() {
+                            *x /= norm;
+                        }
+                    }
+                    v
+                })
+                .collect();
+            FullScan { df, vectors }
+        }
+
+        fn query(&self, text: &str, k: usize) -> Vec<Hit> {
+            let n = self.vectors.len() as f64;
+            let mut q: BTreeMap<String, f64> = BTreeMap::new();
+            for w in tokenize(text) {
+                *q.entry(w).or_insert(0.0) += 1.0;
+            }
+            for (term, x) in q.iter_mut() {
+                let df = self.df.get(term).copied().unwrap_or(0) as f64;
+                let idf = ((n + 1.0) / (df + 1.0)).ln() + 1.0;
+                *x = (1.0 + x.ln()) * idf;
+            }
+            let qnorm = q.values().map(|x| x * x).sum::<f64>().sqrt();
+            if qnorm == 0.0 {
+                return Vec::new();
+            }
+            let mut hits: Vec<Hit> = self
+                .vectors
+                .iter()
+                .enumerate()
+                .map(|(doc_id, v)| {
+                    let dot: f64 = q
+                        .iter()
+                        .filter_map(|(term, &x)| v.get(term).map(|&y| x * y))
+                        .sum();
+                    Hit {
+                        doc_id,
+                        score: dot / qnorm,
+                    }
+                })
+                .filter(|h| h.score > 0.0)
+                .collect();
+            hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc_id.cmp(&b.doc_id)));
+            hits.truncate(k);
+            hits
+        }
+    }
+
+    fn hit_bits(hits: &[Hit]) -> Vec<(usize, u64)> {
+        hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+    }
+
+    /// Stems, short words the stemmer leaves alone, and a non-ASCII one.
+    const STEMS: [&str; 14] = [
+        "pole",
+        "gain",
+        "miller",
+        "compensat",
+        "stag",
+        "load",
+        "bias",
+        "allocat",
+        "driv",
+        "zero",
+        "damp",
+        "cap",
+        "µamp",
+        "node",
+    ];
+    const SUFFIXES: [&str; 6] = ["", "s", "ed", "ing", "ation", "ations"];
+    const SHORT: [&str; 5] = ["a", "of", "is", "bus", "as"];
+    const SEPARATORS: [&str; 8] = [" ", ", ", "-", "! ", " (", ") ", "\t", "/"];
+
+    /// One word of the test vocabulary, in random case.
+    fn word(rng: &mut StdRng) -> String {
+        let w = if rng.gen_bool(0.15) {
+            SHORT[rng.gen_range(0..SHORT.len())].to_string()
+        } else {
+            let stem = STEMS[rng.gen_range(0..STEMS.len())];
+            format!("{stem}{}", SUFFIXES[rng.gen_range(0..SUFFIXES.len())])
+        };
+        match rng.gen_range(0..4) {
+            0 => w.to_uppercase(),
+            1 => w
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i == 0 { c.to_ascii_uppercase() } else { c })
+                .collect(),
+            _ => w,
+        }
+    }
+
+    /// Joins words with random punctuation.
+    fn text(rng: &mut StdRng, words: &[String]) -> String {
+        let mut out = String::new();
+        for w in words {
+            out.push_str(SEPARATORS[rng.gen_range(0..SEPARATORS.len())]);
+            out.push_str(w);
+        }
+        out
+    }
+
+    /// A document of 0–16 words, some of them repeated.
+    fn document(rng: &mut StdRng) -> String {
+        let mut words: Vec<String> = (0..rng.gen_range(0..=16)).map(|_| word(rng)).collect();
+        for _ in 0..rng.gen_range(0..4) {
+            if let Some(w) = words.first().cloned() {
+                words.push(w);
+            }
+        }
+        text(rng, &words)
+    }
+
+    /// A query mixing indexed, unseen and repeated terms.
+    fn query_text(rng: &mut StdRng, corpus: &[String]) -> String {
+        let mut words: Vec<String> = Vec::new();
+        for _ in 0..rng.gen_range(1..=12) {
+            match rng.gen_range(0..6) {
+                0 => words.push(format!("unseen{}", rng.gen_range(0..5))),
+                1 => {
+                    if let Some(w) = words.last().cloned() {
+                        words.push(w);
+                    }
+                }
+                2 => {
+                    let doc = &corpus[rng.gen_range(0..corpus.len())];
+                    words.extend(tokenize(doc).into_iter().take(rng.gen_range(0..8)));
+                }
+                _ => words.push(word(rng)),
+            }
+        }
+        text(rng, &words)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The inverted index returns what the full scan returns: the
+        /// same documents in the same order, and every score bit for
+        /// bit.
+        #[test]
+        fn index_matches_the_full_scan_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let corpus: Vec<String> = (0..rng.gen_range(1..=80)).map(|_| document(&mut rng)).collect();
+            let mut idx = TfIdfIndex::new();
+            for doc in &corpus {
+                idx.add_document(doc);
+            }
+            idx.finalize();
+            let oracle = FullScan::new(&corpus);
+            let n = corpus.len();
+            prop_assert_eq!(idx.len(), n);
+
+            let mut queries: Vec<String> = vec![String::new(), "?! ,-- ()".to_string()];
+            queries.push(corpus[rng.gen_range(0..n)].clone());
+            queries.extend((0..8).map(|_| query_text(&mut rng, &corpus)));
+            for query in &queries {
+                for k in [0, 1, 5, n + 3] {
+                    let want = oracle.query(query, k);
+                    let got = idx.query(query, k);
+                    prop_assert_eq!(hit_bits(&got), hit_bits(&want), "query {:?}, k {}", query, k);
+                }
+            }
+            prop_assert!(idx.query("", n).is_empty());
+            prop_assert!(idx.query("?! ,-- ()", n).is_empty());
+        }
+    }
 
     fn sample_index() -> TfIdfIndex {
         let mut idx = TfIdfIndex::new();
