@@ -94,6 +94,28 @@ fn rate_for<F: FnMut()>(min_secs: f64, events_per_rep: usize, mut routine: F) ->
     (reps * events_per_rep) as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Rates of a baseline leg and a contender leg for a ratio row. Each
+/// leg runs for at least half a second, the legs alternate in five
+/// pairs, and the pair with the median contender/baseline ratio is
+/// returned: on a shared host one short pair swings with CPU steal and
+/// scheduling hiccups, so it is not comparable between runs.
+fn median_pair<A: FnMut(), B: FnMut()>(
+    events_per_rep: usize,
+    mut baseline: A,
+    mut contender: B,
+) -> (f64, f64) {
+    let mut pairs: Vec<(f64, f64)> = (0..5)
+        .map(|_| {
+            (
+                rate_for(0.5, events_per_rep, &mut baseline),
+                rate_for(0.5, events_per_rep, &mut contender),
+            )
+        })
+        .collect();
+    pairs.sort_by(|(b1, c1), (b2, c2)| (c1 / b1).total_cmp(&(c2 / b2)));
+    pairs[2]
+}
+
 fn main() {
     let divisor = if quick_mode() { 4 } else { 1 };
     let reps: usize = (arg_or("--reps", 40usize) / divisor).max(1);
@@ -473,8 +495,9 @@ fn main() {
     // Solve throughput (assemble + factor + solve per point, reused
     // workspace) forced dense vs forced sparse on the behavioural gain
     // ladders, at dimensions below, at, and far above the crossover.
-    // Repetitions shrink with dimension so the dense O(dim³) reference
-    // legs stay bounded.
+    // Legs are timed by `median_pair`: a fixed repetition count made the
+    // dim-200 sparse leg one sub-millisecond sweep, and one hiccup in it
+    // failed the ≥5× assert.
     let sparse_cfg = SweepConfig {
         f_start: 1.0,
         f_stop: 1e8,
@@ -504,27 +527,29 @@ fn main() {
                     );
                 }
             }
-            let leg_reps = (reps * 8 / dim.max(8)).max(1);
             let mut wd = dense_sys.workspace();
-            let dense_rate = rate(leg_reps, sparse_freqs.len(), || {
-                for &f in &sparse_freqs {
-                    black_box(
-                        dense_sys
-                            .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wd)
-                            .expect("solves"),
-                    );
-                }
-            });
             let mut wsp = sparse_sys.workspace();
-            let sparse_rate = rate(leg_reps, sparse_freqs.len(), || {
-                for &f in &sparse_freqs {
-                    black_box(
-                        sparse_sys
-                            .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wsp)
-                            .expect("solves"),
-                    );
-                }
-            });
+            let (dense_rate, sparse_rate) = median_pair(
+                sparse_freqs.len(),
+                || {
+                    for &f in &sparse_freqs {
+                        black_box(
+                            dense_sys
+                                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wd)
+                                .expect("solves"),
+                        );
+                    }
+                },
+                || {
+                    for &f in &sparse_freqs {
+                        black_box(
+                            sparse_sys
+                                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wsp)
+                                .expect("solves"),
+                        );
+                    }
+                },
+            );
             let auto_sparse = MnaSystem::new(&ladder).expect("auto builds").is_sparse();
             (dim, dense_rate, sparse_rate, auto_sparse)
         })
@@ -794,39 +819,32 @@ fn main() {
     );
     let corner_symbolic_shared = true;
 
-    // Each leg runs for at least half a second, the legs alternate in
-    // five pairs, and the row reports the pair with the median ratio:
-    // a 70 ms engine leg swung the ratio between 10× and 20× with CPU
-    // steal on a shared host, so one short pair is not comparable
-    // between runs.
-    let mut corner_pairs: Vec<(f64, f64)> = (0..5)
-        .map(|_| {
-            let naive = rate_for(0.5, corner_count, || {
-                for corner in &corner_points {
-                    let scaled = corner.apply(&corner_netlist);
-                    black_box(
-                        Simulator::with_config(corner_config)
-                            .analyze_netlist(&scaled)
-                            .expect("naive corner analyzes"),
-                    );
-                }
-            });
-            let engine = rate_for(0.5, corner_count, || {
-                black_box(artisan_sim::corners::evaluate_grid_with_pool(
-                    &corner_config,
-                    &corner_netlist,
-                    corner_cl,
-                    nominal_power,
-                    &corner_grid,
-                    &corner_donor,
-                    &corner_pool,
-                ));
-            });
-            (naive, engine)
-        })
-        .collect();
-    corner_pairs.sort_by(|(n1, e1), (n2, e2)| (e1 / n1).total_cmp(&(e2 / n2)));
-    let (naive_corner_rate, engine_corner_rate) = corner_pairs[2];
+    // A 70 ms engine leg swung the ratio between 10× and 20× with CPU
+    // steal on a shared host, hence `median_pair`.
+    let (naive_corner_rate, engine_corner_rate) = median_pair(
+        corner_count,
+        || {
+            for corner in &corner_points {
+                let scaled = corner.apply(&corner_netlist);
+                black_box(
+                    Simulator::with_config(corner_config)
+                        .analyze_netlist(&scaled)
+                        .expect("naive corner analyzes"),
+                );
+            }
+        },
+        || {
+            black_box(artisan_sim::corners::evaluate_grid_with_pool(
+                &corner_config,
+                &corner_netlist,
+                corner_cl,
+                nominal_power,
+                &corner_grid,
+                &corner_donor,
+                &corner_pool,
+            ));
+        },
+    );
     let corner_speedup = engine_corner_rate / naive_corner_rate;
     // The ≥5× headline is claimed for the sparse tier (shared symbolic
     // LU); a forced-dense run still reports its measured ratio but the

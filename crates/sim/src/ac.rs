@@ -65,24 +65,36 @@ impl Default for SweepConfig {
     }
 }
 
+/// Most points a sweep grid may hold: 2²⁰, against 441 for the default
+/// grid. Larger requests are refused before anything is allocated.
+pub(crate) const MAX_SWEEP_POINTS: usize = 1 << 20;
+
 impl SweepConfig {
     /// The sweep's frequency grid.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidSweep`] unless `0 < f_start < f_stop`
-    /// with both bounds finite, so a malformed grid surfaces as a
-    /// recoverable simulation failure instead of bringing a design loop
-    /// down.
+    /// with both bounds finite and the grid holds at most 2²⁰ points,
+    /// so a malformed grid surfaces as a recoverable simulation failure
+    /// instead of bringing a design loop down or exhausting memory.
     pub fn frequencies(&self) -> Result<Vec<f64>> {
+        let invalid = || SimError::InvalidSweep {
+            f_start: self.f_start,
+            f_stop: self.f_stop,
+        };
         if !(self.f_start > 0.0 && self.f_stop > self.f_start && self.f_stop.is_finite()) {
-            return Err(SimError::InvalidSweep {
-                f_start: self.f_start,
-                f_stop: self.f_stop,
-            });
+            return Err(invalid());
         }
         let decades = (self.f_stop / self.f_start).log10();
-        let n = ((decades * self.points_per_decade as f64).ceil() as usize).max(2);
+        // Counted in f64, where a huge `points_per_decade` cannot wrap:
+        // the grid holds n + 1 points. `decades` is finite and positive
+        // here, so `n` is never NaN.
+        let n = (decades * self.points_per_decade as f64).ceil().max(2.0);
+        if n >= MAX_SWEEP_POINTS as f64 {
+            return Err(invalid());
+        }
+        let n = n as usize;
         let l0 = self.f_start.log10();
         let l1 = self.f_stop.log10();
         Ok((0..=n)
@@ -308,6 +320,44 @@ mod tests {
                 "{bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn oversized_grid_is_refused_before_allocating() {
+        // usize::MAX per decade used to panic with `capacity overflow`,
+        // and 10⁹ per decade over the default 11 decades would ask for
+        // about 88 GB.
+        for points_per_decade in [usize::MAX, 1_000_000_000] {
+            let huge = SweepConfig {
+                points_per_decade,
+                ..SweepConfig::default()
+            };
+            assert!(
+                matches!(
+                    huge.frequencies(),
+                    Err(SimError::InvalidSweep { f_start, f_stop })
+                        if f_start == huge.f_start && f_stop == huge.f_stop
+                ),
+                "{huge:?}"
+            );
+        }
+        // The cap admits exactly MAX_SWEEP_POINTS points.
+        let at_cap = SweepConfig {
+            f_start: 1.0,
+            f_stop: 10.0,
+            points_per_decade: MAX_SWEEP_POINTS - 1,
+        };
+        assert_eq!(at_cap.frequencies().unwrap().len(), MAX_SWEEP_POINTS);
+        let past_cap = SweepConfig {
+            points_per_decade: MAX_SWEEP_POINTS,
+            ..at_cap
+        };
+        assert!(past_cap.frequencies().is_err());
+        // The default grid is untouched: 11 decades at 40 per decade.
+        let grid = SweepConfig::default().frequencies().unwrap();
+        assert_eq!(grid.len(), 441);
+        assert_eq!(grid[0], 1e-2);
+        assert_eq!(grid[440], 10.0_f64.powf(9.0));
     }
 
     #[test]

@@ -127,7 +127,8 @@ pub enum SimError {
         worst_pole_re: f64,
     },
     /// The requested AC sweep grid is malformed (needs
-    /// `0 < f_start < f_stop`), so no frequency list can be built.
+    /// `0 < f_start < f_stop`, both finite) or would hold more than 2²⁰
+    /// points, so no frequency list is built.
     InvalidSweep {
         /// Requested start frequency in Hz.
         f_start: f64,
@@ -187,7 +188,8 @@ impl fmt::Display for SimError {
             SimError::InvalidSweep { f_start, f_stop } => {
                 write!(
                     f,
-                    "sweep needs 0 < f_start < f_stop, got [{f_start}, {f_stop}] Hz"
+                    "sweep needs finite 0 < f_start < f_stop and at most {} points, got [{f_start}, {f_stop}] Hz",
+                    crate::ac::MAX_SWEEP_POINTS
                 )
             }
             SimError::Math(e) => write!(f, "numerical failure: {e}"),
