@@ -9,9 +9,11 @@
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
 //!
-//! `--quick` cuts the repetition budget 4× for CI smoke runs. The
-//! multithreaded speedups are only meaningful on a multi-core host, so
-//! the report records the host's `available_parallelism` alongside.
+//! `--quick` cuts the repetition budget 4× for CI smoke runs; the
+//! dense/sparse and corner ratio rows are timed legs of at least 0.5 s
+//! in either mode. The multithreaded speedups are only meaningful on a
+//! multi-core host, so the report records the host's
+//! `available_parallelism` alongside.
 
 // Experiment driver: aborting on a failed setup step is the idiom here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]

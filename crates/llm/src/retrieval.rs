@@ -22,6 +22,10 @@ pub struct Hit {
     pub score: f64,
 }
 
+/// One entry of a term's postings list: a document id and the term's
+/// weight in that document.
+type Posting = (usize, f64);
+
 /// A TF-IDF index over word-tokenized documents.
 ///
 /// # Example
@@ -41,7 +45,7 @@ pub struct TfIdfIndex {
     /// Postings per term, in document order: the raw term frequency
     /// until `finalize`, the normalized tf-idf weight after it. A term's
     /// document frequency is the length of its list.
-    postings: HashMap<String, Vec<(usize, f64)>>,
+    postings: HashMap<String, Vec<Posting>>,
     /// Number of documents added.
     docs: usize,
     finalized: bool,
@@ -119,7 +123,7 @@ impl TfIdfIndex {
     /// order, starting from −0.0 as `Iterator::sum` does.
     pub fn finalize(&mut self) {
         let n = self.docs as f64;
-        let mut terms: Vec<(&String, &mut Vec<(usize, f64)>)> = self.postings.iter_mut().collect();
+        let mut terms: Vec<(&String, &mut Vec<Posting>)> = self.postings.iter_mut().collect();
         terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut sq_norms = vec![-0.0; self.docs];
         for (_, list) in &mut terms {
@@ -129,11 +133,11 @@ impl TfIdfIndex {
                 sq_norms[*doc] += *w * *w;
             }
         }
+        let norms: Vec<f64> = sq_norms.into_iter().map(f64::sqrt).collect();
         for (_, list) in terms {
             for (doc, w) in list.iter_mut() {
-                let norm = sq_norms[*doc].sqrt();
-                if norm > 0.0 {
-                    *w /= norm;
+                if norms[*doc] > 0.0 {
+                    *w /= norms[*doc];
                 }
             }
         }
@@ -152,37 +156,39 @@ impl TfIdfIndex {
     pub fn query(&self, text: &str, k: usize) -> Vec<Hit> {
         assert!(self.finalized, "finalize the index before querying");
         let n = self.docs as f64;
-        let mut q: BTreeMap<String, f64> = BTreeMap::new();
+        // Each distinct query term with its weight and its postings.
+        let mut q: BTreeMap<String, (f64, &[Posting])> = BTreeMap::new();
         for w in tokenize(text) {
-            *q.entry(w).or_insert(0.0) += 1.0;
+            q.entry(w)
+                .or_insert_with_key(|term| {
+                    let list = self.postings.get(term).map_or(&[][..], Vec::as_slice);
+                    (0.0, list)
+                })
+                .0 += 1.0;
         }
-        let terms: Vec<(f64, &[(usize, f64)])> = q
-            .iter()
-            .map(|(term, &count)| {
-                let list = self.postings.get(term).map_or(&[][..], Vec::as_slice);
-                ((1.0 + count.ln()) * idf(n, list.len()), list)
-            })
-            .collect();
-        let qnorm = terms.iter().map(|(x, _)| x * x).sum::<f64>().sqrt();
+        for (x, list) in q.values_mut() {
+            *x = (1.0 + x.ln()) * idf(n, list.len());
+        }
+        let qnorm = q.values().map(|(x, _)| x * x).sum::<f64>().sqrt();
         if qnorm == 0.0 {
             return Vec::new();
         }
 
-        let mut dots = vec![-0.0; self.docs];
-        for (x, list) in terms {
-            for &(doc, y) in list {
-                dots[doc] += x * y;
+        let mut hits: Vec<Hit> = (0..self.docs)
+            .map(|doc_id| Hit {
+                doc_id,
+                score: -0.0,
+            })
+            .collect();
+        for (x, list) in q.values() {
+            for &(doc, y) in *list {
+                hits[doc].score += x * y;
             }
         }
-        let mut hits: Vec<Hit> = dots
-            .into_iter()
-            .enumerate()
-            .map(|(doc_id, dot)| Hit {
-                doc_id,
-                score: dot / qnorm,
-            })
-            .filter(|h| h.score > 0.0)
-            .collect();
+        for h in &mut hits {
+            h.score /= qnorm;
+        }
+        hits.retain(|h| h.score > 0.0);
         hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc_id.cmp(&b.doc_id)));
         hits.truncate(k);
         hits
