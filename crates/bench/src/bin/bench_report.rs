@@ -497,9 +497,6 @@ fn main() {
     // Solve throughput (assemble + factor + solve per point, reused
     // workspace) forced dense vs forced sparse on the behavioural gain
     // ladders, at dimensions below, at, and far above the crossover.
-    // Legs are timed by `median_pair`: a fixed repetition count made the
-    // dim-200 sparse leg one sub-millisecond sweep, and one hiccup in it
-    // failed the ≥5× assert.
     let sparse_cfg = SweepConfig {
         f_start: 1.0,
         f_stop: 1e8,
@@ -821,8 +818,6 @@ fn main() {
     );
     let corner_symbolic_shared = true;
 
-    // A 70 ms engine leg swung the ratio between 10× and 20× with CPU
-    // steal on a shared host, hence `median_pair`.
     let (naive_corner_rate, engine_corner_rate) = median_pair(
         corner_count,
         || {

@@ -5,8 +5,7 @@
 //! without changing the RNG stream would pass it unseen. These FNV-1a
 //! hashes of whole chat transcripts catch that: a trained agent at the
 //! paper's retrieval temperature (0.5) designs every Table 2 group at
-//! four seeds, and each transcript must hash to the value recorded
-//! before the TF-IDF index was rebuilt around postings lists.
+//! four seeds, and each transcript must hash to its recorded value.
 
 use artisan_agents::AgentConfig;
 use artisan_core::{Artisan, ArtisanOptions};

@@ -324,9 +324,8 @@ mod tests {
 
     #[test]
     fn oversized_grid_is_refused_before_allocating() {
-        // usize::MAX per decade used to panic with `capacity overflow`,
-        // and 10⁹ per decade over the default 11 decades would ask for
-        // about 88 GB.
+        // usize::MAX per decade overflows a usize point count, and 10⁹
+        // per decade over the default 11 decades asks for about 88 GB.
         for points_per_decade in [usize::MAX, 1_000_000_000] {
             let huge = SweepConfig {
                 points_per_decade,
