@@ -31,7 +31,7 @@ pub struct AgentConfig {
     /// When true, the Q0 architecture decision simulates the buildable
     /// sibling candidates through [`SimBackend::analyze_batch`] and
     /// picks the one missing the fewest spec constraints
-    /// ([`crate::TotTrace::decide_architecture_scored`]). Bills two
+    /// ([`crate::tot::TotTrace::decide_architecture_scored`]). Bills two
     /// extra simulations per attempt, so it is opt-in: supervisors
     /// project worst-case attempt cost from this flag.
     pub score_architectures: bool,

@@ -17,7 +17,7 @@
 //! - [`prompter`] — Artisan-Prompter: generates question `Q_{i+1}` from
 //!   answer `A_i` (Eq. 4) on the Fig. 4 schedule,
 //! - [`artisan_llm`] — the answering agent: retrieval-grounded rationale
-//!   from the trained [`artisan_llm::DomainLm`] plus noisy numerical
+//!   from the trained [`DomainLm`](::artisan_llm::DomainLm) plus noisy numerical
 //!   design (Eq. 3),
 //! - [`dialogue`] — chat transcripts in the style of Fig. 7,
 //! - [`flow`] — the full design loop: ToT → CoT → simulate → modify.

@@ -1,14 +1,13 @@
 //! The simulation engine's kernels: cached G/C-split assembly,
 //! workspace-reusing solves, the sequential AC sweep, the batched
-//! candidate fan-out vs the serial analysis loop, the dense/sparse
-//! crossover, and the content-addressed cache (miss vs hit).
+//! candidate fan-out vs the serial analysis loop, and the
+//! content-addressed cache (miss vs hit).
 
-use artisan_bench::netgen;
 use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
 use artisan_math::{Complex64, ThreadPool};
 use artisan_sim::ac::{sweep, SweepConfig};
-use artisan_sim::mna::{MnaMode, MnaSystem};
+use artisan_sim::mna::MnaSystem;
 use artisan_sim::{CachedSim, SimBackend, SimCache, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -90,37 +89,6 @@ fn bench_batch_workers(c: &mut Criterion) {
     }
 }
 
-/// The sparse MNA tier on the netgen gain ladders: forced dense vs
-/// forced sparse per-point solves across the dense/sparse crossover
-/// (dim 8 stays dense territory; 50 and 120 are where the CSR +
-/// symbolic-LU path pays).
-fn bench_sparse_crossover(c: &mut Criterion) {
-    let freqs = SweepConfig {
-        f_start: 1.0,
-        f_stop: 1e8,
-        points_per_decade: 8,
-    }
-    .frequencies()
-    .expect("grid");
-    for dim in [8usize, 50, 120] {
-        let ladder = netgen::ladder(dim);
-        for (label, mode) in [("dense", MnaMode::Dense), ("sparse", MnaMode::Sparse)] {
-            let sys = MnaSystem::with_mode(&ladder, mode).expect("builds");
-            let mut ws = sys.workspace();
-            c.bench_function(&format!("sparse_crossover/dim_{dim}/{label}"), |b| {
-                b.iter(|| {
-                    for &f in &freqs {
-                        black_box(
-                            sys.transfer_with(Complex64::jomega(2.0 * PI * f), &mut ws)
-                                .expect("solves"),
-                        );
-                    }
-                })
-            });
-        }
-    }
-}
-
 /// The content-addressed cache: a full analysis (miss) vs a memoized
 /// hand-back (hit) of the identical topology.
 fn bench_sim_cache(c: &mut Criterion) {
@@ -177,7 +145,6 @@ criterion_group!(
     bench_solve,
     bench_sweep,
     bench_batch_workers,
-    bench_sparse_crossover,
     bench_sim_cache,
     bench_snapshot
 );

@@ -1,24 +1,21 @@
 //! Emits `BENCH_sim.json`: machine-readable numbers for the simulation
-//! engine — per-point assembly and solve throughput on the NMC example,
-//! candidate-batch and scheduler session throughput per worker count
-//! (each with its speedup over one worker), and the PVT corner engine's
-//! grid throughput against a naive per-corner analyze loop, with the
-//! shared-symbolic, verdict-cache, and dense/sparse agreement contracts
-//! asserted inline.
+//! engine — per-point assembly and solve throughput on the NMC example
+//! (with the zero-allocation contract of a warmed sweep asserted
+//! inline), candidate-batch and scheduler session throughput per worker
+//! count (each with its speedup over one worker), and the cache, warm
+//! start, single-flight, screening and journal contracts.
 //!
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
 //!
-//! `--quick` cuts the repetition budget 4× for CI smoke runs; the
-//! dense/sparse and corner ratio rows are timed legs of at least 0.5 s
-//! in either mode. The multithreaded speedups are only meaningful on a
-//! multi-core host, so the report records the host's
-//! `available_parallelism` alongside.
+//! `--quick` cuts the repetition budget 4× for CI smoke runs. The
+//! multithreaded speedups are only meaningful on a multi-core host, so
+//! the report records the host's `available_parallelism` alongside.
 
 // Experiment driver: aborting on a failed setup step is the idiom here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use artisan_bench::{arg_or, netgen, quick_mode};
+use artisan_bench::{arg_or, quick_mode};
 use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
 use artisan_circuit::{Netlist, Topology};
 use artisan_lint::Linter;
@@ -26,11 +23,11 @@ use artisan_math::{Complex64, ThreadPool};
 use artisan_resilience::{
     FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
 };
-use artisan_sim::ac::{self, SweepConfig};
+use artisan_sim::ac::SweepConfig;
 use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
-use artisan_sim::mna::{MnaMode, MnaSystem};
+use artisan_sim::mna::{MnaSystem, MnaWorkspace};
 use artisan_sim::{AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, Simulator, Spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Heap-allocation counter behind the zero-allocation assertion on the
-/// warmed sparse hot loop. Delegates straight to the system allocator;
+/// warmed dense sweep. Delegates straight to the system allocator;
 /// the count is a relaxed side effect.
 struct CountingAlloc;
 
@@ -83,41 +80,6 @@ fn rate<F: FnMut()>(reps: usize, events_per_rep: usize, mut routine: F) -> f64 {
     (reps * events_per_rep) as f64 / secs.max(1e-12)
 }
 
-/// [`rate`] over as many repetitions as fill at least `min_secs`.
-fn rate_for<F: FnMut()>(min_secs: f64, events_per_rep: usize, mut routine: F) -> f64 {
-    // Warm-up, not measured.
-    routine();
-    let start = Instant::now();
-    let mut reps = 0;
-    while reps == 0 || start.elapsed().as_secs_f64() < min_secs {
-        routine();
-        reps += 1;
-    }
-    (reps * events_per_rep) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Rates of a baseline leg and a contender leg for a ratio row. Each
-/// leg runs for at least half a second, the legs alternate in five
-/// pairs, and the pair with the median contender/baseline ratio is
-/// returned: on a shared host one short pair swings with CPU steal and
-/// scheduling hiccups, so it is not comparable between runs.
-fn median_pair<A: FnMut(), B: FnMut()>(
-    events_per_rep: usize,
-    mut baseline: A,
-    mut contender: B,
-) -> (f64, f64) {
-    let mut pairs: Vec<(f64, f64)> = (0..5)
-        .map(|_| {
-            (
-                rate_for(0.5, events_per_rep, &mut baseline),
-                rate_for(0.5, events_per_rep, &mut contender),
-            )
-        })
-        .collect();
-    pairs.sort_by(|(b1, c1), (b2, c2)| (c1 / b1).total_cmp(&(c2 / b2)));
-    pairs[2]
-}
-
 fn main() {
     let divisor = if quick_mode() { 4 } else { 1 };
     let reps: usize = (arg_or("--reps", 40usize) / divisor).max(1);
@@ -150,6 +112,26 @@ fn main() {
             );
         }
     });
+
+    // Zero allocations on the warmed sweep: once a workspace exists, a
+    // full pass over the grid through `transfer_with` and
+    // `determinant_with` must not touch the heap.
+    let hot_pass = |ws: &mut MnaWorkspace| {
+        for &f in &freqs {
+            let s = Complex64::jomega(2.0 * PI * f);
+            black_box(sys.transfer_with(s, ws).expect("solves"));
+            black_box(sys.determinant_with(s, ws).expect("factors"));
+        }
+    };
+    let mut hot_ws = sys.workspace();
+    hot_pass(&mut hot_ws);
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    hot_pass(&mut hot_ws);
+    let hot_loop_allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    assert_eq!(
+        hot_loop_allocations, 0,
+        "warmed dense sweep allocated {hot_loop_allocations} times"
+    );
 
     // --- scheduler batch and candidate batch, per worker count ---
     let worker_counts: Vec<usize> = {
@@ -493,141 +475,6 @@ fn main() {
     );
     let screened_out_rate = screened_out as f64 / screen_corpus.len() as f64;
 
-    // --- sparse MNA core: dense/sparse crossover on netgen ladders ---
-    // Solve throughput (assemble + factor + solve per point, reused
-    // workspace) forced dense vs forced sparse on the behavioural gain
-    // ladders, at dimensions below, at, and far above the crossover.
-    let sparse_cfg = SweepConfig {
-        f_start: 1.0,
-        f_stop: 1e8,
-        points_per_decade: 8,
-    };
-    let sparse_freqs = sparse_cfg.frequencies().expect("grid");
-    let sparse_rows: Vec<(usize, f64, f64, bool)> = netgen::CROSSOVER_DIMS
-        .iter()
-        .map(|&dim| {
-            let ladder = netgen::ladder(dim);
-            let dense_sys = MnaSystem::with_mode(&ladder, MnaMode::Dense).expect("dense builds");
-            let sparse_sys = MnaSystem::with_mode(&ladder, MnaMode::Sparse).expect("sparse builds");
-            // Agreement guard: throughput means nothing unless both
-            // modes produce the same transfer function.
-            {
-                let mut wd = dense_sys.workspace();
-                let mut wsp = sparse_sys.workspace();
-                for &f in &sparse_freqs {
-                    let s = Complex64::jomega(2.0 * PI * f);
-                    let hd = dense_sys.transfer_with(s, &mut wd).expect("dense solves");
-                    let hs = sparse_sys
-                        .transfer_with(s, &mut wsp)
-                        .expect("sparse solves");
-                    assert!(
-                        (hd - hs).abs() <= 1e-9 * hd.abs().max(1e-300),
-                        "dim {dim}, f {f}: dense {hd:?} vs sparse {hs:?}"
-                    );
-                }
-            }
-            let mut wd = dense_sys.workspace();
-            let mut wsp = sparse_sys.workspace();
-            let (dense_rate, sparse_rate) = median_pair(
-                sparse_freqs.len(),
-                || {
-                    for &f in &sparse_freqs {
-                        black_box(
-                            dense_sys
-                                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wd)
-                                .expect("solves"),
-                        );
-                    }
-                },
-                || {
-                    for &f in &sparse_freqs {
-                        black_box(
-                            sparse_sys
-                                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut wsp)
-                                .expect("solves"),
-                        );
-                    }
-                },
-            );
-            let auto_sparse = MnaSystem::new(&ladder).expect("auto builds").is_sparse();
-            (dim, dense_rate, sparse_rate, auto_sparse)
-        })
-        .collect();
-    for &(dim, dense_rate, sparse_rate, auto_sparse) in &sparse_rows {
-        if dim <= artisan_sim::SPARSE_MIN_DIM {
-            // Below the crossover the auto path stays dense — the
-            // pre-sparse hot path, so small circuits cannot regress.
-            assert!(
-                !auto_sparse,
-                "dim {dim} auto-selected sparse below the crossover"
-            );
-        } else {
-            assert!(
-                sparse_rate >= 5.0 * dense_rate,
-                "dim {dim}: sparse {sparse_rate:.0}/s is not ≥5× dense {dense_rate:.0}/s"
-            );
-        }
-    }
-
-    // Zero allocations and exact symbolic reuse on the warmed sparse
-    // hot loop: after the first sweep lazily builds the scratch, a full
-    // second sweep must allocate nothing and run exactly one numeric
-    // factorization per point against the same symbolic analysis.
-    let hot_sys =
-        MnaSystem::with_mode(&netgen::ladder(120), MnaMode::Sparse).expect("hot ladder builds");
-    let hot_symbolic = Arc::clone(hot_sys.sparse_symbolic().expect("sparse symbolic"));
-    let mut hot_ws = hot_sys.workspace();
-    for &f in &sparse_freqs {
-        black_box(
-            hot_sys
-                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut hot_ws)
-                .expect("solves"),
-        );
-    }
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let factors_before = hot_symbolic.numeric_factor_count();
-    for &f in &sparse_freqs {
-        black_box(
-            hot_sys
-                .transfer_with(Complex64::jomega(2.0 * PI * f), &mut hot_ws)
-                .expect("solves"),
-        );
-    }
-    let hot_loop_allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let hot_loop_factors = hot_symbolic.numeric_factor_count() - factors_before;
-    assert_eq!(
-        hot_loop_allocations, 0,
-        "warmed sparse hot loop allocated {hot_loop_allocations} times"
-    );
-    assert_eq!(
-        hot_loop_factors,
-        sparse_freqs.len() as u64,
-        "numeric factor ledger drifted: one factorization per point expected"
-    );
-
-    // The dim-50 ladder the auto path solves sparsely must sweep to
-    // tolerance-identical results on the forced-dense reference.
-    let lad50 = netgen::ladder(50);
-    let auto_sys = MnaSystem::new(&lad50).expect("builds");
-    assert!(
-        auto_sys.is_sparse(),
-        "dim-50 ladder should auto-select sparse"
-    );
-    let dense_ref = MnaSystem::with_mode(&lad50, MnaMode::Dense).expect("builds");
-    let sweep_auto = ac::sweep(&auto_sys, &sparse_cfg).expect("sweeps");
-    let sweep_dense = ac::sweep(&dense_ref, &sparse_cfg).expect("sweeps");
-    assert_eq!(sweep_auto.len(), sweep_dense.len());
-    for (a, b) in sweep_auto.iter().zip(&sweep_dense) {
-        assert!(
-            (a.h - b.h).abs() <= 1e-9 * a.h.abs().max(1e-300),
-            "sparse and dense ladder sweeps drift at f = {}: {:?} vs {:?}",
-            a.freq,
-            a.h,
-            b.h
-        );
-    }
-    let dense_sparse_sweeps_agree = true;
-
     // --- durable session journals: append overhead + crash resume ---
     // The same batch of flaky supervised sessions three ways: detached
     // (no journal, the reference), journaled from scratch (measures the
@@ -738,166 +585,6 @@ fn main() {
     );
     std::fs::remove_dir_all(&journal_dir).ok();
 
-    // --- PVT corner engine: batched grid vs naive per-corner analyze ---
-    // The 27-corner default grid on the dim-80 loaded ladder (the load
-    // axis needs an explicit `CL` to scale), swept over a band matched
-    // to the ladder's crossing region — the workload a sign-off corner
-    // sweep actually runs. The naive reference runs a full fresh
-    // analysis per corner — admission gate, new MNA system and symbolic
-    // factorization, pole/zero extraction, full sweep. The engine path
-    // pays the nominal analysis once, then re-measures only the AC
-    // margins per corner against the nominal topology's shared symbolic
-    // LU with early-exit sweeps, fanned over the pool.
-    let corner_grid = artisan_sim::CornerGrid::default();
-    let corner_points = corner_grid.corners();
-    let corner_count = corner_points.len();
-    let corner_netlist = netgen::loaded_ladder(80);
-    // The ladder's stage poles sit near 8 MHz and its unity crossing
-    // near 16 MHz; [1e4, 1e8] Hz at the default density covers the flat
-    // band, the roll-off, and the crossing for every corner.
-    let corner_config = AnalysisConfig {
-        sweep: SweepConfig {
-            f_start: 1.0e4,
-            f_stop: 1.0e8,
-            ..SweepConfig::default()
-        },
-        ..AnalysisConfig::default()
-    };
-    let corner_cl = corner_netlist
-        .find("CL")
-        .expect("loaded ladder has CL")
-        .value();
-    let nominal_report = Simulator::with_config(corner_config)
-        .analyze_netlist(&corner_netlist)
-        .expect("nominal loaded ladder analyzes");
-    let nominal_power = nominal_report.performance.power;
-    let corner_donor = MnaSystem::new(&corner_netlist).expect("corner donor builds");
-    let corner_pool = ThreadPool::from_env();
-
-    // Exactly one symbolic factorization per topology: every corner
-    // variant adopts the donor's symbolic analysis (same Arc), and all
-    // of a grid's numeric refactors flow through that single symbolic's
-    // reuse counter.
-    let donor_symbolic = Arc::clone(
-        corner_donor
-            .sparse_symbolic()
-            .expect("dim-80 donor builds sparse"),
-    );
-    for corner in &corner_points {
-        let scaled = corner.apply(&corner_netlist);
-        let sys = MnaSystem::new_sharing_symbolic(&scaled, &corner_donor)
-            .expect("corner variant shares the donor symbolic");
-        assert!(
-            sys.sparse_symbolic()
-                .is_some_and(|s| Arc::ptr_eq(s, &donor_symbolic)),
-            "corner {corner:?} grew its own symbolic factorization"
-        );
-    }
-    let factors_before = donor_symbolic.numeric_factor_count();
-    let probe = artisan_sim::corners::evaluate_grid_with_pool(
-        &corner_config,
-        &corner_netlist,
-        corner_cl,
-        nominal_power,
-        &corner_grid,
-        &corner_donor,
-        &corner_pool,
-    );
-    assert!(
-        probe.all_passed(),
-        "default grid failed on the ladder: {probe:?}"
-    );
-    // Early-exit sweeps stop past the unity crossing, so the
-    // exact per-corner solve count is data-dependent; every
-    // corner still factors at least its DC point and the
-    // crossing bracket through the one shared symbolic.
-    let grid_factors = donor_symbolic.numeric_factor_count() - factors_before;
-    assert!(
-        grid_factors >= (corner_count * 4) as u64,
-        "grid numeric work bypassed the shared symbolic: {grid_factors} factors"
-    );
-    let corner_symbolic_shared = true;
-
-    let (naive_corner_rate, engine_corner_rate) = median_pair(
-        corner_count,
-        || {
-            for corner in &corner_points {
-                let scaled = corner.apply(&corner_netlist);
-                black_box(
-                    Simulator::with_config(corner_config)
-                        .analyze_netlist(&scaled)
-                        .expect("naive corner analyzes"),
-                );
-            }
-        },
-        || {
-            black_box(artisan_sim::corners::evaluate_grid_with_pool(
-                &corner_config,
-                &corner_netlist,
-                corner_cl,
-                nominal_power,
-                &corner_grid,
-                &corner_donor,
-                &corner_pool,
-            ));
-        },
-    );
-    let corner_speedup = engine_corner_rate / naive_corner_rate;
-    // The ≥5× headline is claimed for the sparse tier (shared symbolic
-    // LU); a forced-dense run still reports its measured ratio but the
-    // dense sweep dominates both paths and the floor does not apply.
-    if corner_symbolic_shared {
-        assert!(
-            corner_speedup >= 5.0,
-            "corner engine {engine_corner_rate:.1}/s is not ≥5× naive {naive_corner_rate:.1}/s"
-        );
-    }
-
-    // Cached worst-case verdicts: a warm CornerSim sharing the cold
-    // run's cache serves the identical verdict while billing zero
-    // corner sims.
-    let corner_cache = SimCache::shared(1024);
-    let mut cold_corner_sim =
-        artisan_sim::CornerSim::new(Simulator::with_config(corner_config), corner_grid.clone())
-            .with_config(corner_config)
-            .with_cache(Arc::clone(&corner_cache));
-    let cold_corner_report = cold_corner_sim
-        .analyze_netlist(&corner_netlist)
-        .expect("cold corner analysis");
-    let cold_corner_sims = cold_corner_sim.ledger().corner_sims();
-    assert_eq!(
-        cold_corner_sims, corner_count as u64,
-        "cold run billed the whole grid"
-    );
-    let mut warm_corner_sim =
-        artisan_sim::CornerSim::new(Simulator::with_config(corner_config), corner_grid.clone())
-            .with_config(corner_config)
-            .with_cache(Arc::clone(&corner_cache));
-    let warm_corner_report = warm_corner_sim
-        .analyze_netlist(&corner_netlist)
-        .expect("warm corner analysis");
-    let warm_corner_sims = warm_corner_sim.ledger().corner_sims();
-    assert_eq!(warm_corner_sims, 0, "warm run re-evaluated a cached grid");
-    let cold_wc = cold_corner_report.worst_case.expect("cold verdict");
-    let warm_wc = warm_corner_report.worst_case.expect("warm verdict");
-    assert_eq!(cold_wc, warm_wc, "cached verdict drifted from the cold one");
-
-    let sparse_rows_json = sparse_rows
-        .iter()
-        .map(|&(dim, dense_rate, sparse_rate, auto_sparse)| {
-            format!(
-                "    {{ \"dim\": {dim}, \"dense_solves_per_sec\": {dense_rate:.1}, \"sparse_solves_per_sec\": {sparse_rate:.1}, \"speedup_sparse_vs_dense\": {:.3}, \"auto_mode\": \"{}\" }}",
-                sparse_rate / dense_rate,
-                if auto_sparse { "sparse" } else { "dense" }
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let speedup_at_dim50 = sparse_rows
-        .iter()
-        .find(|&&(dim, ..)| dim == 50)
-        .map_or(0.0, |&(_, d, s, _)| s / d);
-
     let fmt_scaling = |rates: &[(usize, f64)], unit: &str| -> String {
         let base = rates.iter().find(|(w, _)| *w == 1).map_or(1.0, |&(_, r)| r);
         rates
@@ -913,7 +600,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1}\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"sparse\": {{\n    \"netlists\": \"behavioural gain ladders (netgen), forced dense vs forced sparse\",\n    \"grid_points\": {},\n    \"dims\": [\n{sparse_rows_json}\n  ],\n    \"speedup_at_dim50\": {speedup_at_dim50:.3},\n    \"hot_loop_allocations\": {hot_loop_allocations},\n    \"numeric_factors_per_sweep\": {hot_loop_factors},\n    \"symbolic_reuse_ok\": true,\n    \"dense_sparse_sweeps_agree\": {dense_sparse_sweeps_agree}\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }},\n  \"corners\": {{\n    \"workload\": \"27-corner default PVT grid, dim-80 loaded ladder, 1e4-1e8 Hz sweep at default density\",\n    \"grid_corners\": {corner_count},\n    \"naive_corner_analyses_per_sec\": {naive_corner_rate:.2},\n    \"engine_corner_evals_per_sec\": {engine_corner_rate:.2},\n    \"speedup_engine_vs_naive\": {corner_speedup:.3},\n    \"corner_symbolic_shared\": {corner_symbolic_shared},\n    \"cold_corner_sims_billed\": {cold_corner_sims},\n    \"warm_corner_sims_billed\": {warm_corner_sims},\n    \"worst_case_identical_cold_vs_warm\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
         batch_topos.len(),
         fmt_scaling(&batch_rates, "batched_analyses_per_sec"),
@@ -928,7 +615,6 @@ fn main() {
         sf_stats.hits + sf_stats.coalesced,
         journal_bytes as f64 / journal_appends.max(1) as f64,
         j_resumed.resumed_terminal(),
-        sparse_freqs.len(),
         screen_corpus.len(),
         unscreened_seconds - screened_seconds,
     );

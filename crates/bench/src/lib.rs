@@ -7,8 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod netgen;
-
 /// The value of `--flag value` among the process arguments, parsed as
 /// a `T`; `default` when the flag is absent. A flag whose value is
 /// missing or does not parse exits with status 2 and a message naming

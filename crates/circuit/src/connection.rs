@@ -237,7 +237,7 @@ impl ConnectionType {
     }
 
     /// Additional static bias current drawn by the connection, as a
-    /// multiple of `gm / (gm/Id)`; buffers cost one unit of [`BUFFER_GM`]
+    /// multiple of `gm / (gm/Id)`; buffers cost one unit of `BUFFER_GM`
     /// at the buffer's own ratio. Used by the power model in
     /// `artisan-sim`.
     pub fn bias_stage_count(self) -> usize {

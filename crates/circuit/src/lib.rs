@@ -5,7 +5,7 @@
 //! - the canonical **three-stage cascode skeleton** of Fig. 1(a), where each
 //!   stage is an ideal voltage-controlled current source `gm_i` loaded by a
 //!   lumped output resistance `R_oi` and parasitic capacitance `C_pi`
-//!   ([`skeleton`], [`Topology`]),
+//!   ([`Skeleton`], [`Topology`]),
 //! - the **tunable connection positions** with **25 optional connection
 //!   types** each (§3.2.2), spanning passive compensation (Miller
 //!   capacitors, nulling resistors), active feedforward/feedback

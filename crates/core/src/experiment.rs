@@ -25,9 +25,9 @@ use std::time::Instant;
 /// The five compared methods of §4.1.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
-    /// BOBO [12] — GP Bayesian optimization over the topology embedding.
+    /// BOBO \[12\] — GP Bayesian optimization over the topology embedding.
     Bobo,
-    /// RLBO [3] — REINFORCE topology search.
+    /// RLBO \[3\] — REINFORCE topology search.
     Rlbo,
     /// Off-the-shelf GPT-4.
     Gpt4,

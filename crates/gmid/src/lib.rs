@@ -1,5 +1,5 @@
-//! The gm/Id sizing methodology (Jespers [8]) — the workspace's
-//! reimplementation of the open-source gm/Id scripts of [11] that the
+//! The gm/Id sizing methodology (Jespers \[8\]) — the workspace's
+//! reimplementation of the open-source gm/Id scripts of \[11\] that the
 //! paper uses to map behavioural opamps to the transistor level (§2.2,
 //! Fig. 6(c)→(d)).
 //!

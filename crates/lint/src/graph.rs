@@ -3,7 +3,7 @@
 //! [`CircuitGraph`] is built **once** per lint from a [`Netlist`]
 //! (elaborate a `Topology` first) and holds everything the dataflow
 //! passes need: the node table, per-node structural attachment counts
-//! ([`NodeStats`]), and the typed element edges. The classic passes —
+//! (`NodeStats`), and the typed element edges. The classic passes —
 //! union-find connectivity (DC-conductive and full-coupling), signal
 //! reachability, directed feedback-cycle detection, iterative dead-branch
 //! peeling, and the conditioning screen — are methods on the graph, so a

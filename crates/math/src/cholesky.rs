@@ -141,11 +141,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// `log det A = 2·Σ log L_kk`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|k| self.l[(k, k)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -195,14 +190,6 @@ mod tests {
                 assert!((xs - xt).abs() < 1e-8, "n={n}: {xs} vs {xt}");
             }
         }
-    }
-
-    #[test]
-    fn log_det_matches_known_value() {
-        // det([[4,2],[2,3]]) = 8
-        let a = DMatrix::from_rows(2, 2, &[4.0, 2.0, 2.0, 3.0]).unwrap();
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 8.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

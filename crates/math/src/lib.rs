@@ -49,7 +49,6 @@ pub mod cholesky;
 pub mod interp;
 pub mod lu;
 pub mod pool;
-pub mod sparse;
 pub mod stats;
 
 pub use cmatrix::CMatrix;
@@ -58,7 +57,6 @@ pub use dmatrix::DMatrix;
 pub use error::MathError;
 pub use polynomial::Polynomial;
 pub use pool::ThreadPool;
-pub use sparse::{CsrMatrix, SparseLuScratch, SparsityPattern, SymbolicLu};
 
 /// Convenient alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, MathError>;

@@ -46,8 +46,7 @@ impl LuDecomposition {
     ///
     /// - [`MathError::DimensionMismatch`] if `a` is not square.
     /// - [`MathError::Singular`] if a pivot column is exactly zero. (Near
-    ///   singularity is *not* an error; the caller can inspect
-    ///   [`LuDecomposition::min_pivot_magnitude`].)
+    ///   singularity is *not* an error.)
     pub fn new(mut a: CMatrix) -> Result<Self> {
         let mut perm = Vec::new();
         let sign = factor_in_place(&mut a, &mut perm)?;
@@ -77,14 +76,6 @@ impl LuDecomposition {
             d *= self.lu[(k, k)];
         }
         d
-    }
-
-    /// Magnitude of the smallest pivot — a cheap conditioning indicator the
-    /// simulator uses to flag near-singular (ill-posed) circuits.
-    pub fn min_pivot_magnitude(&self) -> f64 {
-        (0..self.dim())
-            .map(|k| self.lu[(k, k)].abs())
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -332,18 +323,6 @@ mod tests {
     fn rejects_wrong_rhs_length() {
         let lu = LuDecomposition::new(CMatrix::identity(3)).unwrap();
         assert!(lu.solve(&[Complex64::ONE]).is_err());
-    }
-
-    #[test]
-    fn min_pivot_detects_near_singularity() {
-        let a = CMatrix::from_rows(
-            2,
-            2,
-            &[c(1.0, 0.0), c(1.0, 0.0), c(1.0, 0.0), c(1.0 + 1e-13, 0.0)],
-        )
-        .unwrap();
-        let lu = LuDecomposition::new(a).unwrap();
-        assert!(lu.min_pivot_magnitude() < 1e-12);
     }
 
     #[test]

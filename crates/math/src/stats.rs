@@ -40,16 +40,6 @@ pub fn median(xs: &[f64]) -> Option<f64> {
     })
 }
 
-/// Geometric mean of strictly positive samples. Returns `None` for an
-/// empty slice or any non-positive sample. Useful for averaging FoM and
-/// speedup ratios, which are scale quantities.
-pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
-}
-
 /// Linear-interpolated percentile, `p` in `[0, 100]`. Returns `None` for
 /// an empty slice.
 ///
@@ -143,13 +133,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
         assert_eq!(median(&[]), None);
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[1.0, -1.0]), None);
-        assert_eq!(geometric_mean(&[]), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! BOBO [12]: Bayesian optimization of opamp topology in continuous
+//! BOBO \[12\]: Bayesian optimization of opamp topology in continuous
 //! space via the graph embedding of [`crate::embedding`].
 //!
 //! The loop: an initial random design of experiments, then GP-fit +

@@ -1,6 +1,6 @@
 //! The continuous topology embedding BOBO searches over.
 //!
-//! BOBO [12] optimizes opamp topologies "in continuous space via graph
+//! BOBO \[12\] optimizes opamp topologies "in continuous space via graph
 //! embedding": a fixed-length real vector encodes both the discrete
 //! connection choices and the component values. Our embedding, decoded
 //! from the unit hypercube:

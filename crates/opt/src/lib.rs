@@ -5,8 +5,8 @@
 //! - [`embedding`] — the continuous topology embedding BOBO searches
 //!   over (one coordinate per tunable position's connection choice plus
 //!   log-scaled component values and stage parameters),
-//! - [`bobo`] — **BOBO** [12]: GP-BO over the topology embedding,
-//! - [`rlbo`] — **RLBO** [3]: a REINFORCE policy over connection-type
+//! - [`bobo`] — **BOBO** \[12\]: GP-BO over the topology embedding,
+//! - [`rlbo`] — **RLBO** \[3\]: a REINFORCE policy over connection-type
 //!   choices with random parameter sampling per candidate,
 //! - [`llm_baselines`] — off-the-shelf **GPT-4** and **Llama2**
 //!   simulators reproducing the error modes the paper documents in

@@ -1,4 +1,4 @@
-//! RLBO [3]: reinforcement-learning topology optimization.
+//! RLBO \[3\]: reinforcement-learning topology optimization.
 //!
 //! A REINFORCE policy maintains softmax logits over every position's
 //! legal connection types; an episode samples a topology structure,

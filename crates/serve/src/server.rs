@@ -513,6 +513,10 @@ fn run_drain(shared: &Arc<ServerShared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::WorkItem;
+    use crate::Client;
+    use artisan_circuit::{Netlist, Topology};
+    use artisan_sim::SimError;
 
     fn with_flags(line: &str) -> Result<ServerConfig, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
@@ -558,5 +562,50 @@ mod tests {
             let flag = line.split_whitespace().next().unwrap_or_default();
             assert!(err.contains(flag), "{err}");
         }
+    }
+
+    #[test]
+    fn an_oversized_netlist_gets_an_error_reply_and_the_next_request_is_served() {
+        // A loaded gain chain with 65 unknowns (x0..x63 and out), one
+        // past the simulator's cap of 64: refused before any matrix is
+        // allocated, not analysed.
+        let mut text = String::from("* chain\n");
+        let mut prev = "in".to_string();
+        for k in 0..65 {
+            let node = if k == 64 {
+                "out".to_string()
+            } else {
+                format!("x{k}")
+            };
+            text.push_str(&format!(
+                "G{k} {node} 0 {prev} 0 0.0002\nR{k} {node} 0 10000\n"
+            ));
+            prev = node;
+        }
+        text.push_str("CL out 0 10p\n.end\n");
+        let chain = Netlist::parse(&text).unwrap_or_else(|e| panic!("{e}"));
+
+        let mut server = Server::start(ServerConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+        let mut client = Client::connect(server.addr()).unwrap_or_else(|e| panic!("{e}"));
+        let oversized = Request::AnalyzeBatch {
+            items: vec![WorkItem::Net(chain)],
+        };
+        match client.call(&oversized) {
+            Ok(Response::Analysis { results }) => assert!(
+                matches!(&results[..], [Err(SimError::BadNetlist(r))] if r.to_string().contains("65 unknown nodes")),
+                "{results:?}"
+            ),
+            other => panic!("expected an analysis reply, got {other:?}"),
+        }
+        let next = Request::Analyze {
+            item: WorkItem::Topo(Topology::nmc_example()),
+        };
+        match client.call(&next) {
+            Ok(Response::Analysis { results }) => {
+                assert!(matches!(&results[..], [Ok(_)]), "{results:?}")
+            }
+            other => panic!("expected an analysis reply, got {other:?}"),
+        }
+        server.shutdown();
     }
 }

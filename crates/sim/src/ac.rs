@@ -224,15 +224,22 @@ impl AcMetrics {
 /// gain; [`SimError::InvalidSweep`]; the failure at the lowest failing
 /// sweep point; [`SimError::NoUnityCrossing`].
 pub(crate) fn measure(sys: &MnaSystem, config: &SweepConfig) -> Result<AcMetrics> {
-    // DC gain: exact s = 0 solve, falling back to the sweep floor for
-    // networks with capacitively-coupled (DC-floating) internal nodes.
     // One workspace serves the gain and every sweep point.
     let mut ws = sys.workspace();
-    let h0 = match sys.transfer_with(Complex64::ZERO, &mut ws) {
-        Ok(h) => h,
-        Err(SimError::IllConditioned { .. }) => {
-            sys.transfer_with(jomega(config.f_start), &mut ws)?
-        }
+    measure_transfer(config, |s| sys.transfer_with(s, &mut ws))
+}
+
+/// [`measure`] over any transfer function `h(s)`, called at `s = 0`,
+/// then as the sweep needs.
+fn measure_transfer(
+    config: &SweepConfig,
+    mut h: impl FnMut(Complex64) -> Result<Complex64>,
+) -> Result<AcMetrics> {
+    // DC gain: exact s = 0 solve, falling back to the sweep floor for
+    // networks with capacitively-coupled (DC-floating) internal nodes.
+    let h0 = match h(Complex64::ZERO) {
+        Ok(h0) => h0,
+        Err(SimError::IllConditioned { .. }) => h(jomega(config.f_start))?,
         Err(e) => return Err(e),
     };
     if h0.abs() <= 0.0 || !h0.is_finite() {
@@ -241,7 +248,7 @@ pub(crate) fn measure(sys: &MnaSystem, config: &SweepConfig) -> Result<AcMetrics
     let mut unwrapper = Unwrapper::default();
     let mut prev: Option<AcPoint> = None;
     for f in config.frequencies()? {
-        let point = unwrapper.next(f, sys.transfer_with(jomega(f), &mut ws)?);
+        let point = unwrapper.next(f, h(jomega(f))?);
         if let Some((gbw_hz, phase_at_unity)) = prev.and_then(|a| unity_crossing(&[a, point])) {
             return Ok(AcMetrics {
                 gain: Decibels::from_ratio(h0.abs()),
@@ -258,20 +265,15 @@ pub(crate) fn measure(sys: &MnaSystem, config: &SweepConfig) -> Result<AcMetrics
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mna::MnaMode;
     use artisan_circuit::Netlist;
 
-    fn single_pole_netlist(gain: f64, fp: f64) -> Netlist {
+    fn single_pole(gain: f64, fp: f64) -> MnaSystem {
         // gm·R = gain, pole at fp via C = 1/(2πR·fp)
         let r = 10e3;
         let gm = gain / r;
         let c = 1.0 / (2.0 * PI * r * fp);
         let text = format!("* sp\nG1 out 0 in 0 {gm}\nR1 out 0 {r}\nC1 out 0 {c}\n.end\n");
-        Netlist::parse(&text).unwrap()
-    }
-
-    fn single_pole(gain: f64, fp: f64) -> MnaSystem {
-        MnaSystem::new(&single_pole_netlist(gain, fp)).unwrap()
+        MnaSystem::new(&Netlist::parse(&text).unwrap()).unwrap()
     }
 
     #[test]
@@ -401,9 +403,7 @@ mod tests {
 
     #[test]
     fn measure_stops_one_point_past_the_first_crossing() {
-        // Forced sparse, so the shared symbolic counts every solve.
-        let sys = MnaSystem::with_mode(&single_pole_netlist(1000.0, 1e3), MnaMode::Sparse).unwrap();
-        let symbolic = sys.sparse_symbolic().unwrap();
+        let sys = single_pole(1000.0, 1e3);
         let cfg = SweepConfig::default();
         let full = sweep(&sys, &cfg).unwrap();
         let below = 1 + full
@@ -411,12 +411,22 @@ mod tests {
             .position(|w| w[0].h.abs() >= 1.0 && w[1].h.abs() < 1.0)
             .unwrap();
         assert!(below + 1 < full.len(), "the crossing is inside the band");
-        let before = symbolic.numeric_factor_count();
-        let metrics = measure(&sys, &cfg).unwrap();
+        let mut ws = sys.workspace();
+        let mut solved = Vec::new();
+        let metrics = measure_transfer(&cfg, |s| {
+            solved.push(s);
+            sys.transfer_with(s, &mut ws)
+        })
+        .unwrap();
         // The DC solve, then sweep points 0..=below and nothing after.
+        let grid = cfg.frequencies().unwrap();
+        let expected: Vec<Complex64> = std::iter::once(Complex64::ZERO)
+            .chain(grid[..=below].iter().map(|&f| jomega(f)))
+            .collect();
+        assert_eq!(solved, expected);
         assert_eq!(
-            symbolic.numeric_factor_count() - before,
-            1 + below as u64 + 1
+            measure(&sys, &cfg).unwrap().gbw.value().to_bits(),
+            metrics.gbw.value().to_bits()
         );
         let (f_u, phase) = unity_crossing(&full).unwrap();
         assert_eq!(metrics.gbw.value().to_bits(), f_u.to_bits());

@@ -3,11 +3,10 @@
 //! Sign-off quality verification scores a candidate not at one nominal
 //! operating point but across a grid of process/voltage/temperature
 //! corners. At the behavioural level of this workspace a corner is a
-//! *value-only* mutation of the nominal netlist — the topology (and
-//! therefore the sparse symbolic LU pattern) is untouched — so the whole
-//! grid amortizes one symbolic factorization via
-//! [`MnaSystem::new_sharing_symbolic`] and differs from the nominal
-//! analysis only in numeric factors.
+//! *value-only* mutation of the nominal netlist: the topology is
+//! untouched, so each corner builds its own small [`MnaSystem`] from the
+//! scaled values and differs from the nominal analysis only in those
+//! values.
 //!
 //! # Corner model
 //!
@@ -24,8 +23,8 @@
 //!   multiplied, and the FoM is recomputed against the scaled load.
 //!
 //! Corner evaluation is the AC-margin methodology: gain, GBW, and phase
-//! margin are re-measured per corner from the shared-symbolic system,
-//! through the same crate-private AC measurement the nominal
+//! margin are re-measured per corner from the scaled system, through
+//! the same crate-private AC measurement the nominal
 //! [`crate::Simulator`] pipeline calls; pole/zero extraction and the
 //! ERC admission gate run once on the nominal netlist only (a positive
 //! value-only scaling changes neither the lint verdict nor which
@@ -42,8 +41,8 @@
 //! configuration — a repeated candidate pays one cache hit for its
 //! entire grid. Fresh grids bill
 //! [`crate::cost::CostLedger::record_corner_sims`], a distinct account
-//! cheaper than full simulations because assembly and the symbolic
-//! factorization are amortized across the grid.
+//! cheaper than full simulations because the admission gate and the
+//! pole/zero extraction run once per grid, not once per corner.
 //!
 //! # Stacking rule
 //!
@@ -280,28 +279,27 @@ impl CornerSummary {
     }
 }
 
-/// Evaluates one corner against the nominal system: scale the netlist,
-/// share the donor's symbolic LU, take the nominal analysis's AC
-/// measurement (DC gain, GBW and phase margin at the first unity
-/// crossing), then rescale power and FoM analytically from the nominal
-/// power (see the [module docs](self)).
+/// Evaluates one corner: scale the netlist, build its MNA system, take
+/// the nominal analysis's AC measurement (DC gain, GBW and phase margin
+/// at the first unity crossing), then rescale power and FoM analytically
+/// from the nominal power (see the [module docs](self)).
 ///
 /// # Errors
 ///
-/// Propagates solver failures; a missing unity crossing at the corner is
-/// [`SimError::NoUnityCrossing`] exactly as in the nominal analysis.
+/// Propagates system-building and solver failures; a missing unity
+/// crossing at the corner is [`SimError::NoUnityCrossing`] exactly as in
+/// the nominal analysis.
 ///
 /// [`SimError::NoUnityCrossing`]: crate::SimError::NoUnityCrossing
 pub fn evaluate_corner(
     config: &AnalysisConfig,
     netlist: &Netlist,
-    donor: &MnaSystem,
     cl: f64,
     nominal_power: Watts,
     corner: CornerPoint,
 ) -> Result<Performance> {
     let scaled = corner.apply(netlist);
-    let sys = MnaSystem::new_sharing_symbolic(&scaled, donor)?;
+    let sys = MnaSystem::new(&scaled)?;
     let ac = ac::measure(&sys, &config.sweep)?;
     // Supply scales both the rail and every branch current, so power
     // goes with gm_scale²; the load axis re-rates the FoM. Both are
@@ -363,26 +361,6 @@ pub fn summarize(corners: &[CornerPoint], outcomes: &[Result<Performance>]) -> C
         failing,
         worst,
     }
-}
-
-/// Evaluates a whole grid against one nominal netlist, fanning corners
-/// over `pool` (each corner shares `donor`'s symbolic LU and runs its
-/// own sequential sweep). Deterministic: outcomes are folded in grid
-/// order regardless of worker scheduling.
-pub fn evaluate_grid_with_pool(
-    config: &AnalysisConfig,
-    netlist: &Netlist,
-    cl: f64,
-    nominal_power: Watts,
-    grid: &CornerGrid,
-    donor: &MnaSystem,
-    pool: &ThreadPool,
-) -> CornerSummary {
-    let corners = grid.corners();
-    let outcomes = pool.par_map_indexed(&corners, |_, &corner| {
-        evaluate_corner(config, netlist, donor, cl, nominal_power, corner)
-    });
-    summarize(&corners, &outcomes)
 }
 
 /// The [`SimBackend`] wrapper that attaches a worst-case corner verdict
@@ -497,47 +475,31 @@ impl<B: SimBackend> CornerSim<B> {
                 Some(summary)
             })
             .collect();
-        // One donor per fresh candidate (one symbolic factorization per
-        // topology), then one work unit per (candidate, corner).
-        let fresh: Vec<(usize, Option<MnaSystem>)> = (0..candidates.len())
+        // One work unit per (fresh candidate, corner).
+        let fresh: Vec<usize> = (0..candidates.len())
             .filter(|&i| summaries[i].is_none())
-            .map(|i| (i, MnaSystem::new(&candidates[i].netlist).ok()))
             .collect();
         let corners = self.grid.corners();
-        let units: Vec<(&Candidate, &MnaSystem, CornerPoint)> = fresh
+        let units: Vec<(&Candidate, CornerPoint)> = fresh
             .iter()
-            .filter_map(|(i, donor)| Some((&candidates[*i], donor.as_ref()?)))
-            .flat_map(|(c, donor)| corners.iter().map(move |&corner| (c, donor, corner)))
+            .flat_map(|&i| corners.iter().map(move |&corner| (&candidates[i], corner)))
             .collect();
         let config = self.config;
-        let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(c, donor, corner)| {
-            evaluate_corner(&config, &c.netlist, donor, c.cl, c.power, corner)
+        let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(c, corner)| {
+            evaluate_corner(&config, &c.netlist, c.cl, c.power, corner)
         });
         // Fold per candidate in grid order and publish.
-        let mut cursor = 0usize;
-        for (i, donor) in &fresh {
-            let summary = if donor.is_some() {
-                let per = &outcomes[cursor..cursor + corners.len()];
-                cursor += corners.len();
-                summarize(&corners, per)
-            } else {
-                // The inner analysis succeeded, so this is unreachable
-                // in practice — but a verdict must still exist: all
-                // failing.
-                CornerSummary {
-                    corners: corners.len() as u32,
-                    failing: corners.len() as u32,
-                    worst: None,
-                }
-            };
+        for (k, &i) in fresh.iter().enumerate() {
+            let per = &outcomes[k * corners.len()..(k + 1) * corners.len()];
+            let summary = summarize(&corners, per);
             self.grids_evaluated += 1;
             self.inner
                 .ledger_mut()
                 .record_corner_sims(corners.len() as u64);
             if let Some(cache) = &self.cache {
-                cache.store_corner_verdict(self.verdict_key(candidates[*i].fp), summary);
+                cache.store_corner_verdict(self.verdict_key(candidates[i].fp), summary);
             }
-            summaries[*i] = Some(summary);
+            summaries[i] = Some(summary);
         }
         summaries.into_iter().flatten().collect()
     }
@@ -715,43 +677,6 @@ mod tests {
             load: vec![1.0],
         };
         assert_ne!(c.salt(), d.salt());
-    }
-
-    #[test]
-    fn grid_evaluation_shares_the_donor_symbolic() {
-        // A netlist large enough for the sparse path, so symbolic
-        // sharing is observable through Arc identity.
-        let mut text = String::from("* big\n");
-        for k in 0..20 {
-            let node = if k == 19 {
-                "out".to_string()
-            } else {
-                format!("x{k}")
-            };
-            let prev = if k == 0 {
-                "in".to_string()
-            } else {
-                format!("x{}", k - 1)
-            };
-            text.push_str(&format!(
-                "G{k} {node} 0 {prev} 0 0.0002\nR{k} {node} 0 10000\nC{k} {node} 0 2e-12\n"
-            ));
-        }
-        text.push_str("CL out 0 10e-12\n.end\n");
-        let netlist = Netlist::parse(&text).unwrap();
-        let donor = MnaSystem::new(&netlist).unwrap();
-        assert!(donor.is_sparse());
-        let scaled = CornerPoint {
-            r_scale: 1.1,
-            gm_scale: 0.9,
-            cl_scale: 2.0,
-        }
-        .apply(&netlist);
-        let shared = MnaSystem::new_sharing_symbolic(&scaled, &donor).unwrap();
-        match (donor.sparse_symbolic(), shared.sparse_symbolic()) {
-            (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "symbolic must be shared"),
-            other => panic!("expected shared sparse symbolic, got {other:?}"),
-        }
     }
 
     #[test]

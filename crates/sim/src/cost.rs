@@ -37,11 +37,11 @@ pub struct CostModel {
     /// full simulation.
     pub seconds_per_screen: f64,
     /// One PVT corner re-evaluation within a grid. Far below
-    /// [`CostModel::seconds_per_simulation`]: netlisting, the ERC gate,
-    /// pole extraction, and the symbolic factorization are all paid once
-    /// by the nominal analysis, leaving only numeric refactors and an AC
-    /// sweep per corner — on the testbed, a “alter” sweep inside an
-    /// already-open session rather than a fresh Spectre run.
+    /// [`CostModel::seconds_per_simulation`]: netlisting, the ERC gate
+    /// and pole extraction are all paid once by the nominal analysis,
+    /// leaving only a value-scaled AC sweep per corner — on the testbed,
+    /// an “alter” sweep inside an already-open session rather than a
+    /// fresh Spectre run.
     pub seconds_per_corner_sim: f64,
 }
 
@@ -143,10 +143,10 @@ impl CostLedger {
 
     /// Bills `n` PVT corner re-evaluations (one whole grid at a time).
     /// A corner sim costs [`CostModel::seconds_per_corner_sim`], not
-    /// [`CostModel::seconds_per_simulation`] — assembly, the admission
-    /// gate, and the symbolic factorization are amortized across the
-    /// grid, and the separate account lets reports price worst-case
-    /// sign-off distinctly from nominal scoring.
+    /// [`CostModel::seconds_per_simulation`] — the admission gate and
+    /// pole extraction are paid once per grid, and the separate account
+    /// lets reports price worst-case sign-off distinctly from nominal
+    /// scoring.
     pub fn record_corner_sims(&mut self, n: u64) {
         self.corner_sims += n;
     }

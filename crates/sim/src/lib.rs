@@ -7,7 +7,7 @@
 //! AC analysis is exact, and this crate computes it from first principles:
 //!
 //! - [`mna`] — Modified Nodal Analysis: stamp admittances into a complex
-//!   matrix at each frequency and solve with LU,
+//!   matrix at each frequency and solve with a dense partial-pivot LU,
 //! - [`ac`] — logarithmic frequency sweeps with unwrapped phase,
 //! - [`metrics`] — Gain, GBW, PM, Power, and the FoM of Eq. (6),
 //! - [`poles`] — exact pole/zero extraction via determinant interpolation
@@ -25,9 +25,10 @@
 //!   [`CachedSim`] backend wrapper that bills hits at retrieval cost,
 //! - [`screen`] — the [`ScreenedSim`] wrapper that rejects statically
 //!   doomed candidates at lint cost before they bill a simulation,
-//! - [`corners`] — PVT corner grids: value-only netlist variants
-//!   sharing one symbolic LU, with worst-case verdicts attached to
-//!   reports by the [`CornerSim`] wrapper and memoized per grid.
+//! - [`corners`] — PVT corner grids: value-only netlist variants, each
+//!   re-measured on its own MNA system, with worst-case verdicts
+//!   attached to reports by the [`CornerSim`] wrapper and memoized per
+//!   grid.
 //!
 //! # Example
 //!
@@ -71,7 +72,7 @@ pub use corners::{CornerGrid, CornerPoint, CornerSim, CornerSummary, WorstCase};
 pub use error::{BadNetlistReport, SimError};
 pub use fingerprint::NetlistFingerprint;
 pub use metrics::{Performance, PowerModel};
-pub use mna::{MnaMode, MnaSystem, MnaWorkspace, SPARSE_MIN_DIM};
+pub use mna::{MnaSystem, MnaWorkspace};
 pub use screen::{LintVerdict, ScreenedSim};
 pub use simulator::{
     admit_netlist, admit_topology, bill_batch, elaborate_for_analysis, load_capacitance,

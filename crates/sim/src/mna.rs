@@ -13,162 +13,28 @@
 //! solve path ([`MnaSystem::solve_with`]) factors into a caller-provided
 //! [`MnaWorkspace`] so an AC sweep allocates nothing per point.
 //!
-//! # Dense/sparse crossover
+//! # One dense solver, with a size cap
 //!
-//! MNA matrices are sparse with a *fixed pattern per topology*, so above
-//! a size threshold ([`SPARSE_MIN_DIM`], plus a density check) the
-//! system additionally builds a CSR representation with a one-shot
-//! *symbolic* LU ([`artisan_math::SymbolicLu`]): pivot ordering and
-//! fill-in are computed once in [`MnaSystem::new`] and every frequency
-//! point runs only the allocation-free numeric phase. Below the
-//! threshold (the NMC example is dim 3) the dense path is kept
-//! unchanged. The static diagonal pivoting of the sparse path can
-//! report singularity where dense partial pivoting would succeed; on
-//! that error the solve falls back to the dense factorization, so
-//! `IllConditioned` verdicts are identical between modes. The choice
-//! depends only on the system itself; [`MnaSystem::with_mode`] forces
-//! either backend for equivalence tests and benchmarks.
+//! The behavioural networks this crate analyses have 3–12 unknowns
+//! (the NMC example is dim 3). They are all solved by one dense
+//! partial-pivot LU on a contiguous matrix, with no ordering analysis
+//! and one code path to keep bit-exact. A netlist that would need more
+//! than 64 unknowns is refused with [`SimError::BadNetlist`] before any
+//! matrix is allocated: two `dim × dim` complex matrices and an O(dim³)
+//! LU per frequency point are then the worst one candidate can cost, so
+//! a hostile or runaway netlist cannot exhaust memory or hold a batch
+//! for hours.
 
 use crate::error::SimError;
 use crate::Result;
 use artisan_circuit::{Element, Netlist, Node};
-use artisan_math::{
-    lu, CMatrix, Complex64, CsrMatrix, MathError, SparseLuScratch, SparsityPattern, SymbolicLu,
-};
+use artisan_math::{lu, CMatrix, Complex64, MathError};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Below this dimension the dense path always wins (tiny matrices fit in
-/// cache and the dense LU has no indirection); at or above it the sparse
-/// path is used when the pattern is sparse enough (`nnz ≤ dim²/4`).
-pub const SPARSE_MIN_DIM: usize = 16;
-
-/// Which factorization backend an [`MnaSystem`] solves through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MnaMode {
-    /// Dense `CMatrix` + partial-pivot LU (the original path).
-    Dense,
-    /// CSR + one-shot symbolic LU with a dense fallback on singular
-    /// static pivots.
-    Sparse,
-}
-
-/// Where each entry of the Cramer-numerator matrix comes from: the
-/// assembled `Y(s)` values array, or the source-eliminated RHS (the
-/// replaced output column).
-#[derive(Debug, Clone, Copy)]
-enum NumSource {
-    Y(usize),
-    Rhs(usize),
-}
-
-/// The sparse tier of an [`MnaSystem`]: CSR `G`/`C` over one shared
-/// pattern, plus the symbolic factorizations for `det(Y)` and the Cramer
-/// numerator. The `Arc`ed symbolic objects are shared by every workspace
-/// (and, via [`MnaSystem::new_sharing_symbolic`], by every value-only
-/// variant of the same topology — cache-miss candidates, PVT corners).
-#[derive(Debug, Clone)]
-struct SparseRepr {
-    g: CsrMatrix,
-    c: CsrMatrix,
-    symbolic: Arc<SymbolicLu>,
-    num_pattern: Arc<SparsityPattern>,
-    num_symbolic: Arc<SymbolicLu>,
-    num_src: Vec<NumSource>,
-}
-
-/// Per-workspace numeric scratch for the sparse path — assembled values
-/// and LU buffers, all allocated once.
-#[derive(Debug, Clone)]
-struct SparseScratch {
-    y_vals: Vec<Complex64>,
-    num_vals: Vec<Complex64>,
-    lu: SparseLuScratch,
-    num_lu: SparseLuScratch,
-}
-
-impl SparseRepr {
-    fn build(
-        g: &CMatrix,
-        c: &CMatrix,
-        rhs_g: &[Complex64],
-        rhs_c: &[Complex64],
-        out_index: usize,
-        donor: Option<&SparseRepr>,
-    ) -> Result<SparseRepr> {
-        let fresh = SparsityPattern::union_of_dense(&[g, c])?;
-        let (pattern, symbolic) = match donor {
-            Some(d) if *d.g.pattern().as_ref() == fresh => {
-                (Arc::clone(d.g.pattern()), Arc::clone(&d.symbolic))
-            }
-            _ => {
-                let p = Arc::new(fresh);
-                let s = Arc::new(SymbolicLu::analyze(&p));
-                (p, s)
-            }
-        };
-        let gs = CsrMatrix::from_dense(g, Arc::clone(&pattern))?;
-        let cs = CsrMatrix::from_dense(c, Arc::clone(&pattern))?;
-
-        // Cramer-numerator pattern: Y's pattern with the output column
-        // replaced by the RHS support (plus the forced diagonal).
-        let n = pattern.n();
-        let mut num_entries: Vec<(usize, usize)> = Vec::new();
-        for (r, col, _) in pattern.entries() {
-            if col != out_index {
-                num_entries.push((r, col));
-            }
-        }
-        for (r, (gv, cv)) in rhs_g.iter().zip(rhs_c).enumerate() {
-            if *gv != Complex64::ZERO || *cv != Complex64::ZERO {
-                num_entries.push((r, out_index));
-            }
-        }
-        let fresh_num = SparsityPattern::from_entries(n, &num_entries)?;
-        let (num_pattern, num_symbolic) = match donor {
-            Some(d) if *d.num_pattern.as_ref() == fresh_num => {
-                (Arc::clone(&d.num_pattern), Arc::clone(&d.num_symbolic))
-            }
-            _ => {
-                let p = Arc::new(fresh_num);
-                let s = Arc::new(SymbolicLu::analyze(&p));
-                (p, s)
-            }
-        };
-        let num_src = num_pattern
-            .entries()
-            .map(|(r, col, _)| {
-                if col == out_index {
-                    Ok(NumSource::Rhs(r))
-                } else {
-                    pattern.position(r, col).map(NumSource::Y).ok_or_else(|| {
-                        SimError::Math(MathError::DimensionMismatch(format!(
-                            "numerator entry ({r}, {col}) missing from the Y pattern"
-                        )))
-                    })
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        Ok(SparseRepr {
-            g: gs,
-            c: cs,
-            symbolic,
-            num_pattern,
-            num_symbolic,
-            num_src,
-        })
-    }
-
-    fn scratch(&self) -> SparseScratch {
-        SparseScratch {
-            y_vals: vec![Complex64::ZERO; self.g.values().len()],
-            num_vals: vec![Complex64::ZERO; self.num_src.len()],
-            lu: self.symbolic.scratch(),
-            num_lu: self.num_symbolic.scratch(),
-        }
-    }
-}
+/// Most unknowns an [`MnaSystem`] may have: five times the largest
+/// system any paper circuit, sampled topology or benchmark builds (12).
+/// Larger netlists are refused before any matrix is allocated.
+pub(crate) const MAX_UNKNOWNS: usize = 64;
 
 /// Reusable per-solve scratch: the assembled `Y`, the right-hand side,
 /// the pivot permutation, and the solution vector. Build one with
@@ -181,9 +47,6 @@ pub struct MnaWorkspace {
     rhs: Vec<Complex64>,
     perm: Vec<usize>,
     x: Vec<Complex64>,
-    /// Numeric buffers for the sparse path; `None` for dense-mode
-    /// systems (and lazily created if a workspace crosses modes).
-    sparse: Option<SparseScratch>,
 }
 
 /// An assembled MNA system for one netlist, reusable across frequencies.
@@ -220,8 +83,6 @@ pub struct MnaSystem {
     /// RHS contributions from capacitances on the input column
     /// (scaled by `s` at assembly).
     rhs_c: Vec<Complex64>,
-    /// CSR + symbolic-LU tier; `None` below the crossover threshold.
-    sparse: Option<SparseRepr>,
 }
 
 /// Adds `val` at (row=node r, col=node c) with source elimination:
@@ -267,48 +128,22 @@ impl MnaSystem {
     /// # Errors
     ///
     /// Returns [`SimError::BadNetlist`] when the netlist has no `out`
-    /// node, no elements, or an element references a node missing from
-    /// the unknown index.
+    /// node, no elements, more than 64 unknown nodes, or an element
+    /// references a node missing from the unknown index.
     pub fn new(netlist: &Netlist) -> Result<Self> {
-        Self::new_impl(netlist, None, None)
-    }
-
-    /// Like [`MnaSystem::new`] but with the dense/sparse choice forced,
-    /// ignoring the crossover rule.
-    /// Used by equivalence tests and benchmarks that need both backends
-    /// on the same netlist.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MnaSystem::new`].
-    pub fn with_mode(netlist: &Netlist, mode: MnaMode) -> Result<Self> {
-        Self::new_impl(netlist, Some(mode), None)
-    }
-
-    /// Builds a system for a *value-only* variant of `donor`'s topology
-    /// (a cache-miss candidate after parameter mutation, a PVT-corner
-    /// scaling…), reusing the donor's symbolic factorization when the
-    /// sparsity patterns match exactly — the one-shot fill analysis is
-    /// then amortized across the whole candidate family. Falls back to a
-    /// fresh analysis (same result, just slower) when the patterns
-    /// differ, and to the donor's mode for the dense/sparse choice.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MnaSystem::new`].
-    pub fn new_sharing_symbolic(netlist: &Netlist, donor: &MnaSystem) -> Result<Self> {
-        Self::new_impl(netlist, Some(donor.mode()), donor.sparse.as_ref())
-    }
-
-    fn new_impl(
-        netlist: &Netlist,
-        forced: Option<MnaMode>,
-        donor: Option<&SparseRepr>,
-    ) -> Result<Self> {
         if netlist.element_count() == 0 {
             return Err(SimError::BadNetlist("netlist is empty".into()));
         }
         let unknowns = netlist.unknown_nodes();
+        if unknowns.len() > MAX_UNKNOWNS {
+            return Err(SimError::BadNetlist(
+                format!(
+                    "netlist has {} unknown nodes; the simulator solves at most {MAX_UNKNOWNS}",
+                    unknowns.len()
+                )
+                .into(),
+            ));
+        }
         let index: HashMap<Node, usize> = unknowns
             .iter()
             .copied()
@@ -360,25 +195,6 @@ impl MnaSystem {
             }
         }
 
-        // Dense/sparse crossover: forced mode wins; otherwise sparse
-        // requires `dim ≥ SPARSE_MIN_DIM` and a pattern no denser than
-        // a quarter of the full matrix.
-        let build_sparse = match forced {
-            Some(MnaMode::Sparse) => true,
-            Some(MnaMode::Dense) => false,
-            None => {
-                dim >= SPARSE_MIN_DIM
-                    && SparsityPattern::union_of_dense(&[&g, &c])
-                        .map(|p| p.nnz() * 4 <= dim * dim)
-                        .unwrap_or(false)
-            }
-        };
-        let sparse = if build_sparse {
-            Some(SparseRepr::build(&g, &c, &rhs_g, &rhs_c, out_index, donor)?)
-        } else {
-            None
-        };
-
         Ok(MnaSystem {
             out_index,
             dim,
@@ -386,7 +202,6 @@ impl MnaSystem {
             c,
             rhs_g,
             rhs_c,
-            sparse,
         })
     }
 
@@ -395,35 +210,12 @@ impl MnaSystem {
         self.dim
     }
 
-    /// Which factorization backend this system solves through.
-    pub fn mode(&self) -> MnaMode {
-        if self.sparse.is_some() {
-            MnaMode::Sparse
-        } else {
-            MnaMode::Dense
-        }
-    }
-
-    /// True when the CSR + symbolic-LU tier is active.
+    /// Always `false`: the dense LU is the only solver. The benchmark's
+    /// per-layer trace (`benchmark/src/trace.rs`) still reads this flag,
+    /// so it stays until the next change to the benchmark drops that
+    /// read.
     pub fn is_sparse(&self) -> bool {
-        self.sparse.is_some()
-    }
-
-    /// The shared symbolic factorization of `Y`'s pattern, when sparse.
-    /// Its [`SymbolicLu::numeric_factor_count`] observes reuse across
-    /// sweep points, candidates and corners.
-    pub fn sparse_symbolic(&self) -> Option<&Arc<SymbolicLu>> {
-        self.sparse.as_ref().map(|sp| &sp.symbolic)
-    }
-
-    /// Stored positions of the shared `G`/`C` pattern, when sparse.
-    pub fn sparse_nnz(&self) -> Option<usize> {
-        self.sparse.as_ref().map(|sp| sp.g.pattern().nnz())
-    }
-
-    /// L + U entries after fill-in, when sparse.
-    pub fn sparse_fill_nnz(&self) -> Option<usize> {
-        self.sparse.as_ref().map(|sp| sp.symbolic.fill_nnz())
+        false
     }
 
     /// A fresh solve workspace sized for this system.
@@ -433,7 +225,6 @@ impl MnaSystem {
             rhs: vec![Complex64::ZERO; self.dim],
             perm: Vec::with_capacity(self.dim),
             x: Vec::with_capacity(self.dim),
-            sparse: self.sparse.as_ref().map(SparseRepr::scratch),
         }
     }
 
@@ -462,33 +253,11 @@ impl MnaSystem {
         Ok((y, rhs))
     }
 
-    /// Assembles `y_vals = G + s·C` on the shared CSR pattern and runs
-    /// the allocation-free numeric factorization. Returns `Ok(true)` on
-    /// success (the factor is held in `sc.lu`), `Ok(false)` when the
-    /// static diagonal pivoting hit an exact zero — the caller falls
-    /// back to the dense path so singularity verdicts stay identical.
-    fn sparse_factor(sp: &SparseRepr, sc: &mut SparseScratch, s: Complex64) -> Result<bool> {
-        if sc.y_vals.len() != sp.g.values().len() || sc.num_vals.len() != sp.num_src.len() {
-            // Workspace built for another system; re-size once.
-            *sc = sp.scratch();
-        }
-        for ((y, gv), cv) in sc.y_vals.iter_mut().zip(sp.g.values()).zip(sp.c.values()) {
-            *y = *gv + s * *cv;
-        }
-        match sp.symbolic.factor_into(&sc.y_vals, &mut sc.lu) {
-            Ok(()) => Ok(true),
-            Err(MathError::Singular(_)) => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Solves for all node voltages at complex frequency `s` using a
     /// caller-provided workspace — the zero-allocation hot path behind
-    /// AC sweeps. Sparse-mode systems run the symbolic-LU numeric phase
-    /// (no allocation, no pivot search); dense-mode systems — and any
-    /// point where the static sparse pivoting degenerates — run the
-    /// dense partial-pivot factorization. Returns a borrow of the
-    /// workspace's solution vector.
+    /// AC sweeps: assemble `Y(s)` in place, then factor with partial
+    /// pivoting and solve. Returns a borrow of the workspace's solution
+    /// vector.
     ///
     /// # Errors
     ///
@@ -498,16 +267,6 @@ impl MnaSystem {
         s: Complex64,
         ws: &'w mut MnaWorkspace,
     ) -> Result<&'w [Complex64]> {
-        if let Some(sp) = &self.sparse {
-            let sc = ws.sparse.get_or_insert_with(|| sp.scratch());
-            if Self::sparse_factor(sp, sc, s)? {
-                self.rhs_at(s, &mut ws.rhs);
-                sp.symbolic.solve_factored(&mut sc.lu, &ws.rhs, &mut ws.x)?;
-                return Ok(&ws.x);
-            }
-            // Static pivot degenerated: the dense partial-pivot path
-            // below decides (and matches the dense-mode verdict).
-        }
         ws.y.assign_scale_add(&self.g, &self.c, s)?;
         self.rhs_at(s, &mut ws.rhs);
         lu::factor_in_place(&mut ws.y, &mut ws.perm).map_err(|_| SimError::IllConditioned {
@@ -549,10 +308,10 @@ impl MnaSystem {
         Ok(self.solve(s)?[self.out_index])
     }
 
-    /// Dense determinant of the matrix currently assembled in `ws.y`,
+    /// Determinant of the matrix currently assembled in `ws.y`,
     /// consuming it — identical arithmetic to `lu::det` (factor, then
     /// `sign · Π U_kk`; exactly singular ⇒ zero).
-    fn dense_det_of_workspace(&self, ws: &mut MnaWorkspace) -> Result<Complex64> {
+    fn det_of_workspace(&self, ws: &mut MnaWorkspace) -> Result<Complex64> {
         match lu::factor_in_place(&mut ws.y, &mut ws.perm) {
             Ok(sign) => {
                 let mut d = Complex64::from_real(sign);
@@ -576,16 +335,8 @@ impl MnaSystem {
     ///
     /// Returns [`SimError::Math`] only for internal dimension bugs.
     pub fn determinant_with(&self, s: Complex64, ws: &mut MnaWorkspace) -> Result<Complex64> {
-        if let Some(sp) = &self.sparse {
-            let sc = ws.sparse.get_or_insert_with(|| sp.scratch());
-            if Self::sparse_factor(sp, sc, s)? {
-                return Ok(sp.symbolic.det_factored(&sc.lu));
-            }
-            // Fall through: the dense path decides between "genuinely
-            // singular ⇒ 0" and a pivot order the static analysis lost.
-        }
         ws.y.assign_scale_add(&self.g, &self.c, s)?;
-        self.dense_det_of_workspace(ws)
+        self.det_of_workspace(ws)
     }
 
     /// Evaluates the Cramer numerator for the output node — `det(Y(s))`
@@ -597,33 +348,12 @@ impl MnaSystem {
     ///
     /// Returns [`SimError::Math`] only for internal dimension bugs.
     pub fn numerator_with(&self, s: Complex64, ws: &mut MnaWorkspace) -> Result<Complex64> {
-        if let Some(sp) = &self.sparse {
-            let sc = ws.sparse.get_or_insert_with(|| sp.scratch());
-            if sc.y_vals.len() != sp.g.values().len() || sc.num_vals.len() != sp.num_src.len() {
-                *sc = sp.scratch();
-            }
-            for ((y, gv), cv) in sc.y_vals.iter_mut().zip(sp.g.values()).zip(sp.c.values()) {
-                *y = *gv + s * *cv;
-            }
-            self.rhs_at(s, &mut ws.rhs);
-            for (dst, src) in sc.num_vals.iter_mut().zip(&sp.num_src) {
-                *dst = match *src {
-                    NumSource::Y(idx) => sc.y_vals[idx],
-                    NumSource::Rhs(r) => ws.rhs[r],
-                };
-            }
-            match sp.num_symbolic.factor_into(&sc.num_vals, &mut sc.num_lu) {
-                Ok(()) => return Ok(sp.num_symbolic.det_factored(&sc.num_lu)),
-                Err(MathError::Singular(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
         ws.y.assign_scale_add(&self.g, &self.c, s)?;
         self.rhs_at(s, &mut ws.rhs);
         for r in 0..self.dim {
             ws.y[(r, self.out_index)] = ws.rhs[r];
         }
-        self.dense_det_of_workspace(ws)
+        self.det_of_workspace(ws)
     }
 
     /// One-shot [`MnaSystem::determinant_with`] through a fresh
@@ -736,6 +466,8 @@ mod tests {
         ));
         // But solvable at AC.
         assert!(sys.transfer(Complex64::jomega(1e3)).is_ok());
+        // An exactly singular Y(0) has determinant exactly zero.
+        assert_eq!(sys.determinant(Complex64::ZERO).unwrap(), Complex64::ZERO);
     }
 
     #[test]
@@ -782,6 +514,7 @@ mod tests {
         let netlist = Topology::nmc_example().elaborate().unwrap();
         let sys = MnaSystem::new(&netlist).unwrap();
         assert_eq!(sys.dim(), 3); // n1, n2, out
+        assert!(!sys.is_sparse());
     }
 
     /// Behavioural gain ladder with `dim` unknowns: a VCCS chain with a
@@ -819,106 +552,25 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_modes_agree_on_ladder() {
-        let n = ladder(24);
-        let dense = MnaSystem::with_mode(&n, MnaMode::Dense).unwrap();
-        let sparse = MnaSystem::with_mode(&n, MnaMode::Sparse).unwrap();
-        assert!(!dense.is_sparse());
-        assert!(sparse.is_sparse());
-        assert_eq!(dense.dim(), 24);
-        let mut wd = dense.workspace();
-        let mut ws = sparse.workspace();
-        for f in [0.0, 1.0, 1e3, 1e6, 1e9] {
-            let s = Complex64::jomega(2.0 * PI * f);
-            let hd = dense.transfer_with(s, &mut wd).unwrap();
-            let hs = sparse.transfer_with(s, &mut ws).unwrap();
-            assert!(
-                (hd - hs).abs() <= 1e-12 * hd.abs().max(1.0),
-                "f={f}: dense {hd} vs sparse {hs}"
-            );
-            let dd = dense.determinant_with(s, &mut wd).unwrap();
-            let ds = sparse.determinant_with(s, &mut ws).unwrap();
-            assert!(
-                (dd - ds).abs() <= 1e-9 * dd.abs().max(1e-300),
-                "f={f}: det dense {dd} vs sparse {ds}"
-            );
-            let nd = dense.numerator_with(s, &mut wd).unwrap();
-            let ns = sparse.numerator_with(s, &mut ws).unwrap();
-            assert!(
-                (nd - ns).abs() <= 1e-9 * nd.abs().max(1e-300),
-                "f={f}: num dense {nd} vs sparse {ns}"
-            );
-        }
+    fn cramer_reproduces_transfer_on_ladder() {
+        let sys = MnaSystem::new(&ladder(30)).unwrap();
+        assert_eq!(sys.dim(), 30);
+        let mut ws = sys.workspace();
+        let s = Complex64::jomega(2.0 * PI * 5e4);
+        let h = sys.transfer_with(s, &mut ws).unwrap();
+        let num = sys.numerator_with(s, &mut ws).unwrap();
+        let den = sys.determinant_with(s, &mut ws).unwrap();
+        let h_cramer = num / den;
+        assert!((h - h_cramer).abs() / h.abs() < 1e-9, "{h} vs {h_cramer}");
     }
 
     #[test]
-    fn crossover_picks_modes() {
-        // NMC is dim 3 — below the crossover, always dense.
-        let nmc = Topology::nmc_example().elaborate().unwrap();
-        assert!(!MnaSystem::new(&nmc).unwrap().is_sparse());
-        let n = ladder(24);
-        assert!(MnaSystem::new(&n).unwrap().is_sparse());
-        assert!(!MnaSystem::with_mode(&n, MnaMode::Dense)
-            .unwrap()
-            .is_sparse());
-    }
-
-    #[test]
-    fn value_only_variant_shares_the_symbolic_factorization() {
-        let base = ladder(20);
-        let donor = MnaSystem::with_mode(&base, MnaMode::Sparse).unwrap();
-        // Scale every resistor — values change, the pattern does not.
-        let scaled: Vec<Element> = base
-            .elements()
-            .iter()
-            .cloned()
-            .map(|e| match e {
-                Element::Resistor { label, a, b, ohms } => Element::Resistor {
-                    label,
-                    a,
-                    b,
-                    ohms: artisan_circuit::units::Ohms::from(ohms.value() * 1.25),
-                },
-                other => other,
-            })
-            .collect();
-        let variant = Netlist::new("ladder-scaled", scaled);
-        let shared = MnaSystem::new_sharing_symbolic(&variant, &donor).unwrap();
-        assert!(shared.is_sparse());
-        assert!(Arc::ptr_eq(
-            donor.sparse_symbolic().unwrap(),
-            shared.sparse_symbolic().unwrap()
-        ));
-        // And it still solves the *new* values correctly.
-        let dense = MnaSystem::with_mode(&variant, MnaMode::Dense).unwrap();
-        let s = Complex64::jomega(2.0 * PI * 1e4);
-        let hd = dense.transfer(s).unwrap();
-        let hs = shared.transfer(s).unwrap();
-        assert!((hd - hs).abs() <= 1e-12 * hd.abs().max(1.0));
-    }
-
-    #[test]
-    fn sparse_singular_fallback_matches_dense_verdicts() {
-        // Floating node: singular at DC, fine at AC. Forced-sparse must
-        // report exactly what dense reports at both points.
-        let n = Netlist::parse("* float\nC1 in n1 1p\nC2 n1 out 1p\nR1 out 0 1k\n.end\n").unwrap();
-        let dense = MnaSystem::with_mode(&n, MnaMode::Dense).unwrap();
-        let sparse = MnaSystem::with_mode(&n, MnaMode::Sparse).unwrap();
-        let mut wd = dense.workspace();
-        let mut ws = sparse.workspace();
-        assert!(matches!(
-            sparse.transfer_with(Complex64::ZERO, &mut ws),
-            Err(SimError::IllConditioned { .. })
-        ));
-        assert!(dense.transfer_with(Complex64::ZERO, &mut wd).is_err());
-        let s = Complex64::jomega(2.0 * PI * 1e3);
-        let hd = dense.transfer_with(s, &mut wd).unwrap();
-        let hs = sparse.transfer_with(s, &mut ws).unwrap();
-        assert!((hd - hs).abs() <= 1e-12 * hd.abs().max(1.0));
-        // Determinant: dense fallback decides — exactly singular ⇒ 0.
-        assert_eq!(
-            sparse.determinant(Complex64::ZERO).unwrap(),
-            dense.determinant(Complex64::ZERO).unwrap()
+    fn netlist_over_the_unknown_cap_is_refused() {
+        assert_eq!(MnaSystem::new(&ladder(MAX_UNKNOWNS)).unwrap().dim(), 64);
+        let refused = MnaSystem::new(&ladder(MAX_UNKNOWNS + 1)).unwrap_err();
+        assert!(
+            matches!(&refused, SimError::BadNetlist(r) if r.to_string().contains("65 unknown nodes")),
+            "{refused}"
         );
     }
 
@@ -938,18 +590,5 @@ mod tests {
                 sys.numerator(s).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn sparse_cramer_reproduces_transfer_on_ladder() {
-        let n = ladder(30);
-        let sys = MnaSystem::with_mode(&n, MnaMode::Sparse).unwrap();
-        let mut ws = sys.workspace();
-        let s = Complex64::jomega(2.0 * PI * 5e4);
-        let h = sys.transfer_with(s, &mut ws).unwrap();
-        let num = sys.numerator_with(s, &mut ws).unwrap();
-        let den = sys.determinant_with(s, &mut ws).unwrap();
-        let h_cramer = num / den;
-        assert!((h - h_cramer).abs() / h.abs() < 1e-9, "{h} vs {h_cramer}");
     }
 }

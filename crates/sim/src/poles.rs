@@ -44,13 +44,6 @@ impl PoleZero {
             .copied()
             .min_by(|a, b| a.abs().total_cmp(&b.abs()))
     }
-
-    /// Poles sorted by ascending magnitude.
-    pub fn poles_by_magnitude(&self) -> Vec<Complex64> {
-        let mut p = self.poles.clone();
-        p.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
-        p
-    }
 }
 
 /// Interpolation/rooting configuration.
@@ -187,7 +180,8 @@ mod tests {
         let netlist = topo.elaborate().unwrap();
         let pz = analyze(&netlist);
         assert!(pz.is_stable(), "poles: {:?}", pz.poles);
-        let sorted = pz.poles_by_magnitude();
+        let mut sorted = pz.poles.clone();
+        sorted.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
         // Dominant pole ≈ GBW / Av ≈ 1 MHz / 10^(118/20) ≈ 1 Hz-ish.
         let p1_hz = sorted[0].abs() / (2.0 * PI);
         assert!(p1_hz > 0.1 && p1_hz < 100.0, "p1 = {p1_hz} Hz");

@@ -156,11 +156,6 @@ impl Simulator {
         &self.ledger
     }
 
-    /// Resets the cost ledger (e.g. between experiment trials).
-    pub fn reset_ledger(&mut self) {
-        self.ledger = CostLedger::new();
-    }
-
     /// Mutable access to the ledger, so callers (agents, optimizers) can
     /// bill their own LLM/optimizer steps to the same time account.
     pub fn ledger_mut(&mut self) -> &mut CostLedger {
@@ -326,8 +321,6 @@ mod tests {
         sim.analyze_topology(&t).unwrap();
         sim.analyze_topology(&t).unwrap();
         assert_eq!(sim.ledger().simulations(), 2);
-        sim.reset_ledger();
-        assert_eq!(sim.ledger().simulations(), 0);
     }
 
     #[test]

@@ -172,14 +172,6 @@ impl SpecReport {
             .map(|c| c.metric)
             .collect()
     }
-
-    /// The worst (most negative) margin entry, if any check fails.
-    pub fn worst_failure(&self) -> Option<&SpecCheck> {
-        self.checks
-            .iter()
-            .filter(|c| !c.pass)
-            .min_by(|a, b| a.margin.total_cmp(&b.margin))
-    }
 }
 
 impl fmt::Display for SpecReport {
@@ -228,7 +220,6 @@ mod tests {
         let report = Spec::g1().check(&perf(100.0, 1e6, 60.0, 50e-6));
         assert!(report.success());
         assert!(report.failures().is_empty());
-        assert!(report.worst_failure().is_none());
     }
 
     #[test]
@@ -258,13 +249,6 @@ mod tests {
         let report = Spec::g1().check(&perf(85.0, 0.7e6, 55.0, 250e-6));
         assert!(!report.success());
         assert_eq!(report.failures().len(), 4);
-    }
-
-    #[test]
-    fn worst_failure_picks_most_negative_margin() {
-        let report = Spec::g1().check(&perf(84.9, 0.1e6, 60.0, 50e-6));
-        // GBW margin: 0.1/0.7 − 1 ≈ −0.857; Gain margin −0.1.
-        assert_eq!(report.worst_failure().unwrap().metric, "GBW");
     }
 
     #[test]

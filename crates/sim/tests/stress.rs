@@ -233,81 +233,6 @@ fn screened_stack_races_stay_conservative() {
 }
 
 #[test]
-fn sparse_sweeps_are_bit_identical_and_share_one_symbolic_under_stress() {
-    use artisan_circuit::Netlist;
-    use artisan_sim::ac::{sweep, SweepConfig};
-    use artisan_sim::mna::{MnaMode, MnaSystem};
-
-    // A dim-48 behavioural gain ladder, forced sparse so this test
-    // exercises the CSR + symbolic-LU path whatever the crossover picks.
-    let dim = 48usize;
-    let mut text = String::from("* stress ladder\n");
-    let mut prev = "in".to_string();
-    for k in 0..dim {
-        let node = if k == dim - 1 {
-            "out".to_string()
-        } else {
-            format!("x{k}")
-        };
-        text.push_str(&format!("G{k} {node} 0 {prev} 0 0.0002\n"));
-        text.push_str(&format!("R{k} {node} 0 10k\n"));
-        text.push_str(&format!("C{k} {node} 0 2p\n"));
-        prev = node;
-    }
-    text.push_str(".end\n");
-    let netlist = Netlist::parse(&text).expect("ladder parses");
-    let donor = MnaSystem::with_mode(&netlist, MnaMode::Sparse).expect("builds");
-    assert!(donor.is_sparse(), "forced-sparse system must be sparse");
-    let symbolic = Arc::clone(donor.sparse_symbolic().expect("sparse symbolic"));
-
-    let cfg = SweepConfig {
-        f_start: 1.0,
-        f_stop: 1e9,
-        points_per_decade: 48,
-    };
-    let points = cfg.frequencies().expect("grid").len();
-
-    let before = symbolic.numeric_factor_count();
-    let serial = sweep(&donor, &cfg).expect("sweeps");
-    assert_eq!(
-        symbolic.numeric_factor_count() - before,
-        points as u64,
-        "one numeric factorization per sweep point, zero symbolic redos"
-    );
-
-    // Each item is what a corner worker does: build a value-only variant
-    // (here value-identical) on the donor's symbolic factorization and
-    // sweep it sequentially, concurrently with the other workers.
-    let items: Vec<usize> = (0..8).collect();
-    let iters = stress_iters().min(8);
-    for iter in 0..iters {
-        for workers in [2usize, 4, 8] {
-            let before = symbolic.numeric_factor_count();
-            let got = ThreadPool::with_workers(workers).par_map_indexed(&items, |_, _| {
-                let sys = MnaSystem::new_sharing_symbolic(&netlist, &donor).expect("builds");
-                assert!(
-                    sys.sparse_symbolic()
-                        .is_some_and(|s| Arc::ptr_eq(s, &symbolic)),
-                    "a worker grew its own symbolic factorization"
-                );
-                sweep(&sys, &cfg).expect("sweeps")
-            });
-            for (k, curve) in got.iter().enumerate() {
-                assert_eq!(
-                    curve, &serial,
-                    "iter {iter}, workers {workers}, item {k}: drifted"
-                );
-            }
-            assert_eq!(
-                symbolic.numeric_factor_count() - before,
-                (items.len() * points) as u64,
-                "iter {iter}, workers {workers}: factor ledger drifted"
-            );
-        }
-    }
-}
-
-#[test]
 fn pool_results_are_identical_across_worker_counts_under_stress() {
     // The pool distributes work dynamically, so scheduling differs on
     // every run — results must not. Compare a real workload (an
