@@ -1,12 +1,16 @@
 //! The simulation engine's kernels: cached G/C-split assembly,
-//! workspace-reusing solves, the sequential AC sweep, the batched
+//! workspace-reusing solves, the sequential AC sweep, the AC
+//! measurement's points one at a time vs in lanes, the batched
 //! candidate fan-out vs the serial analysis loop, and the
 //! content-addressed cache (miss vs hit).
 
+use artisan_bench::MeasureCase;
 use artisan_circuit::sample::{sample_topology, SampleRanges};
+use artisan_circuit::units::Watts;
 use artisan_circuit::Topology;
 use artisan_math::{Complex64, ThreadPool};
-use artisan_sim::ac::{sweep, SweepConfig};
+use artisan_sim::ac::{sweep, SweepConfig, SweepGrid};
+use artisan_sim::corners::{evaluate_corner, CornerPoint};
 use artisan_sim::mna::MnaSystem;
 use artisan_sim::{CachedSim, SimBackend, SimCache, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -62,6 +66,49 @@ fn bench_sweep(c: &mut Criterion) {
     c.bench_function("ac_sweep", |b| {
         b.iter(|| black_box(sweep(&sys, &cfg).expect("sweeps")))
     });
+}
+
+/// The points an AC measurement reads, on the NMC example and a fixed
+/// dim-8 sampled candidate: solved one at a time (the scalar LU), in
+/// blocks of `LANES` (the lane LU, as `ac::measure` solves them), and
+/// a whole corner measurement through `evaluate_corner`.
+fn bench_measure(c: &mut Criterion) {
+    let grid = SweepGrid::new(&SweepConfig::default());
+    let mut group = c.benchmark_group("measure");
+    group.sample_size(101);
+    for case in MeasureCase::pair().expect("measure cases") {
+        let mut ws = case.sys.workspace();
+        group.bench_function(&format!("{}/pointwise_solves", case.name), |b| {
+            b.iter(|| {
+                case.solve_pointwise(&mut ws, |_, h| {
+                    black_box(h.expect("solves"));
+                })
+            })
+        });
+        let mut block_ws = case.sys.block_workspace();
+        group.bench_function(&format!("{}/block_solves", case.name), |b| {
+            b.iter(|| {
+                case.solve_blocks(&mut block_ws, |_, h| {
+                    black_box(h.expect("solves"));
+                })
+            })
+        });
+        group.bench_function(&format!("{}/evaluate_corner", case.name), |b| {
+            b.iter(|| {
+                black_box(
+                    evaluate_corner(
+                        &grid,
+                        &case.netlist,
+                        10e-12,
+                        Watts(1e-4),
+                        CornerPoint::default(),
+                    )
+                    .expect("measures"),
+                )
+            })
+        });
+    }
+    group.finish();
 }
 
 /// The candidate batch (sibling-scoring / optimizer-DoE shape): the
@@ -144,6 +191,7 @@ criterion_group!(
     bench_assembly,
     bench_solve,
     bench_sweep,
+    bench_measure,
     bench_batch_workers,
     bench_sim_cache,
     bench_snapshot

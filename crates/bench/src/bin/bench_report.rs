@@ -1,7 +1,9 @@
 //! Emits `BENCH_sim.json`: machine-readable numbers for the simulation
 //! engine — per-point assembly and solve throughput on the NMC example
 //! (with the zero-allocation contract of a warmed sweep asserted
-//! inline), candidate-batch and scheduler session throughput per worker
+//! inline), the AC measurement's points solved one at a time and in
+//! lanes (bit-identical, the warmed block loop allocation-free),
+//! candidate-batch and scheduler session throughput per worker
 //! count (each with its speedup over one worker), and the cache, warm
 //! start, single-flight, screening and journal contracts.
 //!
@@ -15,10 +17,11 @@
 // Experiment driver: aborting on a failed setup step is the idiom here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use artisan_bench::{arg_or, quick_mode};
+use artisan_bench::{arg_or, quick_mode, MeasureCase};
 use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
 use artisan_circuit::{Netlist, Topology};
 use artisan_lint::Linter;
+use artisan_math::lu::LANES;
 use artisan_math::{Complex64, ThreadPool};
 use artisan_resilience::{
     FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
@@ -28,7 +31,9 @@ use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::mna::{MnaSystem, MnaWorkspace};
-use artisan_sim::{AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, Simulator, Spec};
+use artisan_sim::{
+    AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator, Spec,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,6 +83,12 @@ fn rate<F: FnMut()>(reps: usize, events_per_rep: usize, mut routine: F) -> f64 {
     }
     let secs = start.elapsed().as_secs_f64();
     (reps * events_per_rep) as f64 / secs.max(1e-12)
+}
+
+/// The median of `values` (the upper middle one for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 fn main() {
@@ -131,6 +142,68 @@ fn main() {
     assert_eq!(
         hot_loop_allocations, 0,
         "warmed dense sweep allocated {hot_loop_allocations} times"
+    );
+
+    // --- the AC measurement's points: one at a time vs in lanes ---
+    // The grid points an AC measurement reads (through the first point
+    // below unity) on the NMC example and a fixed dim-8 sampled
+    // candidate, solved by the scalar LU a point at a time and by the
+    // lane LU a block of LANES points at a time, as `ac::measure` does.
+    // Every lane must carry the scalar solve's bits, and a warmed block
+    // loop must not touch the heap. The legs alternate over nine rounds
+    // and each reports its median rate.
+    let measure_cases = MeasureCase::pair().expect("measure cases");
+    let measure_reps = reps * 2;
+    let mut block_hot_loop_allocations = 0;
+    let measure_rows: Vec<String> = measure_cases
+        .iter()
+        .map(|case| {
+            let mut ws = case.sys.workspace();
+            let mut block_ws = case.sys.block_workspace();
+            let bits = |h: Result<Complex64, SimError>| {
+                let z = h.expect("a measured point solves");
+                (z.re.to_bits(), z.im.to_bits())
+            };
+            let mut pointwise = Vec::with_capacity(case.points());
+            case.solve_pointwise(&mut ws, |_, h| pointwise.push(bits(h)));
+            let mut blocks = Vec::with_capacity(case.points());
+            case.solve_blocks(&mut block_ws, |_, h| blocks.push(bits(h)));
+            assert_eq!(
+                blocks, pointwise,
+                "{}: a lane lost the scalar solve's bits",
+                case.name
+            );
+            let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+            case.solve_blocks(&mut block_ws, |_, h| {
+                black_box(h).ok();
+            });
+            block_hot_loop_allocations += ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+            let (mut scalar, mut blocked) = (Vec::new(), Vec::new());
+            for _ in 0..9 {
+                scalar.push(rate(measure_reps, case.points(), || {
+                    case.solve_pointwise(&mut ws, |_, h| {
+                        black_box(h).ok();
+                    })
+                }));
+                blocked.push(rate(measure_reps, case.points(), || {
+                    case.solve_blocks(&mut block_ws, |_, h| {
+                        black_box(h).ok();
+                    })
+                }));
+            }
+            let (scalar, blocked) = (median(scalar), median(blocked));
+            format!(
+                "      {{ \"system\": \"{}\", \"dim\": {}, \"points\": {}, \"scalar_points_per_sec\": {scalar:.1}, \"block_points_per_sec\": {blocked:.1}, \"speedup\": {:.3}, \"bits_identical\": true }}",
+                case.name,
+                case.sys.dim(),
+                case.points(),
+                blocked / scalar
+            )
+        })
+        .collect();
+    assert_eq!(
+        block_hot_loop_allocations, 0,
+        "warmed block loop allocated {block_hot_loop_allocations} times"
     );
 
     // --- scheduler batch and candidate batch, per worker count ---
@@ -600,8 +673,9 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
+        measure_rows.join(",\n"),
         batch_topos.len(),
         fmt_scaling(&batch_rates, "batched_analyses_per_sec"),
         fmt_scaling(&scheduler_rates, "sessions_per_sec"),

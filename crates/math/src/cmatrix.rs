@@ -137,6 +137,11 @@ impl CMatrix {
         Ok(())
     }
 
+    /// The entries in row-major order.
+    pub(crate) fn as_slice(&self) -> &[Complex64] {
+        &self.data
+    }
+
     /// Swaps two rows in place (used by partial pivoting).
     pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {

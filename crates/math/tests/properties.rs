@@ -163,3 +163,109 @@ proptest! {
         prop_assert!((w.std_dev().unwrap() - std_dev(&xs).unwrap()).abs() < 1e-6);
     }
 }
+
+/// One entry for the lane-kernel property: mostly ordinary values, with
+/// the cases where a careless lane kernel loses the scalar bits mixed
+/// in — exact and signed zeros (skipped updates), small integers (ties
+/// in pivot magnitude, exact cancellation into singular columns),
+/// extreme magnitudes (both branches of Smith's reciprocal), and NaN
+/// and ±∞.
+fn awkward_entry(rng: &mut rand::rngs::StdRng) -> Complex64 {
+    use rand::Rng;
+    let part = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..20) {
+        0..=7 => rng.gen_range(-1.0..1.0),
+        8..=10 => 0.0,
+        11..=12 => -0.0,
+        13..=16 => f64::from(rng.gen_range(-2i8..=2)),
+        17 => rng.gen_range(-1.0..1.0) * 1e150,
+        18 => rng.gen_range(-1.0..1.0) * 1e-150,
+        _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3)],
+    };
+    Complex64::new(part(rng), part(rng))
+}
+
+/// Compares by bit pattern, with every NaN equal to every other: Rust
+/// leaves a NaN result's payload unspecified.
+fn same_bits(a: Complex64, b: Complex64) -> bool {
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    same(a.re, b.re) && same(a.im, b.im)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Every lane of a [`lu::LaneBlock`] reproduces `factor_in_place`
+    /// and `solve_factored` on its own system bit for bit: the same
+    /// singular verdict, the same factors, the same solution — also
+    /// with back substitution stopped at a row. Lanes draw from a small
+    /// set of base systems with some entries redrawn, so singular and
+    /// regular lanes, ties and exact zeros sit side by side in a block,
+    /// as the points of one sweep do.
+    #[test]
+    fn lane_block_matches_the_scalar_lu_bit_for_bit(seed in 0u64..u64::MAX) {
+        use lu::{LaneBlock, LANES};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..10usize);
+        let dense = rng.gen_bool(0.5);
+        let entry = |rng: &mut rand::rngs::StdRng| {
+            if dense || rng.gen_bool(0.5) { awkward_entry(rng) } else { Complex64::ZERO }
+        };
+        let bases: Vec<Vec<Complex64>> = (0..3)
+            .map(|_| (0..n * n + n).map(|_| entry(&mut rng)).collect())
+            .collect();
+        let mut block = LaneBlock::new(n);
+        let mut systems = Vec::with_capacity(LANES);
+        for lane in 0..LANES {
+            let mut values = bases[rng.gen_range(0..bases.len())].clone();
+            for _ in 0..rng.gen_range(0..3) {
+                let at = rng.gen_range(0..values.len());
+                values[at] = entry(&mut rng);
+            }
+            if rng.gen_bool(0.1) {
+                // An exactly zero column: singular at or before it.
+                let col = rng.gen_range(0..n);
+                for r in 0..n {
+                    values[r * n + col] = Complex64::ZERO;
+                }
+            }
+            for r in 0..n {
+                for c in 0..n {
+                    block.set(r, c, lane, values[r * n + c]);
+                }
+                block.set_rhs(r, lane, values[n * n + r]);
+            }
+            systems.push(values);
+        }
+        let first_row = rng.gen_range(0..n);
+        let singular = block.factor();
+        block.solve(first_row);
+        for (lane, values) in systems.iter().enumerate() {
+            let mut a = CMatrix::from_rows(n, n, &values[..n * n]).unwrap();
+            let mut perm = Vec::new();
+            match lu::factor_in_place(&mut a, &mut perm) {
+                Err(_) => prop_assert!(singular[lane], "lane {} missed a singular system", lane),
+                Ok(_) => {
+                    prop_assert!(!singular[lane], "lane {} called a regular system singular", lane);
+                    let mut x = Vec::new();
+                    lu::solve_factored(&a, &perm, &values[n * n..], &mut x).unwrap();
+                    for r in 0..n {
+                        for c in 0..n {
+                            prop_assert!(
+                                same_bits(block.get(r, c, lane), a[(r, c)]),
+                                "lane {} factor ({}, {}): {} vs {}",
+                                lane, r, c, block.get(r, c, lane), a[(r, c)]
+                            );
+                        }
+                    }
+                    for (r, &want) in x.iter().enumerate().skip(first_row) {
+                        prop_assert!(
+                            same_bits(block.solution(r, lane), want),
+                            "lane {} x[{}]: {} vs {}", lane, r, block.solution(r, lane), want
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -608,4 +608,39 @@ mod tests {
         }
         server.shutdown();
     }
+
+    #[test]
+    fn a_netlist_over_the_element_cap_gets_an_error_reply_and_the_next_request_is_served() {
+        // One unknown with 2 000 parallel 1 fF capacitors: pole
+        // extraction would factor the network once per capacitor.
+        let mut text = String::from("* padded\nG1 out 0 in 0 1m\nR1 out 0 10k\nCL out 0 1p\n");
+        for k in 0..2000 {
+            text.push_str(&format!("Cx{k} out 0 1f\n"));
+        }
+        text.push_str(".end\n");
+        let padded = Netlist::parse(&text).unwrap_or_else(|e| panic!("{e}"));
+
+        let mut server = Server::start(ServerConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+        let mut client = Client::connect(server.addr()).unwrap_or_else(|e| panic!("{e}"));
+        let request = Request::Analyze {
+            item: WorkItem::Net(padded),
+        };
+        match client.call(&request) {
+            Ok(Response::Analysis { results }) => assert!(
+                matches!(&results[..], [Err(SimError::BadNetlist(r))] if r.to_string().contains("2003 elements")),
+                "{results:?}"
+            ),
+            other => panic!("expected an analysis reply, got {other:?}"),
+        }
+        let next = Request::Analyze {
+            item: WorkItem::Topo(Topology::nmc_example()),
+        };
+        match client.call(&next) {
+            Ok(Response::Analysis { results }) => {
+                assert!(matches!(&results[..], [Ok(_)]), "{results:?}")
+            }
+            other => panic!("expected an analysis reply, got {other:?}"),
+        }
+        server.shutdown();
+    }
 }

@@ -3,17 +3,20 @@
 //!
 //! A sweep solves the MNA system at each grid frequency in order,
 //! through one reusable [`MnaWorkspace`], and unwraps the phase point by
-//! point. The paper's systems have dimension 3–12, so one candidate's
+//! point. The paper's systems have dimension 3–14, so one candidate's
 //! sweep is a short sequential loop; parallelism lives across
 //! independent analyses (candidates, corners, sessions), never inside
 //! one.
 //!
 //! [`sweep`] returns the full curve. The analysis pipeline and the
 //! corner engine instead call the crate-private `measure`, which reads
-//! DC gain, GBW and phase margin and stops one point past the first
-//! unity-gain bracket. The solved prefix is the same arithmetic as the
-//! same prefix of [`sweep`], so the metrics equal [`unity_crossing`]
-//! over the full curve bit for bit.
+//! DC gain, GBW and phase margin over a [`SweepGrid`] built once per
+//! analysis or corner batch. It solves the sweep [`LANES`] points at a
+//! time with [`MnaSystem::transfer_block`], consumes the lanes in grid
+//! order and stops at the end of the block holding the first point
+//! below unity. Every lane has the bits of the scalar solve at its
+//! point, so the metrics equal [`unity_crossing`] over the full curve
+//! bit for bit.
 //!
 //! [`MnaWorkspace`]: crate::mna::MnaWorkspace
 
@@ -22,6 +25,7 @@ use crate::metrics::Performance;
 use crate::mna::MnaSystem;
 use crate::Result;
 use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
+use artisan_math::lu::LANES;
 use artisan_math::Complex64;
 use std::f64::consts::PI;
 
@@ -106,6 +110,36 @@ impl SweepConfig {
 /// `s = jω` at `f` Hz.
 fn jomega(f: f64) -> Complex64 {
     Complex64::jomega(2.0 * PI * f)
+}
+
+/// A sweep's frequency grid with each point's `s = jω`, built once and
+/// shared by every measurement over one [`SweepConfig`]: the corner
+/// engine builds one per batch of grids, the simulator one per
+/// analysis.
+#[derive(Debug, Clone)]
+pub struct SweepGrid {
+    /// The configured start frequency, where the DC gain is retried
+    /// when `s = 0` is singular.
+    f_start: f64,
+    /// The grid's frequencies and their `s`, or why the configuration
+    /// has no grid.
+    points: Result<(Vec<f64>, Vec<Complex64>)>,
+}
+
+impl SweepGrid {
+    /// The grid of `config`. A malformed configuration still makes a
+    /// grid: its [`SimError::InvalidSweep`] is reported by each
+    /// measurement after the DC solve, so a failure at DC keeps
+    /// precedence.
+    pub fn new(config: &SweepConfig) -> Self {
+        SweepGrid {
+            f_start: config.f_start,
+            points: config.frequencies().map(|freqs| {
+                let s = freqs.iter().map(|&f| jomega(f)).collect();
+                (freqs, s)
+            }),
+        }
+    }
 }
 
 /// Runs an AC sweep: solves the MNA system at each grid frequency, in
@@ -213,8 +247,11 @@ impl AcMetrics {
 
 /// The one AC measurement of an analysis: DC gain, then the sweep up to
 /// the first unity crossing, whose GBW and phase margin it reads. The
-/// sweep stops one point past the first |H| = 1 bracket, so a solve
-/// that would fail only above the crossing is never attempted.
+/// sweep is solved a block of [`LANES`] points at a time, and the lanes
+/// are read in grid order. It stops at the end of the block holding the
+/// first point below unity: up to `LANES − 1` points past the crossing
+/// are solved and thrown away, and a solve that fails only there does
+/// not fail the measurement.
 ///
 /// # Errors
 ///
@@ -222,42 +259,54 @@ impl AcMetrics {
 /// [`SimError::IllConditioned`], which retries at `f_start`) or at the
 /// fallback point; [`SimError::BadNetlist`] for a zero or non-finite DC
 /// gain; [`SimError::InvalidSweep`]; the failure at the lowest failing
-/// sweep point; [`SimError::NoUnityCrossing`].
-pub(crate) fn measure(sys: &MnaSystem, config: &SweepConfig) -> Result<AcMetrics> {
-    // One workspace serves the gain and every sweep point.
+/// sweep point up to the crossing; [`SimError::NoUnityCrossing`].
+pub(crate) fn measure(sys: &MnaSystem, grid: &SweepGrid) -> Result<AcMetrics> {
+    // One workspace serves the gain, one block workspace every block.
     let mut ws = sys.workspace();
-    measure_transfer(config, |s| sys.transfer_with(s, &mut ws))
+    let mut block_ws = sys.block_workspace();
+    measure_blocks(
+        grid,
+        |s| sys.transfer_with(s, &mut ws),
+        |s| sys.transfer_block(s, &mut block_ws),
+    )
 }
 
-/// [`measure`] over any transfer function `h(s)`, called at `s = 0`,
-/// then as the sweep needs.
-fn measure_transfer(
-    config: &SweepConfig,
-    mut h: impl FnMut(Complex64) -> Result<Complex64>,
+/// [`measure`] over any transfer function: `dc(s)` is called at
+/// `s = 0`, then at `f_start` if that is singular; `block(s)` solves
+/// the sweep's blocks in order, as the sweep needs them.
+fn measure_blocks(
+    grid: &SweepGrid,
+    mut dc: impl FnMut(Complex64) -> Result<Complex64>,
+    mut block: impl FnMut(&[Complex64; LANES]) -> [Result<Complex64>; LANES],
 ) -> Result<AcMetrics> {
     // DC gain: exact s = 0 solve, falling back to the sweep floor for
     // networks with capacitively-coupled (DC-floating) internal nodes.
-    let h0 = match h(Complex64::ZERO) {
+    let h0 = match dc(Complex64::ZERO) {
         Ok(h0) => h0,
-        Err(SimError::IllConditioned { .. }) => h(jomega(config.f_start))?,
+        Err(SimError::IllConditioned { .. }) => dc(jomega(grid.f_start))?,
         Err(e) => return Err(e),
     };
     if h0.abs() <= 0.0 || !h0.is_finite() {
         return Err(SimError::BadNetlist("zero or non-finite DC gain".into()));
     }
+    let (freqs, s) = grid.points.as_ref().map_err(Clone::clone)?;
     let mut unwrapper = Unwrapper::default();
     let mut prev: Option<AcPoint> = None;
-    for f in config.frequencies()? {
-        let point = unwrapper.next(f, h(jomega(f))?);
-        if let Some((gbw_hz, phase_at_unity)) = prev.and_then(|a| unity_crossing(&[a, point])) {
-            return Ok(AcMetrics {
-                gain: Decibels::from_ratio(h0.abs()),
-                gbw: Hertz(gbw_hz),
-                // Phase margin: 180° + relative phase accumulated from DC.
-                pm: Degrees(180.0 + phase_at_unity),
-            });
+    for (freqs, s) in freqs.chunks(LANES).zip(s.chunks(LANES)) {
+        // A short last block repeats its last point in the spare lanes.
+        let lanes = std::array::from_fn(|l| s[l.min(s.len() - 1)]);
+        for (&f, h) in freqs.iter().zip(block(&lanes)) {
+            let point = unwrapper.next(f, h?);
+            if let Some((gbw_hz, phase_at_unity)) = prev.and_then(|a| unity_crossing(&[a, point])) {
+                return Ok(AcMetrics {
+                    gain: Decibels::from_ratio(h0.abs()),
+                    gbw: Hertz(gbw_hz),
+                    // Phase margin: 180° + relative phase accumulated from DC.
+                    pm: Degrees(180.0 + phase_at_unity),
+                });
+            }
+            prev = Some(point);
         }
-        prev = Some(point);
     }
     Err(SimError::NoUnityCrossing)
 }
@@ -396,41 +445,106 @@ mod tests {
         let pts = sweep(&sys, &SweepConfig::default()).unwrap();
         assert!(unity_crossing(&pts).is_none());
         assert!(matches!(
-            measure(&sys, &SweepConfig::default()),
+            measure(&sys, &SweepGrid::new(&SweepConfig::default())),
             Err(SimError::NoUnityCrossing)
         ));
     }
 
     #[test]
-    fn measure_stops_one_point_past_the_first_crossing() {
+    fn measure_stops_at_the_end_of_the_block_holding_the_crossing() {
         let sys = single_pole(1000.0, 1e3);
         let cfg = SweepConfig::default();
+        let grid = SweepGrid::new(&cfg);
         let full = sweep(&sys, &cfg).unwrap();
         let below = 1 + full
             .windows(2)
             .position(|w| w[0].h.abs() >= 1.0 && w[1].h.abs() < 1.0)
             .unwrap();
-        assert!(below + 1 < full.len(), "the crossing is inside the band");
-        let mut ws = sys.workspace();
-        let mut solved = Vec::new();
-        let metrics = measure_transfer(&cfg, |s| {
-            solved.push(s);
-            sys.transfer_with(s, &mut ws)
-        })
-        .unwrap();
-        // The DC solve, then sweep points 0..=below and nothing after.
-        let grid = cfg.frequencies().unwrap();
-        let expected: Vec<Complex64> = std::iter::once(Complex64::ZERO)
-            .chain(grid[..=below].iter().map(|&f| jomega(f)))
+        // The block holding the first point below unity ends at `end`,
+        // with lanes to spare past that point.
+        let end = (below / LANES + 1) * LANES;
+        assert!(below + 1 < end && end <= full.len(), "below {below}");
+        let run = |inject: Option<usize>, blocks: &mut Vec<[Complex64; LANES]>| {
+            let mut ws = sys.workspace();
+            let mut block_ws = sys.block_workspace();
+            let mut dc_solves = Vec::new();
+            let metrics = measure_blocks(
+                &grid,
+                |s| {
+                    dc_solves.push(s);
+                    sys.transfer_with(s, &mut ws)
+                },
+                |s| {
+                    let first = blocks.len() * LANES;
+                    blocks.push(*s);
+                    let mut h = sys.transfer_block(s, &mut block_ws);
+                    if let Some(at) = inject.filter(|at| (first..first + LANES).contains(at)) {
+                        h[at - first] = Err(SimError::IllConditioned {
+                            frequency: full[at].freq,
+                        });
+                    }
+                    h
+                },
+            );
+            assert_eq!(dc_solves, [Complex64::ZERO]);
+            metrics
+        };
+
+        // The DC solve, then whole blocks up to `end`, then nothing.
+        let mut blocks = Vec::new();
+        let metrics = run(None, &mut blocks).unwrap();
+        let expected: Vec<[Complex64; LANES]> = full[..end]
+            .chunks(LANES)
+            .map(|c| std::array::from_fn(|l| jomega(c[l].freq)))
             .collect();
-        assert_eq!(solved, expected);
-        assert_eq!(
-            measure(&sys, &cfg).unwrap().gbw.value().to_bits(),
-            metrics.gbw.value().to_bits()
-        );
+        assert_eq!(blocks, expected);
+        let bits =
+            |m: &AcMetrics| [m.gain.value(), m.gbw.value(), m.pm.value()].map(|v| v.to_bits());
         let (f_u, phase) = unity_crossing(&full).unwrap();
         assert_eq!(metrics.gbw.value().to_bits(), f_u.to_bits());
         assert_eq!(metrics.pm.value().to_bits(), (180.0 + phase).to_bits());
+        assert_eq!(bits(&measure(&sys, &grid).unwrap()), bits(&metrics));
+
+        // A failure in the same block past the crossing is thrown away
+        // with its lane.
+        for at in below + 1..end {
+            let past = run(Some(at), &mut Vec::new()).unwrap();
+            assert_eq!(bits(&past), bits(&metrics), "failure at point {at}");
+        }
+        // A failure up to the crossing is the measurement's error.
+        for at in [0, below - 1, below] {
+            match run(Some(at), &mut Vec::new()) {
+                Err(SimError::IllConditioned { frequency }) => {
+                    assert_eq!(frequency, full[at].freq)
+                }
+                other => panic!("failure at point {at} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failure_at_dc_wins_over_an_invalid_sweep() {
+        let invalid = SweepGrid::new(&SweepConfig {
+            f_start: 0.0,
+            ..SweepConfig::default()
+        });
+        let system = |text: &str| MnaSystem::new(&Netlist::parse(text).unwrap()).unwrap();
+        // Zero DC gain: a series capacitor blocks DC.
+        let blocked = system("* hp\nC1 in out 1p\nR1 out 0 1k\n.end\n");
+        assert!(
+            matches!(measure(&blocked, &invalid), Err(SimError::BadNetlist(r)) if r.to_string().contains("DC gain")),
+        );
+        // Singular at s = 0, and again at the fallback f_start = 0.
+        let floating = system("* float\nC1 in n1 1p\nC2 n1 out 1p\nR1 out 0 1k\n.end\n");
+        assert!(matches!(
+            measure(&floating, &invalid),
+            Err(SimError::IllConditioned { frequency }) if frequency == 0.0
+        ));
+        // A sound DC gain reaches the grid's own error.
+        assert!(matches!(
+            measure(&single_pole(1000.0, 1e3), &invalid),
+            Err(SimError::InvalidSweep { f_start, .. }) if f_start == 0.0
+        ));
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! preservation, and billed-seconds conservation for this stack. To run
 //! without corner sign-off, do not stack the wrapper.
 
-use crate::ac;
+use crate::ac::{self, SweepGrid};
 use crate::backend::SimBackend;
 use crate::cache::SimCache;
 use crate::cost::CostLedger;
@@ -280,9 +280,11 @@ impl CornerSummary {
 }
 
 /// Evaluates one corner: scale the netlist, build its MNA system, take
-/// the nominal analysis's AC measurement (DC gain, GBW and phase margin
-/// at the first unity crossing), then rescale power and FoM analytically
-/// from the nominal power (see the [module docs](self)).
+/// the nominal analysis's AC measurement over `grid` (DC gain, GBW and
+/// phase margin at the first unity crossing), then rescale power and
+/// FoM analytically from the nominal power (see the
+/// [module docs](self)). `grid` is the analysis configuration's
+/// [`SweepGrid`], built once for a batch of corners.
 ///
 /// # Errors
 ///
@@ -292,7 +294,7 @@ impl CornerSummary {
 ///
 /// [`SimError::NoUnityCrossing`]: crate::SimError::NoUnityCrossing
 pub fn evaluate_corner(
-    config: &AnalysisConfig,
+    grid: &SweepGrid,
     netlist: &Netlist,
     cl: f64,
     nominal_power: Watts,
@@ -300,7 +302,7 @@ pub fn evaluate_corner(
 ) -> Result<Performance> {
     let scaled = corner.apply(netlist);
     let sys = MnaSystem::new(&scaled)?;
-    let ac = ac::measure(&sys, &config.sweep)?;
+    let ac = ac::measure(&sys, grid)?;
     // Supply scales both the rail and every branch current, so power
     // goes with gm_scale²; the load axis re-rates the FoM. Both are
     // bit-exact at the nominal point (×1.0).
@@ -484,9 +486,9 @@ impl<B: SimBackend> CornerSim<B> {
             .iter()
             .flat_map(|&i| corners.iter().map(move |&corner| (&candidates[i], corner)))
             .collect();
-        let config = self.config;
+        let grid = SweepGrid::new(&self.config.sweep);
         let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(c, corner)| {
-            evaluate_corner(&config, &c.netlist, c.cl, c.power, corner)
+            evaluate_corner(&grid, &c.netlist, c.cl, c.power, corner)
         });
         // Fold per candidate in grid order and publish.
         for (k, &i) in fresh.iter().enumerate() {

@@ -72,7 +72,7 @@ pub use corners::{CornerGrid, CornerPoint, CornerSim, CornerSummary, WorstCase};
 pub use error::{BadNetlistReport, SimError};
 pub use fingerprint::NetlistFingerprint;
 pub use metrics::{Performance, PowerModel};
-pub use mna::{MnaSystem, MnaWorkspace};
+pub use mna::{MnaBlockWorkspace, MnaSystem, MnaWorkspace};
 pub use screen::{LintVerdict, ScreenedSim};
 pub use simulator::{
     admit_netlist, admit_topology, bill_batch, elaborate_for_analysis, load_capacitance,

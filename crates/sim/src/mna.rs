@@ -13,9 +13,17 @@
 //! solve path ([`MnaSystem::solve_with`]) factors into a caller-provided
 //! [`MnaWorkspace`] so an AC sweep allocates nothing per point.
 //!
-//! # One dense solver, with a size cap
+//! [`MnaSystem::transfer_block`] is the same transfer function at
+//! [`LANES`] frequencies at once, assembled and solved in the lanes of
+//! one [`LaneBlock`] (an [`MnaBlockWorkspace`]): each lane has the bits
+//! of [`MnaSystem::transfer_with`] at its frequency, and a singular lane
+//! fails alone. The AC measurement solves its sweep this way, a block
+//! at a time, and discards the lanes past the point it needs at the end
+//! of the block.
 //!
-//! The behavioural networks this crate analyses have 3–12 unknowns
+//! # One dense solver, with size caps
+//!
+//! The behavioural networks this crate analyses have 3–14 unknowns
 //! (the NMC example is dim 3). They are all solved by one dense
 //! partial-pivot LU on a contiguous matrix, with no ordering analysis
 //! and one code path to keep bit-exact. A netlist that would need more
@@ -23,18 +31,30 @@
 //! matrix is allocated: two `dim × dim` complex matrices and an O(dim³)
 //! LU per frequency point are then the worst one candidate can cost, so
 //! a hostile or runaway netlist cannot exhaust memory or hold a batch
-//! for hours.
+//! for hours. A netlist of more than 256 elements is refused the same
+//! way, before anything is stamped, because pole extraction factors the
+//! network once per capacitor.
 
 use crate::error::SimError;
 use crate::Result;
 use artisan_circuit::{Element, Netlist, Node};
-use artisan_math::{lu, CMatrix, Complex64, MathError};
+use artisan_math::lu::{self, LaneBlock, LANES};
+use artisan_math::{CMatrix, Complex64, MathError};
 use std::collections::HashMap;
+use std::f64::consts::PI;
 
-/// Most unknowns an [`MnaSystem`] may have: five times the largest
-/// system any paper circuit, sampled topology or benchmark builds (12).
+/// Most unknowns an [`MnaSystem`] may have: over four times the largest
+/// system that the paper circuits and 40 000 sampled topologies build
+/// (14).
 /// Larger netlists are refused before any matrix is allocated.
 pub(crate) const MAX_UNKNOWNS: usize = 64;
+
+/// Most elements an [`MnaSystem`] may stamp: seven times the largest
+/// netlist any paper circuit or sampled topology elaborates to (36).
+/// Pole extraction factors the network once per capacitor, so the
+/// element count bounds an analysis's cost as the unknown cap bounds a
+/// solve's. Larger netlists are refused before anything is stamped.
+pub(crate) const MAX_ELEMENTS: usize = 256;
 
 /// Reusable per-solve scratch: the assembled `Y`, the right-hand side,
 /// the pivot permutation, and the solution vector. Build one with
@@ -47,6 +67,14 @@ pub struct MnaWorkspace {
     rhs: Vec<Complex64>,
     perm: Vec<usize>,
     x: Vec<Complex64>,
+}
+
+/// Reusable scratch for [`MnaSystem::transfer_block`]: the `LANES`
+/// systems of one block. Build one with [`MnaSystem::block_workspace`];
+/// a measurement reuses it for every block of its sweep.
+#[derive(Debug, Clone)]
+pub struct MnaBlockWorkspace {
+    block: LaneBlock,
 }
 
 /// An assembled MNA system for one netlist, reusable across frequencies.
@@ -128,11 +156,21 @@ impl MnaSystem {
     /// # Errors
     ///
     /// Returns [`SimError::BadNetlist`] when the netlist has no `out`
-    /// node, no elements, more than 64 unknown nodes, or an element
-    /// references a node missing from the unknown index.
+    /// node, no elements, more than 256 elements, more than 64 unknown
+    /// nodes, or an element references a node missing from the unknown
+    /// index.
     pub fn new(netlist: &Netlist) -> Result<Self> {
-        if netlist.element_count() == 0 {
+        let elements = netlist.element_count();
+        if elements == 0 {
             return Err(SimError::BadNetlist("netlist is empty".into()));
+        }
+        if elements > MAX_ELEMENTS {
+            return Err(SimError::BadNetlist(
+                format!(
+                    "netlist has {elements} elements; the simulator stamps at most {MAX_ELEMENTS}"
+                )
+                .into(),
+            ));
         }
         let unknowns = netlist.unknown_nodes();
         if unknowns.len() > MAX_UNKNOWNS {
@@ -270,7 +308,7 @@ impl MnaSystem {
         ws.y.assign_scale_add(&self.g, &self.c, s)?;
         self.rhs_at(s, &mut ws.rhs);
         lu::factor_in_place(&mut ws.y, &mut ws.perm).map_err(|_| SimError::IllConditioned {
-            frequency: s.im / (2.0 * std::f64::consts::PI),
+            frequency: s.im / (2.0 * PI),
         })?;
         lu::solve_factored(&ws.y, &ws.perm, &ws.rhs, &mut ws.x)?;
         Ok(&ws.x)
@@ -284,6 +322,49 @@ impl MnaSystem {
     /// Propagates [`MnaSystem::solve_with`] failures.
     pub fn transfer_with(&self, s: Complex64, ws: &mut MnaWorkspace) -> Result<Complex64> {
         Ok(self.solve_with(s, ws)?[self.out_index])
+    }
+
+    /// A fresh block workspace sized for this system.
+    pub fn block_workspace(&self) -> MnaBlockWorkspace {
+        MnaBlockWorkspace {
+            block: LaneBlock::new(self.dim),
+        }
+    }
+
+    /// The transfer function at each of the `LANES` frequencies in `s`,
+    /// one result per lane, solved together in `ws` with no allocation.
+    /// Each lane assembles `Y = G + s·C` and the right-hand side with
+    /// the expressions of [`MnaSystem::transfer_with`] and factors and
+    /// solves with the scalar LU's operations, so a lane's value has the
+    /// bits of `transfer_with` at its `s`. The back substitution stops
+    /// at the output row, the only one `H(s)` reads.
+    ///
+    /// # Errors
+    ///
+    /// A lane whose `Y(s)` is singular is [`SimError::IllConditioned`]
+    /// at its own frequency; the other lanes are unaffected. Every lane
+    /// is [`SimError::Math`] when `ws` was built for another dimension.
+    pub fn transfer_block(
+        &self,
+        s: &[Complex64; LANES],
+        ws: &mut MnaBlockWorkspace,
+    ) -> [Result<Complex64>; LANES] {
+        let block = &mut ws.block;
+        if let Err(e) = block.assign_scale_add(&self.g, &self.c, &self.rhs_g, &self.rhs_c, s) {
+            let e = SimError::from(e);
+            return std::array::from_fn(|_| Err(e.clone()));
+        }
+        let singular = block.factor();
+        block.solve(self.out_index);
+        std::array::from_fn(|lane| {
+            if singular[lane] {
+                Err(SimError::IllConditioned {
+                    frequency: s[lane].im / (2.0 * PI),
+                })
+            } else {
+                Ok(block.solution(self.out_index, lane))
+            }
+        })
     }
 
     /// Solves for all node voltages at complex frequency `s` under unit
@@ -382,7 +463,6 @@ impl MnaSystem {
 mod tests {
     use super::*;
     use artisan_circuit::{Netlist, Topology};
-    use std::f64::consts::PI;
 
     /// Single-pole RC low-pass driven through a unity-gm stage:
     /// H(0) = −gm·R, pole at 1/(2πRC).
@@ -572,6 +652,78 @@ mod tests {
             matches!(&refused, SimError::BadNetlist(r) if r.to_string().contains("65 unknown nodes")),
             "{refused}"
         );
+    }
+
+    /// One gain stage with its load and `extra` parallel 1 fF
+    /// capacitors: one unknown, `3 + extra` elements.
+    fn padded_stage(extra: usize) -> Netlist {
+        let mut t = String::from("* padded\nG1 out 0 in 0 1m\nR1 out 0 10k\nCL out 0 1p\n");
+        for k in 0..extra {
+            t.push_str(&format!("Cx{k} out 0 1f\n"));
+        }
+        t.push_str(".end\n");
+        Netlist::parse(&t).unwrap()
+    }
+
+    #[test]
+    fn netlist_over_the_element_cap_is_refused() {
+        let at_cap = padded_stage(MAX_ELEMENTS - 3);
+        assert_eq!(at_cap.element_count(), MAX_ELEMENTS);
+        assert_eq!(MnaSystem::new(&at_cap).unwrap().dim(), 1);
+        let refused = MnaSystem::new(&padded_stage(MAX_ELEMENTS - 2)).unwrap_err();
+        assert!(
+            matches!(&refused, SimError::BadNetlist(r) if r.to_string().contains("257 elements")),
+            "{refused}"
+        );
+        // The 64-unknown ladder stays inside the element cap.
+        assert!(ladder(MAX_UNKNOWNS + 1).element_count() <= MAX_ELEMENTS);
+    }
+
+    #[test]
+    fn block_transfer_matches_transfer_with_in_every_lane() {
+        let sys = MnaSystem::new(&ladder(9)).unwrap();
+        let mut ws = sys.workspace();
+        let mut block_ws = sys.block_workspace();
+        for first in [1e-2, 3e3, 1e8] {
+            let s: [Complex64; LANES] =
+                std::array::from_fn(|l| Complex64::jomega(2.0 * PI * first * (1.0 + l as f64)));
+            let block = sys.transfer_block(&s, &mut block_ws);
+            for (lane, h) in block.into_iter().enumerate() {
+                let want = sys.transfer_with(s[lane], &mut ws).unwrap();
+                let got = h.unwrap();
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_lane_fails_alone_at_its_own_frequency() {
+        // Singular at s = 0 only: n1 hangs between two capacitors.
+        let n = Netlist::parse("* float\nC1 in n1 1p\nC2 n1 out 1p\nR1 out 0 1k\n.end\n").unwrap();
+        let sys = MnaSystem::new(&n).unwrap();
+        let mut block_ws = sys.block_workspace();
+        let mut s = [Complex64::jomega(2.0 * PI * 1e3); LANES];
+        s[3] = Complex64::ZERO;
+        for (lane, h) in sys
+            .transfer_block(&s, &mut block_ws)
+            .into_iter()
+            .enumerate()
+        {
+            match h {
+                Err(SimError::IllConditioned { frequency }) => {
+                    assert_eq!((lane, frequency), (3, 0.0))
+                }
+                Ok(h) => assert_eq!(h, sys.transfer(s[lane]).unwrap(), "lane {lane}"),
+                Err(e) => panic!("lane {lane}: {e}"),
+            }
+        }
+        // A workspace of another dimension fails every lane.
+        let other = MnaSystem::new(&ladder(4)).unwrap();
+        let results = other.transfer_block(&s, &mut block_ws);
+        assert!(results.iter().all(|h| matches!(h, Err(SimError::Math(_)))));
     }
 
     #[test]

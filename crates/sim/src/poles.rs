@@ -83,10 +83,11 @@ pub fn transfer_polynomials(
     netlist: &Netlist,
     config: &PoleZeroConfig,
 ) -> Result<(Polynomial, Polynomial)> {
-    // Degree bound: one power of s per capacitor, capped by matrix size.
-    let degree = netlist
-        .capacitor_count()
-        .min(sys.dim() + netlist.capacitor_count());
+    // Degree bound: one power of s per capacitor. The determinant's
+    // degree is also at most `dim`, but sampling fewer points would move
+    // every sample and so every extracted pole and zero; the cost stays
+    // bounded because `MnaSystem::new` refuses more than 256 elements.
+    let degree = netlist.capacitor_count();
     let n_samples = degree + 1;
     let xs = interp::log_spaced_real_points(config.omega_lo, config.omega_hi, n_samples);
 

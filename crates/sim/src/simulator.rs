@@ -6,7 +6,7 @@
 //! fans independent candidates over the thread pool, one candidate per
 //! work item, so every report is the same arithmetic as a serial loop.
 
-use crate::ac::{self, SweepConfig};
+use crate::ac::{self, SweepConfig, SweepGrid};
 use crate::corners::CornerSummary;
 use crate::cost::CostLedger;
 use crate::error::{BadNetlistReport, SimError};
@@ -249,7 +249,7 @@ impl Simulator {
             });
         }
 
-        let ac = ac::measure(&sys, &config.sweep)?;
+        let ac = ac::measure(&sys, &SweepGrid::new(&config.sweep))?;
         let power = power_override.unwrap_or_else(|| config.power.power_of_netlist(netlist));
         Ok(AnalysisReport {
             performance: ac.with_power(power, cl),

@@ -271,34 +271,75 @@ proptest! {
 
     /// One analysis path: wherever an analysis succeeds, its GBW and
     /// phase margin are [`unity_crossing`] over the full sweep, bit for
-    /// bit. The analysis stops one point past the first crossing, so a
-    /// full sweep may fail where the analysis succeeded — but only at a
-    /// frequency above the reported GBW.
+    /// bit. The analysis stops at the end of the sweep block holding
+    /// the first point below unity, so a full sweep may fail where the
+    /// analysis succeeded — but only at a frequency above the reported
+    /// GBW. The same holds for a corner of the candidate, measured by
+    /// `evaluate_corner` and swept from the scaled netlist, and where
+    /// the corner fails, the sweep fails at the same frequency or finds
+    /// no crossing either. Candidates are sampled with 10 pF and 1 nF
+    /// loads or taken from the broken neighbourhood.
     #[test]
     fn analysis_reads_the_first_crossing_of_the_full_sweep(seed in 0u64..4000) {
-        let netlist = if seed % 2 == 0 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            sample_topology(&mut rng, &SampleRanges::default(), 10e-12)
+        use artisan_circuit::units::Watts;
+        use artisan_sim::ac::SweepGrid;
+        use artisan_sim::corners::{evaluate_corner, CornerGrid};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let netlist = match seed % 3 {
+            0 => sample_topology(&mut rng, &SampleRanges::default(), 10e-12)
                 .elaborate()
-                .expect("valid")
-        } else {
-            broken_neighbourhood(seed)
+                .expect("valid"),
+            1 => sample_topology(&mut rng, &SampleRanges::default(), 1e-9)
+                .elaborate()
+                .expect("valid"),
+            _ => broken_neighbourhood(seed),
         };
-        let Ok(report) = Simulator::new().analyze_netlist(&netlist) else { return; };
-        let (gbw, pm) = (report.performance.gbw.value(), report.performance.pm.value());
-        let sys = MnaSystem::new(&netlist).expect("an analyzed netlist builds");
-        match sweep(&sys, &SweepConfig::default()) {
-            Ok(points) => {
-                let (f_u, phase) = unity_crossing(&points)
-                    .unwrap_or_else(|| panic!("the analysis found a crossing the sweep lacks"));
-                prop_assert_eq!(gbw.to_bits(), f_u.to_bits());
-                prop_assert_eq!(pm.to_bits(), (180.0 + phase).to_bits());
+        let config = SweepConfig::default();
+        let reads_the_full_sweep = |netlist: &Netlist, gbw: f64, pm: f64| {
+            let sys = MnaSystem::new(netlist).expect("a measured netlist builds");
+            match sweep(&sys, &config) {
+                Ok(points) => {
+                    let (f_u, phase) = unity_crossing(&points)
+                        .unwrap_or_else(|| panic!("the measurement found a crossing the sweep lacks"));
+                    prop_assert_eq!(gbw.to_bits(), f_u.to_bits());
+                    prop_assert_eq!(pm.to_bits(), (180.0 + phase).to_bits());
+                }
+                Err(SimError::IllConditioned { frequency }) => prop_assert!(
+                    frequency > gbw,
+                    "sweep failed at {} Hz, below the measured GBW {} Hz", frequency, gbw
+                ),
+                Err(e) => prop_assert!(false, "unexpected sweep failure: {}", e),
             }
-            Err(SimError::IllConditioned { frequency }) => prop_assert!(
-                frequency > gbw,
-                "sweep failed at {} Hz, below the reported GBW {} Hz", frequency, gbw
-            ),
-            Err(e) => prop_assert!(false, "unexpected sweep failure: {}", e),
+        };
+        if let Ok(report) = Simulator::new().analyze_netlist(&netlist) {
+            let p = &report.performance;
+            reads_the_full_sweep(&netlist, p.gbw.value(), p.pm.value());
+        }
+        let corners: Vec<_> = CornerGrid::default()
+            .corners()
+            .into_iter()
+            .filter(|c| !c.is_nominal())
+            .collect();
+        let corner = corners[rng.gen_range(0..corners.len())];
+        let grid = SweepGrid::new(&config);
+        let scaled = corner.apply(&netlist);
+        match evaluate_corner(&grid, &netlist, 10e-12, Watts(1e-4), corner) {
+            Ok(p) => reads_the_full_sweep(&scaled, p.gbw.value(), p.pm.value()),
+            Err(SimError::IllConditioned { frequency }) => {
+                let sys = MnaSystem::new(&scaled).expect("a measured netlist builds");
+                let swept = sweep(&sys, &config);
+                prop_assert!(
+                    matches!(swept, Err(SimError::IllConditioned { frequency: f }) if f.to_bits() == frequency.to_bits()),
+                    "corner {:?} failed at {} Hz; the sweep gave {:?}", corner, frequency, swept.map(|p| p.len())
+                );
+            }
+            Err(SimError::NoUnityCrossing) => {
+                let sys = MnaSystem::new(&scaled).expect("a measured netlist builds");
+                if let Ok(points) = sweep(&sys, &config) {
+                    prop_assert!(unity_crossing(&points).is_none(), "corner {:?}", corner);
+                }
+            }
+            Err(_) => {}
         }
     }
 
