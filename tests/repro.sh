@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Checks that the paper binaries still print the committed results:
 #
-#   bash tests/repro.sh quick   # fig1, fig3, fig4 and `table3 --quick` (seconds)
+#   bash tests/repro.sh quick   # fig1, fig3, fig4, `table1 --scale 1000`,
+#                               # `ablations --trials 10` and `table3 --quick` (seconds)
 #   bash tests/repro.sh full    # `table3 --trials 10` against table3_output.txt (minutes)
 #
 # Every output must match its golden byte for byte, apart from table3's
-# `(computed in …)` wall-clock line. Table 3 must also keep the paper's
-# shape: in every group Artisan succeeds more often than each baseline,
-# GPT-4 and Llama2 never succeed, and at the paper's budgets the speedup
-# range lies inside the paper's 20.4–50.1x.
+# `(computed in …)` wall-clock line. Table 1's token counts and the
+# ablations' DAPT perplexities come from the trained BPE tokenizer and
+# n-gram model, so those two goldens pin the training path's bits.
+# Table 3 must also keep the paper's shape: in every group Artisan
+# succeeds more often than each baseline, GPT-4 and Llama2 never
+# succeed, and at the paper's budgets the speedup range lies inside the
+# paper's 20.4–50.1x.
 #
 # The goldens were made on x86_64 Debian 12 (glibc 2.36) with rustc
 # 1.95.0. `exp` and `ln` come from the platform libm, so another libm
@@ -30,7 +34,7 @@ esac
 golden=tests/golden
 bin=target/release
 cargo build --release --quiet -p artisan-bench \
-    --bin table3 --bin fig1 --bin fig3 --bin fig4 1>&2
+    --bin table3 --bin fig1 --bin fig3 --bin fig4 --bin table1 --bin ablations 1>&2
 out=$(mktemp -d target/repro.XXXXXX)
 trap 'rm -rf "$out"' EXIT
 
@@ -90,6 +94,10 @@ if [ "$mode" = quick ]; then
         "$bin/$fig" > "$out/$fig.txt"
         diff -u "$golden/$fig.txt" "$out/$fig.txt" || fail=1
     done
+    "$bin/table1" --scale 1000 > "$out/table1.txt"
+    diff -u "$golden/table1.txt" "$out/table1.txt" || fail=1
+    "$bin/ablations" --trials 10 > "$out/ablations.txt"
+    diff -u "$golden/ablations.txt" "$out/ablations.txt" || fail=1
     "$bin/table3" --quick > "$out/table3_quick.txt"
     strip_clock "$out/table3_quick.txt" | diff -u "$golden/table3_quick.txt" - || fail=1
     check_shape "$out/table3_quick.txt" || fail=1
