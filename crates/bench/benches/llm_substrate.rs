@@ -1,8 +1,10 @@
 //! Language-model substrate kernels: BPE training/encoding, n-gram
-//! perplexity, and retrieval queries.
+//! perplexity, retrieval queries, and the whole paper-default training
+//! run behind `Artisan::new(ArtisanOptions::paper_default())`.
 
 use artisan_dataset::corpus::generate_corpus;
-use artisan_llm::{BpeTokenizer, NgramLm, TfIdfIndex};
+use artisan_dataset::{DatasetConfig, OpampDataset};
+use artisan_llm::{BpeTokenizer, DomainLm, NgramLm, TfIdfIndex};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -39,6 +41,18 @@ fn bench_llm(c: &mut Criterion) {
     idx.finalize();
     group.bench_function("tfidf/query_top5", |b| {
         b.iter(|| black_box(idx.query("miller compensation dominant pole", 5)))
+    });
+
+    // The agent's whole training: the 1/1000-scale dataset, DAPT and SFT
+    // at the agent's vocabulary budget and order.
+    group.bench_function("train/paper_default", |b| {
+        b.iter(|| {
+            let dataset = OpampDataset::build(&DatasetConfig::default(), 2024);
+            let mut lm = DomainLm::new(1500, 3);
+            lm.pretrain(&dataset.pretraining_documents());
+            lm.fine_tune(&dataset.fine_tuning_pairs());
+            black_box(lm)
+        })
     });
     group.finish();
 }

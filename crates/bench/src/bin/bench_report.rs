@@ -4,8 +4,9 @@
 //! inline), the AC measurement's points solved one at a time and in
 //! lanes (bit-identical, the warmed block loop allocation-free),
 //! candidate-batch and scheduler session throughput per worker
-//! count (each with its speedup over one worker), and the cache, warm
-//! start, single-flight, screening and journal contracts.
+//! count (each the median of nine alternating rounds, with its speedup
+//! over one worker), and the cache, warm start, single-flight,
+//! screening and journal contracts.
 //!
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
@@ -89,6 +90,26 @@ fn rate<F: FnMut()>(reps: usize, events_per_rep: usize, mut routine: F) -> f64 {
 fn median(mut values: Vec<f64>) -> f64 {
     values.sort_by(f64::total_cmp);
     values[values.len() / 2]
+}
+
+/// Times every leg once per round over nine rounds and pairs each
+/// worker count with its leg's median rate.
+fn median_rounds<T>(
+    worker_counts: &[usize],
+    legs: &[T],
+    mut time: impl FnMut(&T) -> f64,
+) -> Vec<(usize, f64)> {
+    let mut rounds = vec![Vec::with_capacity(9); legs.len()];
+    for _ in 0..9 {
+        for (leg, rates) in legs.iter().zip(&mut rounds) {
+            rates.push(time(leg));
+        }
+    }
+    worker_counts
+        .iter()
+        .copied()
+        .zip(rounds.into_iter().map(median))
+        .collect()
 }
 
 fn main() {
@@ -214,21 +235,24 @@ fn main() {
         w
     };
 
+    // Each row's worker counts alternate over nine rounds, and each
+    // reports its median rate, so a slow spell of the host lands on every
+    // count alike instead of on whichever ran during it.
     let session_reps = (reps / 8).max(1);
-    let scheduler_rates: Vec<(usize, f64)> = worker_counts
+    let schedulers: Vec<Scheduler> = worker_counts
         .iter()
         .map(|&workers| {
-            let scheduler =
-                Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(workers));
-            let r = rate(session_reps, n_sessions, || {
-                let backends: Vec<Simulator> = (0..n_sessions).map(|_| Simulator::new()).collect();
-                let sessions = scheduler.run_batch(&Spec::g1(), backends, 2024);
-                assert!(sessions.iter().all(|s| s.report.success));
-                black_box(sessions);
-            });
-            (workers, r)
+            Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(workers))
         })
         .collect();
+    let scheduler_rates = median_rounds(&worker_counts, &schedulers, |scheduler| {
+        rate(session_reps, n_sessions, || {
+            let backends: Vec<Simulator> = (0..n_sessions).map(|_| Simulator::new()).collect();
+            let sessions = scheduler.run_batch(&Spec::g1(), backends, 2024);
+            assert!(sessions.iter().all(|s| s.report.success));
+            black_box(sessions);
+        })
+    });
 
     // --- batched analyze_batch fan-out, per worker count ---
     // Distinct candidates, the sibling-scoring / optimizer-DoE shape:
@@ -248,7 +272,7 @@ fn main() {
                 .map(|r| r.performance)
         })
         .collect();
-    let batch_rates: Vec<(usize, f64)> = worker_counts
+    let pools: Vec<ThreadPool> = worker_counts
         .iter()
         .map(|&workers| {
             let pool = ThreadPool::with_workers(workers);
@@ -260,13 +284,15 @@ fn main() {
                 .map(|r| r.ok().map(|rep| rep.performance))
                 .collect();
             assert_eq!(check, serial_reports, "batch diverged at {workers} workers");
-            let r = rate(reps, batch_topos.len(), || {
-                let mut sim = Simulator::new();
-                black_box(sim.analyze_batch_with_pool(&batch_topos, &pool));
-            });
-            (workers, r)
+            pool
         })
         .collect();
+    let batch_rates = median_rounds(&worker_counts, &pools, |pool| {
+        rate(reps, batch_topos.len(), || {
+            let mut sim = Simulator::new();
+            black_box(sim.analyze_batch_with_pool(&batch_topos, pool));
+        })
+    });
 
     // --- content-addressed cache on a repeated-netlist workload ---
     // The same supervised G-1 session run n_sessions times: first

@@ -11,9 +11,10 @@
 //!
 //! This crate reproduces that function at laptop scale, from scratch:
 //!
-//! - [`tokenizer`] — a byte-pair-encoding tokenizer trained on the corpus,
-//! - [`ngram`] — an interpolated n-gram language model (the DAPT stage
-//!   fits it; perplexity quantifies domain adaptation),
+//! - [`tokenizer`] — a byte-pair-encoding tokenizer trained on the corpus
+//!   with incrementally updated pair counts,
+//! - [`ngram`] — an interpolated n-gram language model counted by slice
+//!   (the DAPT stage fits it; perplexity quantifies domain adaptation),
 //! - [`retrieval`] — a TF-IDF index with cosine ranking (the SFT stage
 //!   indexes DesignQA; answering is retrieval + sampling),
 //! - [`model`] — [`DomainLm`]: the two-stage train/answer façade used by

@@ -7,6 +7,12 @@
 //! text quantifies adaptation (it drops sharply after training on the
 //! corpus — the measurable analogue of the paper's claim that DAPT
 //! instils background knowledge).
+//!
+//! Counting and lookup go by slice: an n-gram is a window of the padded
+//! token sequence, found in the count maps without copying, and a key is
+//! allocated only the first time an n-gram or context is seen.
+//! Sampling walks the vocabulary support in ascending token order, so a
+//! seeded generation does not depend on hash-map iteration order.
 
 use rand::Rng;
 use std::collections::HashMap;
@@ -79,11 +85,9 @@ impl NgramLm {
         for i in (self.order - 1)..padded.len() {
             for k in 0..self.order {
                 // (k)-length context ending at i-1, then token at i.
-                let ctx: Vec<u32> = padded[i - k..i].to_vec();
-                let mut gram = ctx.clone();
-                gram.push(padded[i]);
-                *self.counts[k].entry(gram).or_insert(0) += 1;
-                *self.contexts[k].entry(ctx).or_insert(0) += 1;
+                let gram = &padded[i - k..=i];
+                bump(&mut self.counts[k], gram);
+                bump(&mut self.contexts[k], &gram[..k]);
             }
         }
         self.tokens_seen += tokens.len() as u64;
@@ -92,8 +96,18 @@ impl NgramLm {
     /// Interpolated probability of `token` after `context` (the last
     /// `order − 1` entries of `context` are used).
     pub fn prob(&self, context: &[u32], token: u32) -> f64 {
+        let mut window = context[context.len().saturating_sub(self.order - 1)..].to_vec();
+        window.push(token);
+        self.window_prob(&window)
+    }
+
+    /// [`NgramLm::prob`] of a window's last token after the rest of the
+    /// window, which holds at most `order − 1` tokens of context.
+    fn window_prob(&self, window: &[u32]) -> f64 {
+        let n = window.len();
+        let context = &window[..n - 1];
         // Unigram floor with add-α smoothing.
-        let uni_count = self.counts[0].get(&vec![token]).copied().unwrap_or(0) as f64;
+        let uni_count = self.counts[0].get(&window[n - 1..]).copied().unwrap_or(0) as f64;
         let total = self.tokens_seen as f64;
         let mut p = (uni_count + self.alpha) / (total + self.alpha * self.vocab_size as f64);
 
@@ -102,14 +116,17 @@ impl NgramLm {
             if context.len() < k {
                 break;
             }
-            let ctx: Vec<u32> = context[context.len() - k..].to_vec();
-            let ctx_total = self.contexts[k].get(&ctx).copied().unwrap_or(0);
+            let ctx_total = self.contexts[k]
+                .get(&context[context.len() - k..])
+                .copied()
+                .unwrap_or(0);
             if ctx_total == 0 {
                 continue; // unseen context: keep lower-order estimate
             }
-            let mut gram = ctx.clone();
-            gram.push(token);
-            let c = self.counts[k].get(&gram).copied().unwrap_or(0) as f64;
+            let c = self.counts[k]
+                .get(&window[n - 1 - k..])
+                .copied()
+                .unwrap_or(0) as f64;
             let ml = c / ctx_total as f64;
             p = self.lambda * ml + (1.0 - self.lambda) * p;
         }
@@ -125,9 +142,8 @@ impl NgramLm {
         let mut padded = vec![BOS; self.order - 1];
         padded.extend_from_slice(tokens);
         let mut log_sum = 0.0;
-        for i in (self.order - 1)..padded.len() {
-            let ctx = &padded[i.saturating_sub(self.order - 1)..i];
-            log_sum += self.prob(ctx, padded[i]).max(1e-300).ln();
+        for window in padded.windows(self.order) {
+            log_sum += self.window_prob(window).max(1e-300).ln();
         }
         Some((-log_sum / tokens.len() as f64).exp())
     }
@@ -135,27 +151,36 @@ impl NgramLm {
     /// Samples the next token given a context, with temperature. A
     /// temperature of 0 is greedy argmax; higher temperatures flatten the
     /// distribution. Sampling is restricted to tokens observed in
-    /// training (the unigram support).
+    /// training (the unigram support), walked in ascending token order.
     pub fn sample_next<R: Rng + ?Sized>(
         &self,
         context: &[u32],
         temperature: f64,
         rng: &mut R,
     ) -> Option<u32> {
-        let support: Vec<u32> = self.counts[0].keys().map(|g| g[0]).collect();
+        let mut support: Vec<u32> = self.counts[0].keys().map(|g| g[0]).collect();
         if support.is_empty() {
             return None;
         }
+        support.sort_unstable();
+        let mut window = context[context.len().saturating_sub(self.order - 1)..].to_vec();
+        window.push(0);
+        let last = window.len() - 1;
+        let mut prob = |token: u32| {
+            window[last] = token;
+            self.window_prob(&window)
+        };
         if temperature <= 0.0 {
-            return support.into_iter().max_by(|&a, &b| {
-                self.prob(context, a)
-                    .total_cmp(&self.prob(context, b))
-                    .then(b.cmp(&a))
-            });
+            let probs: Vec<f64> = support.iter().map(|&t| prob(t)).collect();
+            return support
+                .iter()
+                .zip(&probs)
+                .max_by(|(a, pa), (b, pb)| pa.total_cmp(pb).then(b.cmp(a)))
+                .map(|(&t, _)| t);
         }
         let weights: Vec<f64> = support
             .iter()
-            .map(|&t| self.prob(context, t).powf(1.0 / temperature))
+            .map(|&t| prob(t).powf(1.0 / temperature))
             .collect();
         let total: f64 = weights.iter().sum();
         let mut draw = rng.gen_range(0.0..total);
@@ -188,11 +213,130 @@ impl NgramLm {
     }
 }
 
+/// Adds one to the count of `key`, allocating the key only when it is
+/// new.
+fn bump(map: &mut HashMap<Vec<u32>, u64>, key: &[u32]) {
+    match map.get_mut(key) {
+        Some(count) => *count += 1,
+        None => {
+            map.insert(key.to_vec(), 1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The counting the slice lookups replaced, kept as its oracle: a
+    /// context and an n-gram vector are built for every order at every
+    /// position.
+    fn oracle_observe(lm: &mut NgramLm, tokens: &[u32]) {
+        let mut padded = vec![BOS; lm.order - 1];
+        padded.extend_from_slice(tokens);
+        for i in (lm.order - 1)..padded.len() {
+            for k in 0..lm.order {
+                // (k)-length context ending at i-1, then token at i.
+                let ctx: Vec<u32> = padded[i - k..i].to_vec();
+                let mut gram = ctx.clone();
+                gram.push(padded[i]);
+                *lm.counts[k].entry(gram).or_insert(0) += 1;
+                *lm.contexts[k].entry(ctx).or_insert(0) += 1;
+            }
+        }
+        lm.tokens_seen += tokens.len() as u64;
+    }
+
+    /// The probability the window lookups replaced, kept as its oracle.
+    fn oracle_prob(lm: &NgramLm, context: &[u32], token: u32) -> f64 {
+        // Unigram floor with add-α smoothing.
+        let uni_count = lm.counts[0].get(&vec![token]).copied().unwrap_or(0) as f64;
+        let total = lm.tokens_seen as f64;
+        let mut p = (uni_count + lm.alpha) / (total + lm.alpha * lm.vocab_size as f64);
+
+        // Interpolate higher orders: p_k = λ·ML_k + (1−λ)·p_{k−1}.
+        for k in 1..lm.order {
+            if context.len() < k {
+                break;
+            }
+            let ctx: Vec<u32> = context[context.len() - k..].to_vec();
+            let ctx_total = lm.contexts[k].get(&ctx).copied().unwrap_or(0);
+            if ctx_total == 0 {
+                continue; // unseen context: keep lower-order estimate
+            }
+            let mut gram = ctx.clone();
+            gram.push(token);
+            let c = lm.counts[k].get(&gram).copied().unwrap_or(0) as f64;
+            let ml = c / ctx_total as f64;
+            p = lm.lambda * ml + (1.0 - lm.lambda) * p;
+        }
+        p
+    }
+
+    /// The perplexity over [`oracle_prob`].
+    fn oracle_perplexity(lm: &NgramLm, tokens: &[u32]) -> Option<f64> {
+        if tokens.is_empty() {
+            return None;
+        }
+        let mut padded = vec![BOS; lm.order - 1];
+        padded.extend_from_slice(tokens);
+        let mut log_sum = 0.0;
+        for i in (lm.order - 1)..padded.len() {
+            let ctx = &padded[i.saturating_sub(lm.order - 1)..i];
+            log_sum += oracle_prob(lm, ctx, padded[i]).max(1e-300).ln();
+        }
+        Some((-log_sum / tokens.len() as f64).exp())
+    }
+
+    /// A token sequence of 0–`max_len` ids below `vocab`, with runs.
+    fn sequence(rng: &mut StdRng, vocab: u32, max_len: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut t = rng.gen_range(0..vocab);
+        for _ in 0..rng.gen_range(0..=max_len) {
+            if rng.gen_bool(0.6) {
+                t = rng.gen_range(0..vocab);
+            }
+            out.push(t);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Counting by slice gives the oracle's count maps, and the
+        /// window lookups give the oracle's probabilities and
+        /// perplexities bit for bit, for contexts shorter than, equal to
+        /// and longer than the order, unseen tokens and empty sequences.
+        #[test]
+        fn counts_and_probabilities_match_the_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let order = rng.gen_range(1..=4);
+            let vocab = rng.gen_range(1..12);
+            let mut lm = NgramLm::new(order, vocab as usize + 1);
+            let mut oracle = NgramLm::new(order, vocab as usize + 1);
+            for _ in 0..rng.gen_range(0..8) {
+                let doc = sequence(&mut rng, vocab, 30);
+                lm.observe(&doc);
+                oracle_observe(&mut oracle, &doc);
+            }
+            prop_assert_eq!(&lm.counts, &oracle.counts);
+            prop_assert_eq!(&lm.contexts, &oracle.contexts);
+            prop_assert_eq!(lm.tokens_seen, oracle.tokens_seen);
+            for _ in 0..16 {
+                let context = sequence(&mut rng, vocab + 2, order + 2);
+                let token = rng.gen_range(0..vocab + 2);
+                let (got, want) = (lm.prob(&context, token), oracle_prob(&oracle, &context, token));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} then {}", context, token);
+                let held_out = sequence(&mut rng, vocab + 2, 20);
+                let (got, want) = (lm.perplexity(&held_out), oracle_perplexity(&oracle, &held_out));
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{:?}", held_out);
+            }
+        }
+    }
 
     fn trained() -> NgramLm {
         let mut lm = NgramLm::new(3, 100);
