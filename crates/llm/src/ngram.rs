@@ -171,12 +171,9 @@ impl NgramLm {
             self.window_prob(&window)
         };
         if temperature <= 0.0 {
-            let probs: Vec<f64> = support.iter().map(|&t| prob(t)).collect();
             return support
-                .iter()
-                .zip(&probs)
-                .max_by(|(a, pa), (b, pb)| pa.total_cmp(pb).then(b.cmp(a)))
-                .map(|(&t, _)| t);
+                .into_iter()
+                .max_by(|&a, &b| prob(a).total_cmp(&prob(b)).then(b.cmp(&a)));
         }
         let weights: Vec<f64> = support
             .iter()

@@ -64,17 +64,16 @@ struct Rule {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BpeTokenizer {
-    /// Learned merges in priority order: (left, right) → merged symbol.
-    merges: Vec<(String, String)>,
     /// Symbol → token id. Ids are dense, 0-based.
     vocab: HashMap<String, u32>,
     /// Token id → symbol (inverse of `vocab`).
     symbols: Vec<String>,
-    /// The merge table: `merges` in vocabulary ids, sorted by pair and
-    /// then rank. A pair learned at two ranks has two rules.
+    /// The learned merges in vocabulary ids, sorted by pair and then
+    /// rank (the merge's place in learning order). A pair learned at two
+    /// ranks has two rules.
     rules: Vec<Rule>,
     /// Where each pair's rules start in `rules`.
-    first_rule: HashMap<(u32, u32), usize>,
+    first_rule: HashMap<(u32, u32), u32>,
 }
 
 impl BpeTokenizer {
@@ -88,32 +87,16 @@ impl BpeTokenizer {
     pub fn train(corpus: &[&str], vocab_budget: usize) -> Self {
         assert!(vocab_budget > 0, "vocabulary budget must be positive");
         let mut interner = Interner::default();
-        let (mut symbols, freqs) = distinct_words(corpus, &mut interner);
-        let mut pairs = PairCounts::new(&symbols, &freqs, &interner);
-        let mut merges = Vec::new();
-        while interner.len() < vocab_budget {
-            let Some((pair, count)) = pairs.best() else {
-                break; // no pair left
-            };
-            if count < 2 {
-                break; // nothing frequent enough to merge
-            }
-            let (left, right) = (interner.text(pair.0), interner.text(pair.1));
-            let spelled = format!("{left}{right}");
-            merges.push((left.to_string(), right.to_string()));
-            let merged = interner.intern(&spelled);
-            pairs.merge(pair, merged, &mut symbols, &freqs, &interner);
-        }
-
+        let merges = learn_merges(corpus, vocab_budget, &mut interner);
         let mut symbols: Vec<String> = interner.strings.iter().map(|s| s.to_string()).collect();
+        drop(interner);
         symbols.sort_unstable();
-        BpeTokenizer::from_parts(merges, symbols)
+        BpeTokenizer::from_parts(&merges, symbols)
     }
 
-    /// Assembles a tokenizer from its merges and its vocabulary in
-    /// sorted order (`<unk>` not yet appended), and builds the merge
-    /// table.
-    fn from_parts(merges: Vec<(String, String)>, mut symbols: Vec<String>) -> Self {
+    /// Assembles a tokenizer from its merges in learning order and its
+    /// vocabulary in sorted order (`<unk>` not yet appended).
+    fn from_parts(merges: &[(String, String)], mut symbols: Vec<String>) -> Self {
         symbols.push(UNK.to_string());
         let vocab: HashMap<String, u32> = symbols
             .iter()
@@ -133,10 +116,9 @@ impl BpeTokenizer {
         rules.sort_unstable();
         let mut first_rule = HashMap::new();
         for (i, r) in rules.iter().enumerate().rev() {
-            first_rule.insert((r.left, r.right), i);
+            first_rule.insert((r.left, r.right), i as u32);
         }
         BpeTokenizer {
-            merges,
             vocab,
             symbols,
             rules,
@@ -151,7 +133,7 @@ impl BpeTokenizer {
 
     /// Number of learned merges.
     pub fn merge_count(&self) -> usize {
-        self.merges.len()
+        self.rules.len()
     }
 
     /// Encodes text into token ids.
@@ -197,7 +179,7 @@ impl BpeTokenizer {
     /// The lowest-ranked rule for the pair `(left, right)` at rank
     /// `from` or above.
     fn next_rule(&self, left: u32, right: u32, from: u32) -> Option<Rule> {
-        let first = *self.first_rule.get(&(left, right))?;
+        let first = *self.first_rule.get(&(left, right))? as usize;
         self.rules[first..]
             .iter()
             .take_while(|r| r.left == left && r.right == right)
@@ -292,6 +274,34 @@ impl Interner {
     fn len(&self) -> usize {
         self.strings.len()
     }
+}
+
+/// Learns merges until the vocabulary holds `vocab_budget` symbols, no
+/// pair is left, or the best pair occurs fewer than twice. The word
+/// lists and pair counts are freed on return, before the caller builds
+/// the tokenizer.
+fn learn_merges(
+    corpus: &[&str],
+    vocab_budget: usize,
+    interner: &mut Interner,
+) -> Vec<(String, String)> {
+    let (mut symbols, freqs) = distinct_words(corpus, interner);
+    let mut pairs = PairCounts::new(&symbols, &freqs, interner);
+    let mut merges = Vec::new();
+    while interner.len() < vocab_budget {
+        let Some((pair, count)) = pairs.best() else {
+            break; // no pair left
+        };
+        if count < 2 {
+            break; // nothing frequent enough to merge
+        }
+        let (left, right) = (interner.text(pair.0), interner.text(pair.1));
+        let spelled = format!("{left}{right}");
+        merges.push((left.to_string(), right.to_string()));
+        let merged = interner.intern(&spelled);
+        pairs.merge(pair, merged, &mut symbols, &freqs, interner);
+    }
+    merges
 }
 
 /// The distinct words of a corpus, each text lowercased whole and split
@@ -465,10 +475,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A merge list in learning order, as strings.
+    type Merges = Vec<(String, String)>;
+
     /// The trainer the incremental one replaced, kept as its oracle: each
     /// merge recounts every adjacent pair of every distinct word as
-    /// string pairs, takes the best, and rebuilds the word table.
-    fn oracle_train(corpus: &[&str], vocab_budget: usize) -> BpeTokenizer {
+    /// string pairs, takes the best, and rebuilds the word table. Returns
+    /// the tokenizer and its merges.
+    fn oracle_train(corpus: &[&str], vocab_budget: usize) -> (BpeTokenizer, Merges) {
         assert!(vocab_budget > 0, "vocabulary budget must be positive");
         // Word frequency table.
         let mut word_freq: HashMap<Vec<String>, u64> = HashMap::new();
@@ -532,12 +546,13 @@ mod tests {
             word_freq = next;
         }
 
-        BpeTokenizer::from_parts(merges, vocab_set.into_iter().collect())
+        let tok = BpeTokenizer::from_parts(&merges, vocab_set.into_iter().collect());
+        (tok, merges)
     }
 
     /// The encoder the merge table replaced, kept as its oracle: every
     /// merge, in rank order, is tried on every word as strings.
-    fn oracle_encode(tok: &BpeTokenizer, text: &str) -> Vec<u32> {
+    fn oracle_encode(tok: &BpeTokenizer, merges: &Merges, text: &str) -> Vec<u32> {
         let unk = tok.vocab["<unk>"];
         let mut out = Vec::new();
         for word in text.to_lowercase().split_whitespace() {
@@ -546,7 +561,7 @@ mod tests {
                 last.push_str(EOW);
             }
             // Apply merges in learned order.
-            for (l, r) in &tok.merges {
+            for (l, r) in merges {
                 let mut i = 0;
                 while i + 1 < syms.len() {
                     if &syms[i] == l && &syms[i + 1] == r {
@@ -564,20 +579,42 @@ mod tests {
         out
     }
 
-    /// Trains with both trainers, asserts they agree, and checks that
-    /// both encoders agree on every text.
-    fn assert_matches_oracle(corpus: &[&str], budget: usize, texts: &[&str]) -> BpeTokenizer {
+    /// The tokenizer's merges in learning order, read back from its
+    /// rules.
+    fn merge_list(tok: &BpeTokenizer) -> Merges {
+        let mut rules = tok.rules.clone();
+        rules.sort_unstable_by_key(|r| r.rank);
+        let text = |id: u32| tok.symbols[id as usize].clone();
+        rules
+            .iter()
+            .map(|r| (text(r.left), text(r.right)))
+            .collect()
+    }
+
+    /// Trains with both trainers, asserts they learn the same merges and
+    /// vocabulary, and checks that both encoders agree on every text.
+    /// Returns the trained tokenizer and its merges.
+    fn assert_matches_oracle(
+        corpus: &[&str],
+        budget: usize,
+        texts: &[&str],
+    ) -> (BpeTokenizer, Merges) {
         let tok = BpeTokenizer::train(corpus, budget);
-        let oracle = oracle_train(corpus, budget);
+        let (oracle, merges) = oracle_train(corpus, budget);
+        assert_eq!(
+            merge_list(&tok),
+            merges,
+            "budget {budget}, corpus {corpus:?}"
+        );
         assert_eq!(tok, oracle, "budget {budget}, corpus {corpus:?}");
         for text in corpus.iter().chain(texts) {
             assert_eq!(
                 tok.encode(text),
-                oracle_encode(&oracle, text),
+                oracle_encode(&oracle, &merges, text),
                 "text {text:?}"
             );
         }
-        tok
+        (tok, merges)
     }
 
     /// Characters the random corpora draw their alphabets from: ASCII,
@@ -655,16 +692,16 @@ mod tests {
         // (y, z</w>) and (x, y</w>) both occur twice. "y" and "z</w>"
         // are interned first, so their pair has the smaller ids, but
         // ("x", "y</w>") has the smaller strings and wins.
-        let tok = assert_matches_oracle(&["yz yz xy xy"], 8, &["xyz yzxy"]);
-        assert_eq!(tok.merges, vec![merge("x", "y</w>"), merge("y", "z</w>")]);
+        let (_, merges) = assert_matches_oracle(&["yz yz xy xy"], 8, &["xyz yzxy"]);
+        assert_eq!(merges, vec![merge("x", "y</w>"), merge("y", "z</w>")]);
     }
 
     #[test]
     fn overlapping_pairs_merge_left_to_right() {
         // "aaaa" holds the pair (a, a) twice, overlapping, before its
         // "a</w>"; it merges once, leaving "aa a a</w>".
-        let tok = assert_matches_oracle(&["aaaa aaaa aaa"], 3, &["aaaaa aa a aaa"]);
-        assert_eq!(tok.merges, vec![merge("a", "a")]);
+        let (tok, merges) = assert_matches_oracle(&["aaaa aaaa aaa"], 3, &["aaaaa aa a aaa"]);
+        assert_eq!(merges, vec![merge("a", "a")]);
         let id = |s: &str| tok.vocab[s];
         assert_eq!(tok.encode("aaaa"), vec![id("aa"), id("a"), id("a</w>")]);
         assert_eq!(tok.encode("aaaaa"), vec![id("aa"), id("aa"), id("a</w>")]);
@@ -676,9 +713,9 @@ mod tests {
         // spelled first by ("</w", "></w>") and then by ("</w>", "</w>"),
         // which adds no vocabulary entry.
         let corpus = ["</w></w></w> </w></w></w>"];
-        let tok = assert_matches_oracle(&corpus, 100, &["</w></w> </w>"]);
-        assert_eq!(tok.merges[3], merge("</w", "></w>"));
-        assert_eq!(tok.merges[4], merge("</w>", "</w>"));
+        let (tok, merges) = assert_matches_oracle(&corpus, 100, &["</w></w> </w>"]);
+        assert_eq!(merges[3], merge("</w", "></w>"));
+        assert_eq!(merges[4], merge("</w>", "</w>"));
         // Base symbols "<", "/", "w", ">", "></w>", then one per spelled
         // string: six merges, five new symbols, and <unk>.
         assert_eq!(tok.merge_count(), 6);
@@ -691,9 +728,9 @@ mod tests {
         // ("</w", "></w>") spells "</w></w>" a second way.
         let corpus =
             ["a</w></w>a a</w></w>a a</w></w>a a</w></w>a</w> a</w></w>a</w> a</w></w>a</w>"];
-        let tok = assert_matches_oracle(&corpus, 100, &["a</w></w>a</w></w>a a</w></w>"]);
-        assert_eq!(tok.merges[4], merge("a", "</w></w>"));
-        assert_eq!(tok.merges[6], merge("a", "</w></w>"));
+        let (_, merges) = assert_matches_oracle(&corpus, 100, &["a</w></w>a</w></w>a a</w></w>"]);
+        assert_eq!(merges[4], merge("a", "</w></w>"));
+        assert_eq!(merges[6], merge("a", "</w></w>"));
     }
 
     #[test]
@@ -702,9 +739,9 @@ mod tests {
         // ("a", "</w>") spells "a</w>"; its own rank, 0, has passed.
         // The final "b</w>" never occurs in training: it is <unk>.
         let corpus = ["a</w>a</w>a ba ba ba"];
-        let tok = assert_matches_oracle(&corpus, 100, &["ba</w>b"]);
-        assert_eq!(tok.merges[0], merge("b", "a</w>"));
-        assert_eq!(tok.merges[4], merge("a", "</w>"));
+        let (tok, merges) = assert_matches_oracle(&corpus, 100, &["ba</w>b"]);
+        assert_eq!(merges[0], merge("b", "a</w>"));
+        assert_eq!(merges[4], merge("a", "</w>"));
         let id = |s: &str| tok.vocab[s];
         assert_eq!(
             tok.encode("ba</w>b"),
@@ -721,7 +758,7 @@ mod tests {
         let dataset = OpampDataset::build(&DatasetConfig::default(), 2024);
         let docs = dataset.pretraining_documents();
         assert_eq!(docs.len(), 251);
-        let tok = assert_matches_oracle(&docs, budget, &[]);
+        let (tok, _) = assert_matches_oracle(&docs, budget, &[]);
         assert_eq!(tok.vocab_size(), budget + 1);
     }
 
@@ -739,16 +776,16 @@ mod tests {
 
     #[test]
     fn a_budget_below_the_base_alphabet_learns_nothing() {
-        let tok = assert_matches_oracle(CORPUS, 5, &["stage"]);
+        let (tok, _) = assert_matches_oracle(CORPUS, 5, &["stage"]);
         assert_eq!(tok.merge_count(), 0);
         assert!(tok.vocab_size() > 5);
     }
 
     #[test]
     fn a_corpus_without_a_repeated_pair_learns_nothing() {
-        let tok = assert_matches_oracle(&["ab cd ef"], 100, &["abcdef fe"]);
+        let (tok, _) = assert_matches_oracle(&["ab cd ef"], 100, &["abcdef fe"]);
         assert_eq!(tok.merge_count(), 0);
-        let tok = assert_matches_oracle(&[], 100, &["anything"]);
+        let (tok, _) = assert_matches_oracle(&[], 100, &["anything"]);
         assert_eq!(tok.vocab_size(), 1);
         assert_eq!(tok.encode("a b"), vec![0, 0]);
     }
