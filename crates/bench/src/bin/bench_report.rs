@@ -92,24 +92,17 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-/// Times every leg once per round over nine rounds and pairs each
-/// worker count with its leg's median rate.
-fn median_rounds<T>(
-    worker_counts: &[usize],
-    legs: &[T],
-    mut time: impl FnMut(&T) -> f64,
-) -> Vec<(usize, f64)> {
+/// Times every leg once per round over nine rounds and returns each
+/// leg's median rate, so a slow spell of the host lands on every leg
+/// alike instead of on whichever ran during it.
+fn median_rounds<T>(legs: &[T], mut time: impl FnMut(&T) -> f64) -> Vec<f64> {
     let mut rounds = vec![Vec::with_capacity(9); legs.len()];
     for _ in 0..9 {
         for (leg, rates) in legs.iter().zip(&mut rounds) {
             rates.push(time(leg));
         }
     }
-    worker_counts
-        .iter()
-        .copied()
-        .zip(rounds.into_iter().map(median))
-        .collect()
+    rounds.into_iter().map(median).collect()
 }
 
 fn main() {
@@ -199,20 +192,22 @@ fn main() {
                 black_box(h).ok();
             });
             block_hot_loop_allocations += ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-            let (mut scalar, mut blocked) = (Vec::new(), Vec::new());
-            for _ in 0..9 {
-                scalar.push(rate(measure_reps, case.points(), || {
-                    case.solve_pointwise(&mut ws, |_, h| {
-                        black_box(h).ok();
+            let medians = median_rounds(&[false, true], |&in_lanes| {
+                if in_lanes {
+                    rate(measure_reps, case.points(), || {
+                        case.solve_blocks(&mut block_ws, |_, h| {
+                            black_box(h).ok();
+                        })
                     })
-                }));
-                blocked.push(rate(measure_reps, case.points(), || {
-                    case.solve_blocks(&mut block_ws, |_, h| {
-                        black_box(h).ok();
+                } else {
+                    rate(measure_reps, case.points(), || {
+                        case.solve_pointwise(&mut ws, |_, h| {
+                            black_box(h).ok();
+                        })
                     })
-                }));
-            }
-            let (scalar, blocked) = (median(scalar), median(blocked));
+                }
+            });
+            let (scalar, blocked) = (medians[0], medians[1]);
             format!(
                 "      {{ \"system\": \"{}\", \"dim\": {}, \"points\": {}, \"scalar_points_per_sec\": {scalar:.1}, \"block_points_per_sec\": {blocked:.1}, \"speedup\": {:.3}, \"bits_identical\": true }}",
                 case.name,
@@ -235,9 +230,8 @@ fn main() {
         w
     };
 
-    // Each row's worker counts alternate over nine rounds, and each
-    // reports its median rate, so a slow spell of the host lands on every
-    // count alike instead of on whichever ran during it.
+    // Each row's worker counts alternate over nine rounds, as the
+    // measure rows' legs do.
     let session_reps = (reps / 8).max(1);
     let schedulers: Vec<Scheduler> = worker_counts
         .iter()
@@ -245,7 +239,7 @@ fn main() {
             Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(workers))
         })
         .collect();
-    let scheduler_rates = median_rounds(&worker_counts, &schedulers, |scheduler| {
+    let session_medians = median_rounds(&schedulers, |scheduler| {
         rate(session_reps, n_sessions, || {
             let backends: Vec<Simulator> = (0..n_sessions).map(|_| Simulator::new()).collect();
             let sessions = scheduler.run_batch(&Spec::g1(), backends, 2024);
@@ -253,6 +247,8 @@ fn main() {
             black_box(sessions);
         })
     });
+    let scheduler_rates: Vec<(usize, f64)> =
+        worker_counts.iter().copied().zip(session_medians).collect();
 
     // --- batched analyze_batch fan-out, per worker count ---
     // Distinct candidates, the sibling-scoring / optimizer-DoE shape:
@@ -287,12 +283,13 @@ fn main() {
             pool
         })
         .collect();
-    let batch_rates = median_rounds(&worker_counts, &pools, |pool| {
+    let batch_medians = median_rounds(&pools, |pool| {
         rate(reps, batch_topos.len(), || {
             let mut sim = Simulator::new();
             black_box(sim.analyze_batch_with_pool(&batch_topos, pool));
         })
     });
+    let batch_rates: Vec<(usize, f64)> = worker_counts.iter().copied().zip(batch_medians).collect();
 
     // --- content-addressed cache on a repeated-netlist workload ---
     // The same supervised G-1 session run n_sessions times: first

@@ -3,11 +3,7 @@
 //!
 //! Both stages stream their documents: each is encoded and its n-grams
 //! counted before the next is read, so no stage holds every document's
-//! encoding at once. The tokenizer trains incrementally and encodes
-//! through a merge table built once, and the n-gram model counts by
-//! slice (see [`crate::tokenizer`] and [`crate::ngram`]); on the
-//! paper-default dataset the whole pipeline takes well under a tenth of
-//! a second, and produces the bits the per-merge recount and scan did.
+//! encoding at once.
 
 use crate::ngram::NgramLm;
 use crate::retrieval::TfIdfIndex;

@@ -301,9 +301,9 @@ mod tests {
         out
     }
 
+    // The case count follows `PROPTEST_CASES` (default 256); CI's chaos
+    // job raises it to 2048.
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
         /// Counting by slice gives the oracle's count maps, and the
         /// window lookups give the oracle's probabilities and
         /// perplexities bit for bit, for contexts shorter than, equal to
