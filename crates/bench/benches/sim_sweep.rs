@@ -1,8 +1,9 @@
 //! The simulation engine's kernels: cached G/C-split assembly,
 //! workspace-reusing solves, the sequential AC sweep, the AC
-//! measurement's points one at a time vs in lanes, the batched
-//! candidate fan-out vs the serial analysis loop, and the
-//! content-addressed cache (miss vs hit).
+//! measurement's points one at a time vs in lanes, a 27-corner grid
+//! corner by corner vs from one stamp plan, the batched candidate
+//! fan-out vs the serial analysis loop, and the content-addressed cache
+//! (miss vs hit).
 
 use artisan_bench::MeasureCase;
 use artisan_circuit::sample::{sample_topology, SampleRanges};
@@ -10,8 +11,8 @@ use artisan_circuit::units::Watts;
 use artisan_circuit::Topology;
 use artisan_math::{Complex64, ThreadPool};
 use artisan_sim::ac::{sweep, SweepConfig, SweepGrid};
-use artisan_sim::corners::{evaluate_corner, CornerPoint};
-use artisan_sim::mna::MnaSystem;
+use artisan_sim::corners::{evaluate_corner, evaluate_planned_corner, CornerGrid, CornerPoint};
+use artisan_sim::mna::{MnaSystem, StampPlan};
 use artisan_sim::{CachedSim, SimBackend, SimCache, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -111,6 +112,39 @@ fn bench_measure(c: &mut Criterion) {
     group.finish();
 }
 
+/// The default 27-corner grid on the NMC example and the dim-8 sampled
+/// candidate: every corner through `evaluate_corner`, which plans the
+/// netlist per corner, against one `StampPlan` replayed at every corner
+/// (`evaluate_planned_corner`), as `CornerSim` evaluates a fresh
+/// candidate.
+fn bench_corner_grid(c: &mut Criterion) {
+    let grid = SweepGrid::new(&SweepConfig::default());
+    let corners = CornerGrid::default().corners();
+    let mut group = c.benchmark_group("corners/grid27");
+    for case in MeasureCase::pair().expect("measure cases") {
+        group.bench_function(&format!("{}/evaluate_corner", case.name), |b| {
+            b.iter(|| {
+                for &corner in &corners {
+                    black_box(
+                        evaluate_corner(&grid, &case.netlist, 10e-12, Watts(1e-4), corner).ok(),
+                    );
+                }
+            })
+        });
+        group.bench_function(&format!("{}/stamp_plan", case.name), |b| {
+            b.iter(|| {
+                let plan = StampPlan::new(&case.netlist).expect("plans");
+                for &corner in &corners {
+                    black_box(
+                        evaluate_planned_corner(&grid, &plan, 10e-12, Watts(1e-4), corner).ok(),
+                    );
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The candidate batch (sibling-scoring / optimizer-DoE shape): the
 /// serial analysis loop vs `analyze_batch` at pinned worker counts.
 fn bench_batch_workers(c: &mut Criterion) {
@@ -192,6 +226,7 @@ criterion_group!(
     bench_solve,
     bench_sweep,
     bench_measure,
+    bench_corner_grid,
     bench_batch_workers,
     bench_sim_cache,
     bench_snapshot

@@ -2,11 +2,13 @@
 //! engine — per-point assembly and solve throughput on the NMC example
 //! (with the zero-allocation contract of a warmed sweep asserted
 //! inline), the AC measurement's points solved one at a time and in
-//! lanes (bit-identical, the warmed block loop allocation-free),
-//! candidate-batch and scheduler session throughput per worker
-//! count (each the median of nine alternating rounds, with its speedup
-//! over one worker), and the cache, warm start, single-flight,
-//! screening and journal contracts.
+//! lanes (bit-identical, the warmed block loop allocation-free), the
+//! corner systems a stamp plan builds (bit-identical to systems of the
+//! scaled netlists), candidate-batch and scheduler session throughput
+//! per worker count (each the median of nine alternating rounds, with
+//! its speedup over one worker; a candidate-batch leg runs for at least
+//! 100 ms, 25 ms with `--quick`), and the cache, warm start,
+//! single-flight, screening and journal contracts.
 //!
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
@@ -29,9 +31,10 @@ use artisan_resilience::{
 };
 use artisan_sim::ac::SweepConfig;
 use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
+use artisan_sim::corners::CornerGrid;
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
-use artisan_sim::mna::{MnaSystem, MnaWorkspace};
+use artisan_sim::mna::{MnaSystem, MnaWorkspace, StampPlan};
 use artisan_sim::{
     AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator, Spec,
 };
@@ -42,7 +45,7 @@ use std::f64::consts::PI;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Heap-allocation counter behind the zero-allocation assertion on the
 /// warmed dense sweep. Delegates straight to the system allocator;
@@ -84,6 +87,24 @@ fn rate<F: FnMut()>(reps: usize, events_per_rep: usize, mut routine: F) -> f64 {
     }
     let secs = start.elapsed().as_secs_f64();
     (reps * events_per_rep) as f64 / secs.max(1e-12)
+}
+
+/// Repeats `routine` for at least `min` (after one unmeasured warm-up
+/// call) and returns events/second, where one repetition covers
+/// `events_per_rep` events: a leg whose length does not shrink when the
+/// routine gets faster.
+fn rate_for<F: FnMut()>(min: Duration, events_per_rep: usize, mut routine: F) -> f64 {
+    routine();
+    let start = Instant::now();
+    let mut reps = 0;
+    loop {
+        routine();
+        reps += 1;
+        let secs = start.elapsed();
+        if secs >= min {
+            return (reps * events_per_rep) as f64 / secs.as_secs_f64();
+        }
+    }
 }
 
 /// The median of `values` (the upper middle one for an even count).
@@ -222,6 +243,37 @@ fn main() {
         "warmed block loop allocated {block_hot_loop_allocations} times"
     );
 
+    // --- corner systems from one stamp plan ---
+    // Every corner of the default grid, on both measured systems: the
+    // system the candidate's plan replays must carry the bits of the
+    // system built from the scaled netlist.
+    let corners = CornerGrid::default().corners();
+    let stamp_bits = |sys: &MnaSystem| {
+        let (g, c, rhs_g, rhs_c) = sys.stamps();
+        let matrix = |m: &artisan_math::CMatrix| {
+            (0..sys.dim())
+                .flat_map(|r| (0..sys.dim()).map(move |col| m[(r, col)]))
+                .collect::<Vec<_>>()
+        };
+        [matrix(g), matrix(c), rhs_g.to_vec(), rhs_c.to_vec()]
+            .concat()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect::<Vec<u64>>()
+    };
+    for case in &measure_cases {
+        let plan = StampPlan::new(&case.netlist).expect("plans");
+        for corner in &corners {
+            let rebuilt = MnaSystem::new(&corner.apply(&case.netlist)).expect("builds");
+            assert_eq!(
+                stamp_bits(&plan.corner_system(corner)),
+                stamp_bits(&rebuilt),
+                "{}: the plan's system at {corner:?} lost the scaled netlist's bits",
+                case.name
+            );
+        }
+    }
+
     // --- scheduler batch and candidate batch, per worker count ---
     let worker_counts: Vec<usize> = {
         let mut w = vec![1, 2, 4, host_parallelism];
@@ -283,8 +335,9 @@ fn main() {
             pool
         })
         .collect();
+    let batch_leg = Duration::from_millis(100 / divisor as u64);
     let batch_medians = median_rounds(&pools, |pool| {
-        rate(reps, batch_topos.len(), || {
+        rate_for(batch_leg, batch_topos.len(), || {
             let mut sim = Simulator::new();
             black_box(sim.analyze_batch_with_pool(&batch_topos, pool));
         })
@@ -696,9 +749,11 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"corner_plan\": {{\n    \"systems\": {},\n    \"corners\": {},\n    \"corner_plan_bits_identical\": true\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
         measure_rows.join(",\n"),
+        measure_cases.len(),
+        corners.len(),
         batch_topos.len(),
         fmt_scaling(&batch_rates, "batched_analyses_per_sec"),
         fmt_scaling(&scheduler_rates, "sessions_per_sec"),

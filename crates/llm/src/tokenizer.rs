@@ -95,9 +95,14 @@ impl BpeTokenizer {
     }
 
     /// Assembles a tokenizer from its merges in learning order and its
-    /// vocabulary in sorted order (`<unk>` not yet appended).
+    /// vocabulary in sorted order. The reserved `<unk>` is appended
+    /// unless training already spelled it, so every id names a distinct
+    /// string and a literal `<unk>` shares its id with the marker for
+    /// characters outside the vocabulary.
     fn from_parts(merges: &[(String, String)], mut symbols: Vec<String>) -> Self {
-        symbols.push(UNK.to_string());
+        if !symbols.iter().any(|s| s == UNK) {
+            symbols.push(UNK.to_string());
+        }
         let vocab: HashMap<String, u32> = symbols
             .iter()
             .enumerate()
@@ -126,7 +131,7 @@ impl BpeTokenizer {
         }
     }
 
-    /// Vocabulary size (including `<unk>`).
+    /// Vocabulary size: the distinct symbols, `<unk>` included.
     pub fn vocab_size(&self) -> usize {
         self.symbols.len()
     }
@@ -747,6 +752,21 @@ mod tests {
             tok.encode("ba</w>b"),
             vec![id("b"), id("a</w>"), id("<unk>")]
         );
+    }
+
+    #[test]
+    fn a_corpus_that_spells_unk_keeps_one_unk_symbol() {
+        // Merges spell "<unk>" from its characters; the reserved marker
+        // is that symbol, not a second one.
+        let corpus = ["<unk>a <unk>a <unk>a"];
+        let (tok, _) = assert_matches_oracle(&corpus, 100, &["<unk> ω <unk>a"]);
+        let distinct: HashSet<&String> = tok.symbols.iter().collect();
+        assert_eq!(tok.vocab_size(), distinct.len());
+        assert_eq!(tok.vocab_size(), 11);
+        let unk = tok.vocab[UNK];
+        assert_eq!(tok.symbols[unk as usize], UNK);
+        assert_eq!(tok.encode("ω"), vec![unk]);
+        assert_eq!(tok.decode(&tok.encode("<unk>a")), "<unk>a");
     }
 
     /// Trains on the corpus `Artisan::new(ArtisanOptions::paper_default())`

@@ -13,6 +13,14 @@
 //! reads one output row, so the back substitution may stop there, and a
 //! block solved past the point the measurement needs is thrown away at
 //! the end of the block.
+//!
+//! Two shortcuts keep those bits while doing less work. Assembly on the
+//! imaginary axis (`s = +0 + jω` in every lane) writes an entry's reduced
+//! expressions, `y = g.re + j(g.im + (0 + ω·c.re))`, wherever they equal
+//! the general `g + s·c` bit for bit (see
+//! [`LaneBlock::assign_scale_add`]). And a step whose eight lanes pivot
+//! the same row swaps whole rows of lanes, in the matrix and in the
+//! right-hand side, instead of one lane at a time.
 
 use crate::{CMatrix, Complex64, MathError, Result};
 
@@ -206,6 +214,15 @@ pub const LANES: usize = 8;
 /// One entry's real or imaginary parts, one per lane.
 type Lanes = [f64; LANES];
 
+/// The bits of `−0.0`.
+const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
+
+/// The row every lane pivots on, when all lanes agree.
+#[inline(always)]
+fn uniform(rows: &[usize; LANES]) -> Option<usize> {
+    rows.iter().all(|&r| r == rows[0]).then_some(rows[0])
+}
+
 /// [`Complex64::abs_sq`] per lane.
 #[inline(always)]
 fn abs_sq(re: &Lanes, im: &Lanes) -> Lanes {
@@ -379,6 +396,16 @@ impl LaneBlock {
         self.b_im[r][lane] = z.im;
     }
 
+    /// Row `r` of lane `lane`'s right-hand side, before
+    /// [`LaneBlock::solve`] overwrites it.
+    ///
+    /// # Panics
+    ///
+    /// When an index is out of range.
+    pub fn rhs(&self, r: usize, lane: usize) -> Complex64 {
+        Complex64::new(self.b_re[r][lane], self.b_im[r][lane])
+    }
+
     /// Row `r` of lane `lane`'s solution, once [`LaneBlock::solve`] has
     /// reached it.
     ///
@@ -390,9 +417,21 @@ impl LaneBlock {
     }
 
     /// Overwrites every lane with `A = g + s·c` and `b = rhs_g +
-    /// s·rhs_c` at that lane's `s`, with the expressions of
+    /// s·rhs_c` at that lane's `s`, with the bits of
     /// [`CMatrix::assign_scale_add`]: the block form of assembling
     /// `Y(s) = G + sC` at `LANES` frequencies.
+    ///
+    /// The general expressions are `y.re = g.re + (s.re·c.re −
+    /// s.im·c.im)` and `y.im = g.im + (s.re·c.im + s.im·c.re)`. On the
+    /// imaginary axis they reduce: when every lane's `s.re` is `+0.0`
+    /// (by its bits) and its `s.im` is finite, an entry whose `g.re` is
+    /// finite and not `−0.0`, whose `c.re` is finite and whose `c.im` is
+    /// `+0.0` gets `y.re = g.re` and `y.im = g.im + (0.0 + s.im·c.re)`.
+    /// The products `s.re·c.re` and `s.im·c.im` are then zeros whose
+    /// difference is a zero, which leaves a finite `g.re` other than
+    /// `−0.0` unchanged, and `s.re·c.im` is `+0.0`, so both have the
+    /// general expressions' bits. Every other entry takes the general
+    /// expressions.
     ///
     /// # Errors
     ///
@@ -421,7 +460,20 @@ impl LaneBlock {
         }
         let s_re: Lanes = std::array::from_fn(|l| s[l].re);
         let s_im: Lanes = std::array::from_fn(|l| s[l].im);
+        let on_axis = s.iter().all(|s| s.re.to_bits() == 0 && s.im.is_finite());
         let scale_add = |gv: Complex64, cv: Complex64, y_re: &mut Lanes, y_im: &mut Lanes| {
+            let reduced = on_axis
+                && gv.re.is_finite()
+                && gv.re.to_bits() != NEG_ZERO_BITS
+                && cv.re.is_finite()
+                && cv.im.to_bits() == 0;
+            if reduced {
+                *y_re = [gv.re; LANES];
+                for l in 0..LANES {
+                    y_im[l] = gv.im + (0.0 + s_im[l] * cv.re);
+                }
+                return;
+            }
             for l in 0..LANES {
                 y_re[l] = gv.re + (s_re[l] * cv.re - s_im[l] * cv.im);
                 y_im[l] = gv.im + (s_re[l] * cv.im + s_im[l] * cv.re);
@@ -436,6 +488,15 @@ impl LaneBlock {
             scale_add(gv, cv, y_re, y_im);
         }
         Ok(())
+    }
+
+    /// Swaps rows `a` and `b` of every lane's matrix, `a < b`.
+    fn swap_whole_rows(&mut self, a: usize, b: usize) {
+        let n = self.n;
+        for part in [&mut self.re, &mut self.im] {
+            let (head, tail) = part.split_at_mut(b * n);
+            head[a * n..(a + 1) * n].swap_with_slice(&mut tail[..n]);
+        }
     }
 
     /// Swaps rows `a` and `b` of lane `lane`'s matrix, `a < b`.
@@ -475,9 +536,15 @@ impl LaneBlock {
                 *flag |= mag == 0.0;
             }
             self.pivots[k] = pivot_row;
-            for (lane, &p) in pivot_row.iter().enumerate() {
+            if let Some(p) = uniform(&pivot_row) {
                 if p != k {
-                    self.swap_rows(k, p, lane);
+                    self.swap_whole_rows(k, p);
+                }
+            } else {
+                for (lane, &p) in pivot_row.iter().enumerate() {
+                    if p != k {
+                        self.swap_rows(k, p, lane);
+                    }
                 }
             }
             let (inv_re, inv_im) = recip(&self.re[k * n + k], &self.im[k * n + k]);
@@ -532,6 +599,11 @@ impl LaneBlock {
     pub fn solve(&mut self, first_row: usize) {
         let n = self.n;
         for (k, rows) in self.pivots.iter().enumerate() {
+            if let Some(p) = uniform(rows) {
+                self.b_re.swap(k, p);
+                self.b_im.swap(k, p);
+                continue;
+            }
             for (lane, &p) in rows.iter().enumerate() {
                 if p != k {
                     for part in [&mut self.b_re, &mut self.b_im] {

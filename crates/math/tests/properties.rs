@@ -238,32 +238,157 @@ proptest! {
             systems.push(values);
         }
         let first_row = rng.gen_range(0..n);
-        let singular = block.factor();
-        block.solve(first_row);
-        for (lane, values) in systems.iter().enumerate() {
-            let mut a = CMatrix::from_rows(n, n, &values[..n * n]).unwrap();
-            let mut perm = Vec::new();
-            match lu::factor_in_place(&mut a, &mut perm) {
-                Err(_) => prop_assert!(singular[lane], "lane {} missed a singular system", lane),
-                Ok(_) => {
-                    prop_assert!(!singular[lane], "lane {} called a regular system singular", lane);
-                    let mut x = Vec::new();
-                    lu::solve_factored(&a, &perm, &values[n * n..], &mut x).unwrap();
-                    for r in 0..n {
-                        for c in 0..n {
-                            prop_assert!(
-                                same_bits(block.get(r, c, lane), a[(r, c)]),
-                                "lane {} factor ({}, {}): {} vs {}",
-                                lane, r, c, block.get(r, c, lane), a[(r, c)]
-                            );
-                        }
-                    }
-                    for (r, &want) in x.iter().enumerate().skip(first_row) {
+        factor_and_match_the_scalar_lu(&mut block, n, &systems, first_row);
+    }
+
+    /// Blocks whose lanes all pivot the same rows (one matrix, a
+    /// right-hand side per lane) and blocks whose lanes pivot different
+    /// rows (the same matrix with its rows permuted per lane) both
+    /// reproduce the scalar LU bit for bit: whole-row swaps where the
+    /// lanes agree and per-lane swaps where they do not change no bit.
+    #[test]
+    fn uniform_and_mixed_pivots_match_the_scalar_lu(seed in 0u64..u64::MAX) {
+        use lu::{LaneBlock, LANES};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..10usize);
+        let awkward = rng.gen_bool(0.3);
+        let entry = |rng: &mut rand::rngs::StdRng| {
+            if awkward {
+                awkward_entry(rng)
+            } else {
+                Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+            }
+        };
+        let base: Vec<Complex64> = (0..n * n).map(|_| entry(&mut rng)).collect();
+        let mixed = rng.gen_bool(0.5);
+        let mut block = LaneBlock::new(n);
+        let mut systems = Vec::with_capacity(LANES);
+        for lane in 0..LANES {
+            let mut rows: Vec<usize> = (0..n).collect();
+            if mixed {
+                for i in 0..n {
+                    rows.swap(i, rng.gen_range(i..n));
+                }
+            }
+            let mut values: Vec<Complex64> = rows
+                .iter()
+                .flat_map(|&r| base[r * n..(r + 1) * n].iter().copied())
+                .collect();
+            values.extend((0..n).map(|_| entry(&mut rng)));
+            for r in 0..n {
+                for c in 0..n {
+                    block.set(r, c, lane, values[r * n + c]);
+                }
+                block.set_rhs(r, lane, values[n * n + r]);
+            }
+            systems.push(values);
+        }
+        factor_and_match_the_scalar_lu(&mut block, n, &systems, 0);
+    }
+
+    /// On the imaginary axis, block assembly writes every entry's
+    /// reduced expressions only where they equal the general `g + s·c`:
+    /// each lane's matrix and right-hand side carry the bits of
+    /// `g + s * c` on `Complex64`, with `−0.0`, ±∞ and NaN in `G` and `C`,
+    /// and with lanes whose `s` has a real part of `−0.0` or NaN or an
+    /// infinite or NaN imaginary part, which take the general path.
+    #[test]
+    fn axis_assembly_matches_the_general_expressions(seed in 0u64..u64::MAX) {
+        use lu::{LaneBlock, LANES};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..10usize);
+        let matrix = |rng: &mut rand::rngs::StdRng| {
+            let data: Vec<Complex64> = (0..n * n).map(|_| awkward_entry(rng)).collect();
+            CMatrix::from_rows(n, n, &data).unwrap()
+        };
+        let (g, c) = (matrix(&mut rng), matrix(&mut rng));
+        let rhs_g: Vec<Complex64> = (0..n).map(|_| awkward_entry(&mut rng)).collect();
+        let rhs_c: Vec<Complex64> = (0..n).map(|_| awkward_entry(&mut rng)).collect();
+        let mut s: [Complex64; LANES] = std::array::from_fn(|_| {
+            Complex64::jomega(10f64.powf(rng.gen_range(-2.0..10.0)))
+        });
+        if rng.gen_bool(0.25) {
+            let lane = rng.gen_range(0..LANES);
+            s[lane] = match rng.gen_range(0..5) {
+                0 => Complex64::new(-0.0, s[lane].im),
+                1 => Complex64::new(f64::NAN, s[lane].im),
+                2 => Complex64::jomega(f64::INFINITY),
+                3 => Complex64::jomega(f64::NAN),
+                _ => Complex64::ZERO,
+            };
+        }
+        let mut block = LaneBlock::new(n);
+        block.assign_scale_add(&g, &c, &rhs_g, &rhs_c, &s).unwrap();
+        for (lane, &s) in s.iter().enumerate() {
+            for r in 0..n {
+                for col in 0..n {
+                    let want = g[(r, col)] + s * c[(r, col)];
+                    prop_assert!(
+                        same_bits(block.get(r, col, lane), want),
+                        "lane {} ({}, {}): g {:?} c {:?} s {:?}: {:?} vs {:?}",
+                        lane, r, col, g[(r, col)], c[(r, col)], s, block.get(r, col, lane), want
+                    );
+                }
+                let want = rhs_g[r] + s * rhs_c[r];
+                prop_assert!(
+                    same_bits(block.rhs(r, lane), want),
+                    "lane {} rhs {}: {:?} vs {:?}", lane, r, block.rhs(r, lane), want
+                );
+            }
+        }
+    }
+}
+
+/// Factors the `n`-dim `block`, solves it down to `first_row`, and
+/// checks every lane against `factor_in_place` + `solve_factored` on its
+/// own system (`systems[lane]`: the matrix row-major, then the
+/// right-hand side): the same singular verdict, factors and solution,
+/// by bits.
+fn factor_and_match_the_scalar_lu(
+    block: &mut lu::LaneBlock,
+    n: usize,
+    systems: &[Vec<Complex64>],
+    first_row: usize,
+) {
+    let singular = block.factor();
+    block.solve(first_row);
+    for (lane, values) in systems.iter().enumerate() {
+        let mut a = CMatrix::from_rows(n, n, &values[..n * n]).unwrap();
+        let mut perm = Vec::new();
+        match lu::factor_in_place(&mut a, &mut perm) {
+            Err(_) => prop_assert!(singular[lane], "lane {} missed a singular system", lane),
+            Ok(_) => {
+                prop_assert!(
+                    !singular[lane],
+                    "lane {} called a regular system singular",
+                    lane
+                );
+                let mut x = Vec::new();
+                lu::solve_factored(&a, &perm, &values[n * n..], &mut x).unwrap();
+                for r in 0..n {
+                    for c in 0..n {
                         prop_assert!(
-                            same_bits(block.solution(r, lane), want),
-                            "lane {} x[{}]: {} vs {}", lane, r, block.solution(r, lane), want
+                            same_bits(block.get(r, c, lane), a[(r, c)]),
+                            "lane {} factor ({}, {}): {} vs {}",
+                            lane,
+                            r,
+                            c,
+                            block.get(r, c, lane),
+                            a[(r, c)]
                         );
                     }
+                }
+                for (r, &want) in x.iter().enumerate().skip(first_row) {
+                    prop_assert!(
+                        same_bits(block.solution(r, lane), want),
+                        "lane {} x[{}]: {} vs {}",
+                        lane,
+                        r,
+                        block.solution(r, lane),
+                        want
+                    );
                 }
             }
         }

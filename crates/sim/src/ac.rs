@@ -10,13 +10,25 @@
 //!
 //! [`sweep`] returns the full curve. The analysis pipeline and the
 //! corner engine instead call the crate-private `measure`, which reads
-//! DC gain, GBW and phase margin over a [`SweepGrid`] built once per
-//! analysis or corner batch. It solves the sweep [`LANES`] points at a
-//! time with [`MnaSystem::transfer_block`], consumes the lanes in grid
-//! order and stops at the end of the block holding the first point
-//! below unity. Every lane has the bits of the scalar solve at its
-//! point, so the metrics equal [`unity_crossing`] over the full curve
-//! bit for bit.
+//! DC gain, GBW and phase margin over a [`SweepGrid`]. The default
+//! configuration's grid is built once per process and shared; any other
+//! is built per analysis or corner batch. The measurement solves the
+//! sweep [`LANES`] points at a time with [`MnaSystem::transfer_block`],
+//! consumes the lanes in grid order and stops at the end of the block
+//! holding the first point below unity. Every lane has the bits of the
+//! scalar solve at its point, so the metrics equal [`unity_crossing`]
+//! over the full curve bit for bit.
+//!
+//! Per point, the measurement does only the work that can change its
+//! result. It decides `|H| ≥ 1` from `re² + im²` away from unity and
+//! calls `hypot` only within a margin of it. It takes the phase
+//! (`atan2`) at the first point, at the two points bracketing the
+//! crossing, and at both points of any neighbour pair that share none
+//! of the open half-planes `re > 0`, `im > 0` and `im < 0`. Raw phases
+//! lie in [−180°, 180°], so two points in one such half-plane are at
+//! most 180° apart, and the unwrap step, which fires only on a jump of
+//! more than 180°, cannot fire between them. DESIGN §4.8 has the
+//! proofs.
 //!
 //! [`MnaWorkspace`]: crate::mna::MnaWorkspace
 
@@ -27,7 +39,9 @@ use crate::Result;
 use artisan_circuit::units::{Decibels, Degrees, Hertz, Watts};
 use artisan_math::lu::LANES;
 use artisan_math::Complex64;
+use std::borrow::Cow;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// One point of an AC sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,10 +126,10 @@ fn jomega(f: f64) -> Complex64 {
     Complex64::jomega(2.0 * PI * f)
 }
 
-/// A sweep's frequency grid with each point's `s = jω`, built once and
-/// shared by every measurement over one [`SweepConfig`]: the corner
-/// engine builds one per batch of grids, the simulator one per
-/// analysis.
+/// A sweep's frequency grid with each point's `s = jω`, shared by every
+/// measurement over one [`SweepConfig`]. The default configuration's
+/// grid is built once per process; for any other, the corner engine
+/// builds one per batch of grids and the simulator one per analysis.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     /// The configured start frequency, where the DC gain is retried
@@ -123,8 +137,26 @@ pub struct SweepGrid {
     f_start: f64,
     /// The grid's frequencies and their `s`, or why the configuration
     /// has no grid.
-    points: Result<(Vec<f64>, Vec<Complex64>)>,
+    points: Result<Cow<'static, GridPoints>>,
 }
+
+/// The points of a [`SweepGrid`].
+#[derive(Debug, Clone)]
+struct GridPoints {
+    freqs: Vec<f64>,
+    s: Vec<Complex64>,
+}
+
+impl GridPoints {
+    fn of(config: &SweepConfig) -> Result<Self> {
+        let freqs = config.frequencies()?;
+        let s = freqs.iter().map(|&f| jomega(f)).collect();
+        Ok(GridPoints { freqs, s })
+    }
+}
+
+/// The default configuration's grid points, built on first use.
+static DEFAULT_POINTS: OnceLock<Option<GridPoints>> = OnceLock::new();
 
 impl SweepGrid {
     /// The grid of `config`. A malformed configuration still makes a
@@ -132,12 +164,19 @@ impl SweepGrid {
     /// measurement after the DC solve, so a failure at DC keeps
     /// precedence.
     pub fn new(config: &SweepConfig) -> Self {
+        let shared = (*config == SweepConfig::default())
+            .then(|| {
+                DEFAULT_POINTS
+                    .get_or_init(|| GridPoints::of(config).ok())
+                    .as_ref()
+            })
+            .flatten();
         SweepGrid {
             f_start: config.f_start,
-            points: config.frequencies().map(|freqs| {
-                let s = freqs.iter().map(|&f| jomega(f)).collect();
-                (freqs, s)
-            }),
+            points: match shared {
+                Some(points) => Ok(Cow::Borrowed(points)),
+                None => GridPoints::of(config).map(Cow::Owned),
+            },
         }
     }
 }
@@ -176,15 +215,7 @@ impl Unwrapper {
     fn next(&mut self, freq: f64, h: Complex64) -> AcPoint {
         let raw = h.arg().to_degrees();
         if let Some(p) = self.prev_raw {
-            let mut delta = raw - p;
-            while delta > 180.0 {
-                delta -= 360.0;
-                self.offset -= 360.0;
-            }
-            while delta < -180.0 {
-                delta += 360.0;
-                self.offset += 360.0;
-            }
+            unwrap_step(&mut self.offset, raw - p);
         } else {
             self.first_phase = raw;
         }
@@ -195,6 +226,20 @@ impl Unwrapper {
             h,
             phase_rel: unwrapped - self.first_phase,
         }
+    }
+}
+
+/// Moves the unwrap `offset` by the whole turns that bring a step of
+/// `delta` degrees between adjacent raw phases into [−180°, 180°]. A
+/// step inside that range, or a NaN one, leaves it alone.
+fn unwrap_step(offset: &mut f64, mut delta: f64) {
+    while delta > 180.0 {
+        delta -= 360.0;
+        *offset -= 360.0;
+    }
+    while delta < -180.0 {
+        delta += 360.0;
+        *offset += 360.0;
     }
 }
 
@@ -289,26 +334,125 @@ fn measure_blocks(
     if h0.abs() <= 0.0 || !h0.is_finite() {
         return Err(SimError::BadNetlist("zero or non-finite DC gain".into()));
     }
-    let (freqs, s) = grid.points.as_ref().map_err(Clone::clone)?;
-    let mut unwrapper = Unwrapper::default();
-    let mut prev: Option<AcPoint> = None;
-    for (freqs, s) in freqs.chunks(LANES).zip(s.chunks(LANES)) {
+    let points = grid.points.as_ref().map_err(Clone::clone)?;
+    let mut phase = LazyPhase::default();
+    let mut prev: Option<Solved> = None;
+    for (freqs, s) in points.freqs.chunks(LANES).zip(points.s.chunks(LANES)) {
         // A short last block repeats its last point in the spare lanes.
         let lanes = std::array::from_fn(|l| s[l.min(s.len() - 1)]);
-        for (&f, h) in freqs.iter().zip(block(&lanes)) {
-            let point = unwrapper.next(f, h?);
-            if let Some((gbw_hz, phase_at_unity)) = prev.and_then(|a| unity_crossing(&[a, point])) {
-                return Ok(AcMetrics {
-                    gain: Decibels::from_ratio(h0.abs()),
-                    gbw: Hertz(gbw_hz),
-                    // Phase margin: 180° + relative phase accumulated from DC.
-                    pm: Degrees(180.0 + phase_at_unity),
-                });
+        for (&freq, h) in freqs.iter().zip(block(&lanes)) {
+            let mut b = Solved::new(freq, h?);
+            let Some(mut a) = prev else {
+                phase.first_phase = b.raw_phase();
+                prev = Some(b);
+                continue;
+            };
+            let offset_a = phase.offset;
+            phase.step(&mut a, &mut b);
+            if a.above_unity == Some(true) && b.above_unity == Some(false) {
+                let bracket = [
+                    a.point(offset_a, phase.first_phase),
+                    b.point(phase.offset, phase.first_phase),
+                ];
+                if let Some((gbw_hz, phase_at_unity)) = unity_crossing(&bracket) {
+                    return Ok(AcMetrics {
+                        gain: Decibels::from_ratio(h0.abs()),
+                        gbw: Hertz(gbw_hz),
+                        // Phase margin: 180° + relative phase accumulated from DC.
+                        pm: Degrees(180.0 + phase_at_unity),
+                    });
+                }
             }
-            prev = Some(point);
+            prev = Some(b);
         }
     }
     Err(SimError::NoUnityCrossing)
+}
+
+/// How far from 1 the measurement trusts `re² + im²` to decide
+/// `|H| ≥ 1`. The computed sum of two squares is within a relative
+/// 2.3·10⁻¹⁶ of `|H|²` (two roundings, no cancellation) and `hypot` is
+/// within 1 ulp of `|H|`, so outside `1 ± 10⁻⁹` both decide alike with
+/// a wide margin; inside it the measurement calls `hypot`, as
+/// [`unity_crossing`] does. An overflowing square reads `∞` (`|H|` is
+/// huge), an underflowing one loses less than 10⁻³⁰⁷, and a NaN sum
+/// takes the `hypot` path (`hypot(NaN, ∞)` is `∞`).
+const UNITY_MARGIN: f64 = 1e-9;
+
+/// `Some(true)` when `|h| ≥ 1`, `Some(false)` when `|h| < 1`, and `None`
+/// when neither holds (`|h|` is NaN), each as `h.abs()` compares.
+fn unity_side(h: Complex64) -> Option<bool> {
+    let sq = h.abs_sq();
+    if sq >= 1.0 + UNITY_MARGIN {
+        Some(true)
+    } else if sq <= 1.0 - UNITY_MARGIN {
+        Some(false)
+    } else {
+        let mag = h.abs();
+        (mag >= 1.0 || mag < 1.0).then_some(mag >= 1.0)
+    }
+}
+
+/// One solved sweep point as the measurement keeps it: its raw phase is
+/// taken only when something reads it.
+#[derive(Debug, Clone, Copy)]
+struct Solved {
+    freq: f64,
+    h: Complex64,
+    above_unity: Option<bool>,
+    raw: Option<f64>,
+}
+
+impl Solved {
+    fn new(freq: f64, h: Complex64) -> Self {
+        Solved {
+            freq,
+            h,
+            above_unity: unity_side(h),
+            raw: None,
+        }
+    }
+
+    /// The raw phase in degrees, as [`Unwrapper`] takes it.
+    fn raw_phase(&mut self) -> f64 {
+        *self.raw.get_or_insert_with(|| self.h.arg().to_degrees())
+    }
+
+    /// Whether `self` and `other` lie in one of the open half-planes
+    /// `re > 0`, `im > 0` and `im < 0`. A NaN part is in none.
+    fn shares_half_plane(&self, other: &Solved) -> bool {
+        let (a, b) = (self.h, other.h);
+        (a.re > 0.0 && b.re > 0.0) || (a.im > 0.0 && b.im > 0.0) || (a.im < 0.0 && b.im < 0.0)
+    }
+
+    /// The [`AcPoint`] [`Unwrapper`] would give this point, from the
+    /// offset after its step and the first point's raw phase.
+    fn point(mut self, offset: f64, first_phase: f64) -> AcPoint {
+        AcPoint {
+            freq: self.freq,
+            h: self.h,
+            phase_rel: (self.raw_phase() + offset) - first_phase,
+        }
+    }
+}
+
+/// [`Unwrapper`]'s state, advanced only by the steps that can move it.
+#[derive(Debug, Default)]
+struct LazyPhase {
+    offset: f64,
+    first_phase: f64,
+}
+
+impl LazyPhase {
+    /// The unwrap step from `a` to its successor `b`. Two points in a
+    /// shared half-plane are at most 180° apart, where the step does
+    /// nothing, so their phases are not taken.
+    fn step(&mut self, a: &mut Solved, b: &mut Solved) {
+        if a.shares_half_plane(b) {
+            return;
+        }
+        unwrap_step(&mut self.offset, b.raw_phase() - a.raw_phase());
+    }
 }
 
 #[cfg(test)]
@@ -520,6 +664,155 @@ mod tests {
                 other => panic!("failure at point {at} gave {other:?}"),
             }
         }
+    }
+
+    /// Measures the hand-built transfer values `h`, one per point of the
+    /// default grid (the last repeated to its end), and reads
+    /// [`unity_crossing`] over the same values unwrapped point by point,
+    /// as [`sweep`] does: the measurement must give the oracle's bits
+    /// (any NaN matching any NaN), or no crossing where it has none.
+    fn assert_measures_like_the_full_curve(h: &[Complex64]) -> AcMetrics {
+        let at = |k: usize| h[k.min(h.len() - 1)];
+        let mut next = 0;
+        let measured = measure_blocks(
+            &SweepGrid::new(&SweepConfig::default()),
+            |_| Ok(Complex64::from_real(1e3)),
+            |_| {
+                let block = std::array::from_fn(|l| Ok(at(next + l)));
+                next += LANES;
+                block
+            },
+        );
+        let mut unwrapper = Unwrapper::default();
+        let curve: Vec<AcPoint> = SweepConfig::default()
+            .frequencies()
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(k, f)| unwrapper.next(f, at(k)))
+            .collect();
+        let bits = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        match (measured, unity_crossing(&curve)) {
+            (Ok(m), Some((f_u, phase))) => {
+                assert_eq!(bits(m.gbw.value()), bits(f_u), "GBW");
+                assert_eq!(bits(m.pm.value()), bits(180.0 + phase), "PM");
+                m
+            }
+            (measured, oracle) => panic!("measured {measured:?}, full curve {oracle:?}"),
+        }
+    }
+
+    #[test]
+    fn a_phase_that_crosses_the_negative_real_axis_is_unwrapped() {
+        // |H| falls a decade per 20 points and the phase turns 5° per
+        // point: it passes −180° at point 36 and reaches unity at point
+        // 60, near −300°.
+        let h: Vec<Complex64> = (0..80)
+            .map(|k| {
+                let k = f64::from(k);
+                Complex64::from_polar(1e3 * 10f64.powf(-k / 20.0), -(5.0 * k).to_radians())
+            })
+            .collect();
+        let m = assert_measures_like_the_full_curve(&h);
+        assert!((m.pm.value() + 120.0).abs() < 5.0, "{m:?}");
+    }
+
+    #[test]
+    fn points_within_the_margin_of_unity_take_the_exact_test() {
+        // |H| within 1e-12 of 1, where re² + im² and hypot disagree on
+        // `|H| ≥ 1`: hypot reads 1.0 for the first and just below 1.0 for
+        // the second, the sum of squares the other way round.
+        let exact_above = Complex64::new(
+            f64::from_bits(0x3fc0_5676_8aa9_df75),
+            f64::from_bits(0x3fef_bcfe_d848_7fe9),
+        );
+        let exact_below = Complex64::new(
+            f64::from_bits(0x3feb_6020_08f0_4747),
+            f64::from_bits(0xbfe0_920e_8bd2_580a),
+        );
+        for (z, above) in [(exact_above, true), (exact_below, false)] {
+            assert!((z.abs() - 1.0).abs() < 1e-12);
+            assert_eq!(z.abs() >= 1.0, above);
+            assert_ne!(z.abs_sq() >= 1.0, above, "{z}: the sum agrees with hypot");
+            assert_eq!(unity_side(z), Some(above));
+        }
+        let big = Complex64::new(3.0, -4.0);
+        let small = Complex64::new(0.3, -0.4);
+        // The crossing lies after the point hypot calls unity, and at the
+        // point it calls just below; deciding either by the sum of
+        // squares would find no crossing at all.
+        assert_measures_like_the_full_curve(&[big, big, exact_above, small]);
+        assert_measures_like_the_full_curve(&[big, big, exact_below, small]);
+    }
+
+    #[test]
+    fn a_nan_point_takes_the_exact_path() {
+        let big = Complex64::new(3.0, 4.0);
+        let nan = Complex64::new(f64::NAN, f64::NAN);
+        let small = Complex64::new(0.3, 0.4);
+        assert_eq!(unity_side(nan), None);
+        // A NaN point neither starts nor ends a crossing, and its phase
+        // moves nothing.
+        let m = assert_measures_like_the_full_curve(&[big, nan, big, big, nan, small, big, small]);
+        assert!(m.pm.value().is_finite());
+        // hypot(NaN, ∞) is ∞: the point is above unity, and its NaN
+        // phase is the phase margin's.
+        let nan_inf = Complex64::new(f64::NAN, f64::INFINITY);
+        assert_eq!(unity_side(nan_inf), Some(true));
+        let m = assert_measures_like_the_full_curve(&[big, nan_inf, small]);
+        assert!(m.pm.value().is_nan());
+    }
+
+    #[test]
+    fn points_on_an_axis_take_the_exact_path() {
+        let z = Complex64::new;
+        // (−0, +0) has phase 180°: from −45° the step unwraps by −360°,
+        // although both real parts compare ≥ 0.
+        let origin = z(-0.0, 0.0);
+        assert_eq!(origin.arg().to_degrees(), 180.0);
+        let m =
+            assert_measures_like_the_full_curve(&[z(0.5, -0.5), origin, z(5.0, 5.0), z(0.5, 0.5)]);
+        assert!((m.pm.value() + 90.0).abs() < 1e-9, "{m:?}");
+        // (−0.5, +0) and (−0.5, −0) sit at +180° and −180°: the step
+        // unwraps by +360°, although both imaginary parts compare ≥ 0
+        // and ≤ 0, and the phase stays near 180° + 11.3°.
+        let m = assert_measures_like_the_full_curve(&[
+            z(-0.5, 0.0),
+            z(-0.5, -0.0),
+            z(-5.0, -1.0),
+            z(-0.5, -0.1),
+        ]);
+        assert!((m.pm.value() - 191.3).abs() < 0.1, "{m:?}");
+        // Points on the imaginary axis at ±90° and on the positive real
+        // axis, above and below unity.
+        assert_measures_like_the_full_curve(&[
+            z(0.0, 10.0),
+            z(10.0, 0.0),
+            z(0.0, -10.0),
+            z(-10.0, 0.0),
+            z(0.0, 10.0),
+            z(0.0, 0.5),
+        ]);
+    }
+
+    #[test]
+    fn the_default_grid_is_built_once() {
+        let (a, b) = (
+            SweepGrid::new(&SweepConfig::default()),
+            SweepGrid::new(&SweepConfig::default()),
+        );
+        let (Ok(a), Ok(b)) = (&a.points, &b.points) else {
+            panic!("the default grid has points")
+        };
+        assert!(matches!((a, b), (Cow::Borrowed(_), Cow::Borrowed(_))));
+        assert!(std::ptr::eq(a.freqs.as_ptr(), b.freqs.as_ptr()));
+        assert_eq!(a.freqs, SweepConfig::default().frequencies().unwrap());
+        // Any other configuration builds its own.
+        let other = SweepGrid::new(&SweepConfig {
+            points_per_decade: 10,
+            ..SweepConfig::default()
+        });
+        assert!(matches!(other.points, Ok(Cow::Owned(_))));
     }
 
     #[test]

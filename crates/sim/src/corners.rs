@@ -8,6 +8,14 @@
 //! scaled values and differs from the nominal analysis only in those
 //! values.
 //!
+//! Scaling cannot change structure, so [`CornerSim`] indexes each fresh
+//! candidate once, as a [`StampPlan`], and builds every corner's system
+//! by replaying the plan at that corner's values
+//! ([`evaluate_planned_corner`]). Each corner system has the bits of
+//! `MnaSystem::new(&corner.apply(netlist))`, which
+//! `crates/sim/tests/properties.rs` pins, and a netlist the plan refuses
+//! fails every corner with the plan's error, as it did corner by corner.
+//!
 //! # Corner model
 //!
 //! A [`CornerPoint`] carries three scale factors, one per grid axis:
@@ -57,6 +65,8 @@
 //! chaos suite in `artisan-resilience` pins exact replay, field
 //! preservation, and billed-seconds conservation for this stack. To run
 //! without corner sign-off, do not stack the wrapper.
+//!
+//! [`MnaSystem`]: crate::mna::MnaSystem
 
 use crate::ac::{self, SweepGrid};
 use crate::backend::SimBackend;
@@ -64,7 +74,7 @@ use crate::cache::SimCache;
 use crate::cost::CostLedger;
 use crate::fingerprint::{config_salt, NetlistFingerprint};
 use crate::metrics::Performance;
-use crate::mna::MnaSystem;
+use crate::mna::StampPlan;
 use crate::simulator::{load_capacitance, AnalysisConfig, AnalysisReport};
 use crate::wire;
 use crate::Result;
@@ -279,12 +289,14 @@ impl CornerSummary {
     }
 }
 
-/// Evaluates one corner: scale the netlist, build its MNA system, take
-/// the nominal analysis's AC measurement over `grid` (DC gain, GBW and
-/// phase margin at the first unity crossing), then rescale power and
-/// FoM analytically from the nominal power (see the
+/// Evaluates one corner: build the MNA system of the scaled netlist,
+/// take the nominal analysis's AC measurement over `grid` (DC gain, GBW
+/// and phase margin at the first unity crossing), then rescale power
+/// and FoM analytically from the nominal power (see the
 /// [module docs](self)). `grid` is the analysis configuration's
-/// [`SweepGrid`], built once for a batch of corners.
+/// [`SweepGrid`], built once for a batch of corners. This plans the
+/// netlist for one corner; [`evaluate_planned_corner`] reuses one plan
+/// across a grid.
 ///
 /// # Errors
 ///
@@ -300,8 +312,24 @@ pub fn evaluate_corner(
     nominal_power: Watts,
     corner: CornerPoint,
 ) -> Result<Performance> {
-    let scaled = corner.apply(netlist);
-    let sys = MnaSystem::new(&scaled)?;
+    evaluate_planned_corner(grid, &StampPlan::new(netlist)?, cl, nominal_power, corner)
+}
+
+/// [`evaluate_corner`] for a netlist already planned: the corner's
+/// system is replayed from `plan` ([`StampPlan::corner_system`]), with
+/// the bits of `MnaSystem::new(&corner.apply(netlist))`.
+///
+/// # Errors
+///
+/// As [`evaluate_corner`], less the failures of [`StampPlan::new`].
+pub fn evaluate_planned_corner(
+    grid: &SweepGrid,
+    plan: &StampPlan,
+    cl: f64,
+    nominal_power: Watts,
+    corner: CornerPoint,
+) -> Result<Performance> {
+    let sys = plan.corner_system(&corner);
     let ac = ac::measure(&sys, grid)?;
     // Supply scales both the rail and every branch current, so power
     // goes with gm_scale²; the load axis re-rates the FoM. Both are
@@ -460,11 +488,12 @@ impl<B: SimBackend> CornerSim<B> {
 
     /// Grid verdicts for `candidates`, in order. Each is served from the
     /// cache (billing a hit) or computed fresh (billing
-    /// `record_corner_sims` for its grid). Fresh grids run as one
-    /// flattened (candidate × corner) work list over the pool, so even a
-    /// single candidate keeps every worker busy. Corner verdicts are
-    /// pure functions of the (netlist, grid, config) triple, so — like
-    /// lint verdicts — every outcome is cacheable.
+    /// `record_corner_sims` for its grid). Each fresh candidate is
+    /// planned once, and its grid runs as part of one flattened
+    /// (candidate × corner) work list over the pool, so even a single
+    /// candidate keeps every worker busy. Corner verdicts are pure
+    /// functions of the (netlist, grid, config) triple, so — like lint
+    /// verdicts — every outcome is cacheable.
     fn verdicts(&mut self, candidates: &[Candidate]) -> Vec<CornerSummary> {
         let mut summaries: Vec<Option<CornerSummary>> = candidates
             .iter()
@@ -477,18 +506,24 @@ impl<B: SimBackend> CornerSim<B> {
                 Some(summary)
             })
             .collect();
-        // One work unit per (fresh candidate, corner).
+        // One plan per fresh candidate, one work unit per (fresh
+        // candidate, corner). A plan's error is each of its corners'.
         let fresh: Vec<usize> = (0..candidates.len())
             .filter(|&i| summaries[i].is_none())
             .collect();
-        let corners = self.grid.corners();
-        let units: Vec<(&Candidate, CornerPoint)> = fresh
+        let plans: Vec<Result<StampPlan>> = fresh
             .iter()
-            .flat_map(|&i| corners.iter().map(move |&corner| (&candidates[i], corner)))
+            .map(|&i| StampPlan::new(&candidates[i].netlist))
+            .collect();
+        let corners = self.grid.corners();
+        let units: Vec<(usize, CornerPoint)> = (0..fresh.len())
+            .flat_map(|k| corners.iter().map(move |&corner| (k, corner)))
             .collect();
         let grid = SweepGrid::new(&self.config.sweep);
-        let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(c, corner)| {
-            evaluate_corner(&grid, &c.netlist, c.cl, c.power, corner)
+        let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(k, corner)| {
+            let c = &candidates[fresh[k]];
+            let plan = plans[k].as_ref().map_err(Clone::clone)?;
+            evaluate_planned_corner(&grid, plan, c.cl, c.power, corner)
         });
         // Fold per candidate in grid order and publish.
         for (k, &i) in fresh.iter().enumerate() {

@@ -8,6 +8,12 @@
 //! Assembly is split from solving: [`MnaSystem::new`] walks the element
 //! list exactly once, stamping the frequency-independent `G` and `C`
 //! matrices (and the matching right-hand-side halves) at construction.
+//! It does so through a [`StampPlan`]: the netlist's checks, node index
+//! and the place of each element's four stamps, worked out once. The
+//! corner engine builds one plan per candidate and replays it at every
+//! corner's scaled values ([`StampPlan::corner_system`]), with the bits
+//! of `MnaSystem::new(&corner.apply(netlist))` and without a netlist
+//! clone or a hash lookup per corner. There is one stamping path.
 //! Per-frequency assembly is then the single fused pass
 //! `Y = G + s·C` — no element walk, no hash-map lookups — and the hot
 //! solve path ([`MnaSystem::solve_with`]) factors into a caller-provided
@@ -35,6 +41,7 @@
 //! way, before anything is stamped, because pole extraction factors the
 //! network once per capacitor.
 
+use crate::corners::CornerPoint;
 use crate::error::SimError;
 use crate::Result;
 use artisan_circuit::{Element, Netlist, Node};
@@ -113,51 +120,82 @@ pub struct MnaSystem {
     rhs_c: Vec<Complex64>,
 }
 
-/// Adds `val` at (row=node r, col=node c) with source elimination:
-/// ground rows/cols vanish, the input column feeds the RHS (unit input
-/// drive), and the input row is skipped (the source balances its own
-/// KCL).
-fn stamp_into(
-    index: &HashMap<Node, usize>,
-    m: &mut CMatrix,
-    rhs: &mut [Complex64],
-    r: Node,
-    c: Node,
-    val: Complex64,
-) -> Result<()> {
-    let ri = match index.get(&r) {
-        Some(&ri) => ri,
-        None if matches!(r, Node::Ground | Node::Input) => return Ok(()),
-        None => {
-            return Err(SimError::BadNetlist(
-                format!("element references node `{r}` missing from the MNA index").into(),
-            ))
-        }
-    };
-    match c {
-        Node::Ground => {}
-        Node::Input => rhs[ri] -= val,
-        other => match index.get(&other) {
-            Some(&ci) => m.stamp(ri, ci, val),
-            None => {
-                return Err(SimError::BadNetlist(
-                    format!("element references node `{other}` missing from the MNA index").into(),
-                ))
-            }
-        },
-    }
-    Ok(())
+/// Where one stamp of an element lands under source elimination:
+/// ground rows and columns vanish, the input column feeds the
+/// right-hand side (unit input drive), and the input row is dropped
+/// (the source balances its own KCL).
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Added to entry `(row, col)` of the element's matrix.
+    Entry(usize, usize),
+    /// Subtracted from row `row` of the element's right-hand side.
+    Rhs(usize),
+    /// Dropped.
+    Dropped,
 }
 
-impl MnaSystem {
-    /// Indexes the netlist's unknown nodes, validates that an output
-    /// node exists, and stamps the `G`/`C` matrices once.
+/// An element's netlist value and the matrix it stamps.
+#[derive(Debug, Clone, Copy)]
+enum Stamped {
+    /// A resistor: stamps `1/ohms` into `G`.
+    Resistor(f64),
+    /// A capacitor: stamps `farads` into `C`; `load` marks the `CL` label,
+    /// the only capacitor a corner's load axis scales.
+    Capacitor { farads: f64, load: bool },
+    /// A VCCS: stamps `gm` into `G`.
+    Vccs(f64),
+}
+
+/// One element of a [`StampPlan`]: its value and its four slots, in
+/// the order stamping visits them.
+#[derive(Debug, Clone, Copy)]
+struct PlannedElement {
+    value: Stamped,
+    slots: [Slot; 4],
+}
+
+/// A netlist's MNA stamping, indexed once: the checks of
+/// [`MnaSystem::new`] passed, the unknowns numbered, and for each
+/// element in netlist order its value and where its four stamps land
+/// (their signs follow from the element's kind).
+/// Scaling values never changes structure, so one plan builds the
+/// nominal system ([`StampPlan::system`]) and every corner's
+/// ([`StampPlan::corner_system`]) by replaying the same slots with other
+/// values.
+///
+/// # Example
+///
+/// ```
+/// use artisan_circuit::Topology;
+/// use artisan_sim::corners::CornerPoint;
+/// use artisan_sim::mna::{MnaSystem, StampPlan};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let netlist = Topology::nmc_example().elaborate()?;
+/// let plan = StampPlan::new(&netlist)?;
+/// let corner = CornerPoint { r_scale: 1.1, gm_scale: 0.9, cl_scale: 2.0 };
+/// let planned = plan.corner_system(&corner);
+/// let rebuilt = MnaSystem::new(&corner.apply(&netlist))?;
+/// assert_eq!(planned.stamps(), rebuilt.stamps());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct StampPlan {
+    out_index: usize,
+    dim: usize,
+    elements: Vec<PlannedElement>,
+}
+
+impl StampPlan {
+    /// Checks the netlist as [`MnaSystem::new`] does, indexes its unknown
+    /// nodes, and places every element's stamps.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadNetlist`] when the netlist has no `out`
-    /// node, no elements, more than 256 elements, more than 64 unknown
-    /// nodes, or an element references a node missing from the unknown
+    /// [`SimError::BadNetlist`], in this order of checks: no elements,
+    /// more than 256 elements, more than 64 unknown nodes, no `out`
+    /// node, an element referencing a node missing from the unknown
     /// index.
     pub fn new(netlist: &Netlist) -> Result<Self> {
         let elements = netlist.element_count();
@@ -191,56 +229,159 @@ impl MnaSystem {
         let out_index = *index
             .get(&Node::Output)
             .ok_or_else(|| SimError::BadNetlist("netlist has no `out` node".into()))?;
-        let dim = unknowns.len();
+        let missing = |node: Node| {
+            SimError::BadNetlist(
+                format!("element references node `{node}` missing from the MNA index").into(),
+            )
+        };
+        let slot = |(r, c): (Node, Node)| -> Result<Slot> {
+            let ri = match index.get(&r) {
+                Some(&ri) => ri,
+                None if matches!(r, Node::Ground | Node::Input) => return Ok(Slot::Dropped),
+                None => return Err(missing(r)),
+            };
+            match c {
+                Node::Ground => Ok(Slot::Dropped),
+                Node::Input => Ok(Slot::Rhs(ri)),
+                other => index
+                    .get(&other)
+                    .map(|&ci| Slot::Entry(ri, ci))
+                    .ok_or_else(|| missing(other)),
+            }
+        };
+        let elements = netlist
+            .elements()
+            .iter()
+            .map(|e| {
+                let (value, targets) = match e {
+                    Element::Resistor { a, b, ohms, .. } => (
+                        Stamped::Resistor(ohms.value()),
+                        [(*a, *a), (*a, *b), (*b, *b), (*b, *a)],
+                    ),
+                    Element::Capacitor {
+                        label,
+                        a,
+                        b,
+                        farads,
+                        ..
+                    } => (
+                        Stamped::Capacitor {
+                            farads: farads.value(),
+                            load: label == "CL",
+                        },
+                        [(*a, *a), (*a, *b), (*b, *b), (*b, *a)],
+                    ),
+                    // I = gm·(v(cp) − v(cn)) leaves out_p, enters out_n.
+                    Element::Vccs {
+                        out_p,
+                        out_n,
+                        ctrl_p,
+                        ctrl_n,
+                        gm,
+                        ..
+                    } => (
+                        Stamped::Vccs(gm.value()),
+                        [
+                            (*out_p, *ctrl_p),
+                            (*out_p, *ctrl_n),
+                            (*out_n, *ctrl_p),
+                            (*out_n, *ctrl_n),
+                        ],
+                    ),
+                };
+                let [s0, s1, s2, s3] = targets;
+                Ok(PlannedElement {
+                    value,
+                    slots: [slot(s0)?, slot(s1)?, slot(s2)?, slot(s3)?],
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(StampPlan {
+            out_index,
+            dim: unknowns.len(),
+            elements,
+        })
+    }
 
-        // The one-time element walk: conductances into G, capacitances
-        // into C, each with its half of the source-eliminated RHS.
+    /// The system of the netlist's own values: the stamp values are
+    /// `1/ohms`, `farads` and `gm`.
+    pub fn system(&self) -> MnaSystem {
+        self.replay(|value| match value {
+            Stamped::Resistor(ohms) => 1.0 / ohms,
+            Stamped::Capacitor { farads, .. } => farads,
+            Stamped::Vccs(gm) => gm,
+        })
+    }
+
+    /// The system of `corner`'s value-scaled netlist, with the bits of
+    /// `MnaSystem::new(&corner.apply(netlist))`: each stamp value is
+    /// computed as [`CornerPoint::apply`] scales it, `1/(ohms·r_scale)`,
+    /// `farads·cl_scale` for the `CL` capacitor and `farads` for any
+    /// other, and `gm·gm_scale`.
+    pub fn corner_system(&self, corner: &CornerPoint) -> MnaSystem {
+        self.replay(|value| match value {
+            Stamped::Resistor(ohms) => 1.0 / (ohms * corner.r_scale),
+            Stamped::Capacitor { farads, load } if load => farads * corner.cl_scale,
+            Stamped::Capacitor { farads, .. } => farads,
+            Stamped::Vccs(gm) => gm * corner.gm_scale,
+        })
+    }
+
+    /// Stamps every element, in netlist order, with the value `value`
+    /// gives it: conductances into `G`, capacitances into `C`, each with
+    /// its half of the source-eliminated right-hand side.
+    fn replay(&self, value: impl Fn(Stamped) -> f64) -> MnaSystem {
+        let dim = self.dim;
         let mut g = CMatrix::zeros(dim, dim);
         let mut c = CMatrix::zeros(dim, dim);
         let mut rhs_g = vec![Complex64::ZERO; dim];
         let mut rhs_c = vec![Complex64::ZERO; dim];
-        for e in netlist.elements() {
-            match e {
-                Element::Resistor { a, b, ohms, .. } => {
-                    let v = Complex64::from_real(1.0 / ohms.value());
-                    stamp_into(&index, &mut g, &mut rhs_g, *a, *a, v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *a, *b, -v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *b, *b, v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *b, *a, -v)?;
-                }
-                Element::Capacitor { a, b, farads, .. } => {
-                    let v = Complex64::from_real(farads.value());
-                    stamp_into(&index, &mut c, &mut rhs_c, *a, *a, v)?;
-                    stamp_into(&index, &mut c, &mut rhs_c, *a, *b, -v)?;
-                    stamp_into(&index, &mut c, &mut rhs_c, *b, *b, v)?;
-                    stamp_into(&index, &mut c, &mut rhs_c, *b, *a, -v)?;
-                }
-                Element::Vccs {
-                    out_p,
-                    out_n,
-                    ctrl_p,
-                    ctrl_n,
-                    gm,
-                    ..
-                } => {
-                    let v = Complex64::from_real(gm.value());
-                    // I = gm·(v(cp) − v(cn)) leaves out_p, enters out_n.
-                    stamp_into(&index, &mut g, &mut rhs_g, *out_p, *ctrl_p, v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *out_p, *ctrl_n, -v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *out_n, *ctrl_p, -v)?;
-                    stamp_into(&index, &mut g, &mut rhs_g, *out_n, *ctrl_n, v)?;
+        for e in &self.elements {
+            let v = Complex64::from_real(value(e.value));
+            let (m, rhs, signed) = match e.value {
+                Stamped::Resistor(_) => (&mut g, &mut rhs_g, [v, -v, v, -v]),
+                Stamped::Capacitor { .. } => (&mut c, &mut rhs_c, [v, -v, v, -v]),
+                Stamped::Vccs(_) => (&mut g, &mut rhs_g, [v, -v, -v, v]),
+            };
+            for (slot, val) in e.slots.iter().zip(signed) {
+                match *slot {
+                    Slot::Entry(r, col) => m.stamp(r, col, val),
+                    Slot::Rhs(r) => rhs[r] -= val,
+                    Slot::Dropped => {}
                 }
             }
         }
-
-        Ok(MnaSystem {
-            out_index,
+        MnaSystem {
+            out_index: self.out_index,
             dim,
             g,
             c,
             rhs_g,
             rhs_c,
-        })
+        }
+    }
+}
+
+impl MnaSystem {
+    /// Indexes the netlist's unknown nodes, validates that an output
+    /// node exists, and stamps the `G`/`C` matrices once: the nominal
+    /// system of the netlist's [`StampPlan`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadNetlist`] when the netlist has no `out`
+    /// node, no elements, more than 256 elements, more than 64 unknown
+    /// nodes, or an element references a node missing from the unknown
+    /// index.
+    pub fn new(netlist: &Netlist) -> Result<Self> {
+        Ok(StampPlan::new(netlist)?.system())
+    }
+
+    /// The stamped pencils: `G`, `C`, and the right-hand-side halves
+    /// `rhs_g` and `rhs_c`, so that `Y(s) = G + s·C` and the
+    /// right-hand side is `rhs_g + s·rhs_c`.
+    pub fn stamps(&self) -> (&CMatrix, &CMatrix, &[Complex64], &[Complex64]) {
+        (&self.g, &self.c, &self.rhs_g, &self.rhs_c)
     }
 
     /// Number of unknown node voltages.
