@@ -186,9 +186,10 @@ fn bench_sim_cache(c: &mut Criterion) {
     c.bench_function("sim_cache/hit_memoized", |b| {
         b.iter(|| {
             black_box(warm.analyze_topology(&topo).expect("hits"));
-        })
+        });
+        // Checked where the leg ran: a name filter may skip it.
+        assert!(cache.stats().hits > 0, "hit leg never hit the cache");
     });
-    assert!(cache.stats().hits > 0, "hit leg never hit the cache");
 }
 
 /// The persistent snapshot: serializing a populated cache to the

@@ -2,8 +2,9 @@
 //! engine — per-point assembly and solve throughput on the NMC example
 //! (with the zero-allocation contract of a warmed sweep asserted
 //! inline), the AC measurement's points solved one at a time and in
-//! lanes (bit-identical, the warmed block loop allocation-free), the
-//! corner systems a stamp plan builds (bit-identical to systems of the
+//! lanes at the portable and the detected register width (bit-identical,
+//! the warmed block loop allocation-free), the GP's acquisition pool at
+//! both widths (bit-identical), the corner systems a stamp plan builds (bit-identical to systems of the
 //! scaled netlists), candidate-batch and scheduler session throughput
 //! per worker count (each the median of nine alternating rounds, with
 //! its speedup over one worker; a candidate-batch leg runs for at least
@@ -25,7 +26,9 @@ use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
 use artisan_circuit::{Netlist, Topology};
 use artisan_lint::Linter;
 use artisan_math::lu::LANES;
-use artisan_math::{Complex64, ThreadPool};
+use artisan_math::width::Width;
+use artisan_math::{Complex64, DMatrix, ThreadPool};
+use artisan_opt::gp::{GaussianProcess, GpHyperParams};
 use artisan_resilience::{
     FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
 };
@@ -39,7 +42,7 @@ use artisan_sim::{
     AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator, Spec,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
 use std::hint::black_box;
@@ -183,10 +186,13 @@ fn main() {
     // The grid points an AC measurement reads (through the first point
     // below unity) on the NMC example and a fixed dim-8 sampled
     // candidate, solved by the scalar LU a point at a time and by the
-    // lane LU a block of LANES points at a time, as `ac::measure` does.
-    // Every lane must carry the scalar solve's bits, and a warmed block
-    // loop must not touch the heap. The legs alternate over nine rounds
-    // and each reports its median rate.
+    // lane LU a block of LANES points at a time, as `ac::measure` does,
+    // at the portable width and at the detected one. Every lane at
+    // either width must carry the scalar solve's bits, and a warmed
+    // block loop must not touch the heap. The legs alternate over nine
+    // rounds and each reports its median rate, so host drift lands on
+    // the two widths alike.
+    let lane_width = Width::detected();
     let measure_cases = MeasureCase::pair().expect("measure cases");
     let measure_reps = reps * 2;
     let mut block_hot_loop_allocations = 0;
@@ -194,50 +200,99 @@ fn main() {
         .iter()
         .map(|case| {
             let mut ws = case.sys.workspace();
-            let mut block_ws = case.sys.block_workspace();
+            let mut block_ws = [
+                case.sys.block_workspace_at(Width::Portable),
+                case.sys.block_workspace(),
+            ];
             let bits = |h: Result<Complex64, SimError>| {
                 let z = h.expect("a measured point solves");
                 (z.re.to_bits(), z.im.to_bits())
             };
             let mut pointwise = Vec::with_capacity(case.points());
             case.solve_pointwise(&mut ws, |_, h| pointwise.push(bits(h)));
-            let mut blocks = Vec::with_capacity(case.points());
-            case.solve_blocks(&mut block_ws, |_, h| blocks.push(bits(h)));
-            assert_eq!(
-                blocks, pointwise,
-                "{}: a lane lost the scalar solve's bits",
-                case.name
-            );
-            let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-            case.solve_blocks(&mut block_ws, |_, h| {
-                black_box(h).ok();
-            });
-            block_hot_loop_allocations += ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-            let medians = median_rounds(&[false, true], |&in_lanes| {
-                if in_lanes {
-                    rate(measure_reps, case.points(), || {
-                        case.solve_blocks(&mut block_ws, |_, h| {
-                            black_box(h).ok();
-                        })
-                    })
-                } else {
+            for ws in &mut block_ws {
+                let mut blocks = Vec::with_capacity(case.points());
+                case.solve_blocks(ws, |_, h| blocks.push(bits(h)));
+                assert_eq!(
+                    blocks, pointwise,
+                    "{}: a lane lost the scalar solve's bits",
+                    case.name
+                );
+                let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+                case.solve_blocks(ws, |_, h| {
+                    black_box(h).ok();
+                });
+                block_hot_loop_allocations += ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+            }
+            // Leg 0 is the scalar LU, legs 1 and 2 the lane LU at the
+            // portable and the detected width.
+            let medians = median_rounds(&[0, 1, 2], |&leg| {
+                if leg == 0 {
                     rate(measure_reps, case.points(), || {
                         case.solve_pointwise(&mut ws, |_, h| {
                             black_box(h).ok();
                         })
                     })
+                } else {
+                    let ws = &mut block_ws[leg - 1];
+                    rate(measure_reps, case.points(), || {
+                        case.solve_blocks(ws, |_, h| {
+                            black_box(h).ok();
+                        })
+                    })
                 }
             });
-            let (scalar, blocked) = (medians[0], medians[1]);
+            let (scalar, portable, blocked) = (medians[0], medians[1], medians[2]);
             format!(
-                "      {{ \"system\": \"{}\", \"dim\": {}, \"points\": {}, \"scalar_points_per_sec\": {scalar:.1}, \"block_points_per_sec\": {blocked:.1}, \"speedup\": {:.3}, \"bits_identical\": true }}",
+                "      {{ \"system\": \"{}\", \"dim\": {}, \"points\": {}, \"scalar_points_per_sec\": {scalar:.1}, \"portable_block_points_per_sec\": {portable:.1}, \"block_points_per_sec\": {blocked:.1}, \"speedup\": {:.3}, \"wide_speedup\": {:.3}, \"bits_identical\": true, \"wide_bits_identical\": true }}",
                 case.name,
                 case.sys.dim(),
                 case.points(),
-                blocked / scalar
+                blocked / scalar,
+                blocked / portable
             )
         })
         .collect();
+
+    // --- BOBO's acquisition pool at both widths ---
+    // A GP on 45 training points predicts a 400-query pool of dimension
+    // 34, BOBO's embedding width, at the portable and the detected
+    // width: every prediction must keep its bits, and the legs
+    // alternate over nine rounds as the measure rows' do.
+    let (gp, gp_pool) = {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut point = |_: usize, _: usize| rng.gen_range(0.0..1.0);
+        let train = DMatrix::from_fn(45, 34, &mut point);
+        let pool = DMatrix::from_fn(400, 34, &mut point);
+        let x: Vec<Vec<f64>> = (0..train.rows()).map(|r| train.row(r).to_vec()).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| p.iter().map(|v| (4.0 * v).sin()).sum())
+            .collect();
+        let hp = GpHyperParams {
+            lengthscale: 0.45,
+            signal_variance: 1.0,
+            noise_variance: 1e-3,
+        };
+        (GaussianProcess::fit(&x, &y, hp).expect("fits"), pool)
+    };
+    let gp_bits = |width: Width| -> Vec<(u64, u64)> {
+        let predictions = gp.predict_pool_at(width, &gp_pool);
+        predictions
+            .iter()
+            .map(|(m, v)| (m.to_bits(), v.to_bits()))
+            .collect()
+    };
+    assert_eq!(
+        gp_bits(lane_width),
+        gp_bits(Width::Portable),
+        "a wide pool prediction lost the portable bits"
+    );
+    let gp_medians = median_rounds(&[Width::Portable, lane_width], |&width| {
+        rate(reps, gp_pool.rows(), || {
+            black_box(gp.predict_pool_at(width, &gp_pool));
+        })
+    });
     assert_eq!(
         block_hot_loop_allocations, 0,
         "warmed block loop allocated {block_hot_loop_allocations} times"
@@ -749,9 +804,16 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {} }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"corner_plan\": {{\n    \"systems\": {},\n    \"corners\": {},\n    \"corner_plan_bits_identical\": true\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {}, \"lane_width\": \"{}\" }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"gp_pool\": {{\n    \"training_points\": {}, \"queries\": {}, \"dim\": {}, \"portable_queries_per_sec\": {:.1}, \"wide_queries_per_sec\": {:.1}, \"wide_speedup\": {:.3}, \"wide_bits_identical\": true\n  }},\n  \"corner_plan\": {{\n    \"systems\": {},\n    \"corners\": {},\n    \"corner_plan_bits_identical\": true\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
+        lane_width.name(),
         measure_rows.join(",\n"),
+        gp.len(),
+        gp_pool.rows(),
+        gp_pool.cols(),
+        gp_medians[0],
+        gp_medians[1],
+        gp_medians[1] / gp_medians[0],
         measure_cases.len(),
         corners.len(),
         batch_topos.len(),

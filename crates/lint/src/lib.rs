@@ -24,6 +24,8 @@
 //! [`LintReport::render`] and machine-readable via
 //! [`LintReport::to_json`].
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod diagnostic;
 pub mod graph;

@@ -46,4 +46,4 @@ pub mod tokenizer;
 pub use model::{Answer, DomainLm};
 pub use ngram::NgramLm;
 pub use retrieval::TfIdfIndex;
-pub use tokenizer::BpeTokenizer;
+pub use tokenizer::{BpeTokenizer, Encoder};

@@ -3,7 +3,10 @@
 //!
 //! Both stages stream their documents: each is encoded and its n-grams
 //! counted before the next is read, so no stage holds every document's
-//! encoding at once.
+//! encoding at once. A stage encodes through one
+//! [`Encoder`](crate::Encoder), which spells each distinct
+//! word once across the stage's documents and is dropped when the stage
+//! ends.
 
 use crate::ngram::NgramLm;
 use crate::retrieval::TfIdfIndex;
@@ -66,8 +69,9 @@ impl DomainLm {
     pub fn pretrain(&mut self, corpus: &[&str]) {
         let tokenizer = BpeTokenizer::train(corpus, self.vocab_budget);
         let mut ngram = NgramLm::new(self.order, tokenizer.vocab_size() + 1);
+        let mut encoder = tokenizer.encoder();
         for doc in corpus {
-            let ids = tokenizer.encode(doc);
+            let ids = encoder.encode(doc);
             if !ids.is_empty() {
                 ngram.observe(&ids);
             }
@@ -93,10 +97,11 @@ impl DomainLm {
         let ngram = self.ngram.as_mut().expect("pretrain before fine_tune");
         let mut index = TfIdfIndex::new();
         self.answers.clear();
+        let mut encoder = tokenizer.encoder();
         for (q, a) in qa_pairs {
             index.add_document(q);
             self.answers.push((*a).to_string());
-            let ids = tokenizer.encode(a);
+            let ids = encoder.encode(a);
             if !ids.is_empty() {
                 ngram.observe(&ids);
             }

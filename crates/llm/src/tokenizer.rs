@@ -143,24 +143,20 @@ impl BpeTokenizer {
 
     /// Encodes text into token ids.
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        let unk = self.vocab[UNK];
-        let text = text.to_lowercase();
-        let mut out = Vec::new();
-        // Where each distinct word's tokens were first written to `out`.
-        let mut seen: HashMap<&str, (usize, usize)> = HashMap::new();
-        let mut syms = Vec::new();
-        let mut buf = String::new();
-        for word in text.split_whitespace() {
-            if let Some(&(start, end)) = seen.get(word) {
-                out.extend_from_within(start..end);
-                continue;
-            }
-            let start = out.len();
-            self.encode_word(word, &mut syms, &mut buf);
-            out.extend(syms.iter().map(|&id| if id == OOV { unk } else { id }));
-            seen.insert(word, (start, out.len()));
+        self.encoder().encode(text)
+    }
+
+    /// An [`Encoder`] that spells each distinct word once across all the
+    /// texts it encodes.
+    pub fn encoder(&self) -> Encoder<'_> {
+        Encoder {
+            tokenizer: self,
+            unk: self.vocab[UNK],
+            memo: HashMap::new(),
+            tokens: Vec::new(),
+            syms: Vec::new(),
+            buf: String::new(),
         }
-        out
     }
 
     /// Encodes one lowercased word into `syms`, with [`OOV`] for symbols
@@ -215,6 +211,65 @@ impl BpeTokenizer {
     /// column.
     pub fn count_tokens(&self, text: &str) -> usize {
         self.encode(text).len()
+    }
+}
+
+/// Encodes text after text with one word→tokens memo: each distinct
+/// word is spelled and merged once, however many of the texts it
+/// appears in, and later occurrences copy its tokens. A word's tokens do
+/// not depend on the text around it, so every text gets the ids
+/// [`BpeTokenizer::encode`] gives it alone. The memo grows with the
+/// distinct words seen and goes when the encoder is dropped.
+///
+/// # Example
+///
+/// ```
+/// use artisan_llm::BpeTokenizer;
+///
+/// let tok = BpeTokenizer::train(&["miller compensation capacitor"], 64);
+/// let mut encoder = tok.encoder();
+/// for text in ["miller capacitor", "capacitor miller"] {
+///     assert_eq!(encoder.encode(text), tok.encode(text));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Encoder<'a> {
+    tokenizer: &'a BpeTokenizer,
+    /// The id that stands for symbols outside the vocabulary.
+    unk: u32,
+    /// Each distinct lowercased word seen so far, with where its tokens
+    /// sit in `tokens`.
+    memo: HashMap<String, (usize, usize)>,
+    /// The tokens of every memoized word, one after another.
+    tokens: Vec<u32>,
+    /// Scratch for [`BpeTokenizer::encode_word`].
+    syms: Vec<u32>,
+    buf: String,
+}
+
+impl Encoder<'_> {
+    /// Encodes `text` into token ids, as [`BpeTokenizer::encode`] does.
+    pub fn encode(&mut self, text: &str) -> Vec<u32> {
+        let text = text.to_lowercase();
+        let mut out = Vec::new();
+        for word in text.split_whitespace() {
+            let (start, end) = match self.memo.get(word) {
+                Some(&range) => range,
+                None => {
+                    let unk = self.unk;
+                    let start = self.tokens.len();
+                    self.tokenizer
+                        .encode_word(word, &mut self.syms, &mut self.buf);
+                    let ids = self.syms.iter().map(|&id| if id == OOV { unk } else { id });
+                    self.tokens.extend(ids);
+                    self.memo
+                        .insert(word.to_string(), (start, self.tokens.len()));
+                    (start, self.tokens.len())
+                }
+            };
+            out.extend_from_slice(&self.tokens[start..end]);
+        }
+        out
     }
 }
 
@@ -612,12 +667,13 @@ mod tests {
             "budget {budget}, corpus {corpus:?}"
         );
         assert_eq!(tok, oracle, "budget {budget}, corpus {corpus:?}");
+        // One encoder across all the texts, as a training stage keeps
+        // one across its documents: its memo must not change an id.
+        let mut encoder = tok.encoder();
         for text in corpus.iter().chain(texts) {
-            assert_eq!(
-                tok.encode(text),
-                oracle_encode(&oracle, &merges, text),
-                "text {text:?}"
-            );
+            let want = oracle_encode(&oracle, &merges, text);
+            assert_eq!(tok.encode(text), want, "text {text:?}");
+            assert_eq!(encoder.encode(text), want, "shared memo, text {text:?}");
         }
         (tok, merges)
     }

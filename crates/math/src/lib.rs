@@ -14,6 +14,9 @@
 //! - [`interp`] — Newton divided-difference interpolation used to recover
 //!   the determinant polynomial from point evaluations,
 //! - [`stats`] — summary statistics for the experiment harness,
+//! - [`width`] — the run-time choice of register width for the lane
+//!   kernels: AVX-512F when the CPU has it, the portable baseline
+//!   otherwise, with the same bits either way,
 //! - [`ThreadPool`] — a std-only scoped-thread pool for order-preserving
 //!   parallel maps across independent analyses (the candidates of a
 //!   batch, the units of a corner grid, the resilience scheduler's
@@ -36,7 +39,9 @@
 //! assert!((roots[0].re - (-1000.0)).abs() < 1e-6);
 //! ```
 
-#![forbid(unsafe_code)]
+// The one `unsafe` block of the workspace is `width::Width::run`'s call
+// into the AVX-512F copy of a kernel, behind run-time detection.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cmatrix;
@@ -50,6 +55,7 @@ pub mod interp;
 pub mod lu;
 pub mod pool;
 pub mod stats;
+pub mod width;
 
 pub use cmatrix::CMatrix;
 pub use complex::Complex64;

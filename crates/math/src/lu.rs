@@ -21,7 +21,15 @@
 //! [`LaneBlock::assign_scale_add`]). And a step whose eight lanes pivot
 //! the same row swaps whole rows of lanes, in the matrix and in the
 //! right-hand side, instead of one lane at a time.
+//!
+//! A block assembles, factors and solves at its [`Width`]: in 512-bit
+//! registers when the CPU has AVX-512F, at the portable baseline
+//! otherwise. Both widths compile the same source, so a lane keeps the
+//! scalar bits at either; every helper the three bodies call is
+//! `#[inline(always)]`, so that it compiles at the width of its caller
+//! (see [`crate::width`]).
 
+use crate::width::{Kernel, Width};
 use crate::{CMatrix, Complex64, MathError, Result};
 
 /// An LU factorization `P·A = L·U` of a square complex matrix.
@@ -292,6 +300,53 @@ fn recip(re: &Lanes, im: &Lanes) -> (Lanes, Lanes) {
     }
 }
 
+/// One entry of [`LaneBlock::assign_scale_add`]: `y = g + s·c` in every
+/// lane, by the reduced expressions when `on_axis` and the entry allow
+/// them.
+#[inline(always)]
+fn scale_add(
+    on_axis: bool,
+    s: (&Lanes, &Lanes),
+    g: Complex64,
+    c: Complex64,
+    y: (&mut Lanes, &mut Lanes),
+) {
+    let reduced = on_axis
+        && g.re.is_finite()
+        && g.re.to_bits() != NEG_ZERO_BITS
+        && c.re.is_finite()
+        && c.im.to_bits() == 0;
+    if !reduced {
+        return general_scale_add(s, g, c, y);
+    }
+    *y.0 = [g.re; LANES];
+    for l in 0..LANES {
+        y.1[l] = g.im + (0.0 + s.1[l] * c.re);
+    }
+}
+
+/// `y = g + s·c` in every lane by the general expressions.
+///
+/// On the imaginary axis the stamps of an MNA system take the reduced
+/// expressions, so this is the cold path. It stays out of line on
+/// purpose: a call in the loop over a block's entries keeps LLVM from
+/// vectorizing that loop across entries, which at 512 bits made the
+/// assembly two to three times slower than one eight-lane step per
+/// entry.
+#[cold]
+#[inline(never)]
+fn general_scale_add(
+    (s_re, s_im): (&Lanes, &Lanes),
+    g: Complex64,
+    c: Complex64,
+    y: (&mut Lanes, &mut Lanes),
+) {
+    for l in 0..LANES {
+        y.0[l] = g.re + (s_re[l] * c.re - s_im[l] * c.im);
+        y.1[l] = g.im + (s_re[l] * c.im + s_im[l] * c.re);
+    }
+}
+
 /// [`LANES`] square complex systems `A·x = b` of one dimension, factored
 /// and solved together, one system per lane.
 ///
@@ -312,7 +367,9 @@ fn recip(re: &Lanes, im: &Lanes) -> (Lanes, Lanes) {
 ///
 /// A lane's results therefore carry the scalar solve's bits, and a lane
 /// that goes singular affects no other lane. Nothing allocates after
-/// [`LaneBlock::new`].
+/// [`LaneBlock::new`]. The block runs at the [`Width`] it was built
+/// with, [`Width::detected`] unless [`LaneBlock::with_width`] chose
+/// another; the results are the same bits at any width.
 ///
 /// # Example
 ///
@@ -345,11 +402,21 @@ pub struct LaneBlock {
     /// entry: back substitution divides by multiplying with it.
     pivot_inv_re: Vec<Lanes>,
     pivot_inv_im: Vec<Lanes>,
+    /// The register width the three bodies run at.
+    width: Width,
 }
 
 impl LaneBlock {
-    /// A block of `n × n` zero systems with zero right-hand sides.
+    /// A block of `n × n` zero systems with zero right-hand sides, run at
+    /// [`Width::detected`].
     pub fn new(n: usize) -> Self {
+        Self::with_width(n, Width::detected())
+    }
+
+    /// [`LaneBlock::new`] at `width`: how the tests and benchmarks run
+    /// [`Width::Portable`] beside the detected width. A width the host
+    /// lacks runs portably.
+    pub fn with_width(n: usize, width: Width) -> Self {
         LaneBlock {
             n,
             re: vec![[0.0; LANES]; n * n],
@@ -359,6 +426,7 @@ impl LaneBlock {
             pivots: vec![[0; LANES]; n],
             pivot_inv_re: vec![[0.0; LANES]; n],
             pivot_inv_im: vec![[0.0; LANES]; n],
+            width,
         }
     }
 
@@ -458,39 +526,41 @@ impl LaneBlock {
                 rhs_c.len()
             )));
         }
-        let s_re: Lanes = std::array::from_fn(|l| s[l].re);
-        let s_im: Lanes = std::array::from_fn(|l| s[l].im);
-        let on_axis = s.iter().all(|s| s.re.to_bits() == 0 && s.im.is_finite());
-        let scale_add = |gv: Complex64, cv: Complex64, y_re: &mut Lanes, y_im: &mut Lanes| {
-            let reduced = on_axis
-                && gv.re.is_finite()
-                && gv.re.to_bits() != NEG_ZERO_BITS
-                && cv.re.is_finite()
-                && cv.im.to_bits() == 0;
-            if reduced {
-                *y_re = [gv.re; LANES];
-                for l in 0..LANES {
-                    y_im[l] = gv.im + (0.0 + s_im[l] * cv.re);
-                }
-                return;
-            }
-            for l in 0..LANES {
-                y_re[l] = gv.re + (s_re[l] * cv.re - s_im[l] * cv.im);
-                y_im[l] = gv.im + (s_re[l] * cv.im + s_im[l] * cv.re);
-            }
-        };
-        let entries = g.as_slice().iter().zip(c.as_slice());
-        for (((&gv, &cv), y_re), y_im) in entries.zip(&mut self.re).zip(&mut self.im) {
-            scale_add(gv, cv, y_re, y_im);
-        }
-        let entries = rhs_g.iter().zip(rhs_c);
-        for (((&gv, &cv), y_re), y_im) in entries.zip(&mut self.b_re).zip(&mut self.b_im) {
-            scale_add(gv, cv, y_re, y_im);
-        }
+        let width = self.width;
+        width.run(Assemble {
+            block: self,
+            g,
+            c,
+            rhs: (rhs_g, rhs_c),
+            s,
+        });
         Ok(())
     }
 
+    /// [`LaneBlock::assign_scale_add`]'s work, once the shapes are
+    /// checked.
+    #[inline(always)]
+    fn assemble(
+        &mut self,
+        (g, c): (&CMatrix, &CMatrix),
+        (rhs_g, rhs_c): (&[Complex64], &[Complex64]),
+        s: &[Complex64; LANES],
+    ) {
+        let s_re: Lanes = std::array::from_fn(|l| s[l].re);
+        let s_im: Lanes = std::array::from_fn(|l| s[l].im);
+        let on_axis = s.iter().all(|s| s.re.to_bits() == 0 && s.im.is_finite());
+        let entries = g.as_slice().iter().zip(c.as_slice());
+        for (((&gv, &cv), y_re), y_im) in entries.zip(&mut self.re).zip(&mut self.im) {
+            scale_add(on_axis, (&s_re, &s_im), gv, cv, (y_re, y_im));
+        }
+        let entries = rhs_g.iter().zip(rhs_c);
+        for (((&gv, &cv), y_re), y_im) in entries.zip(&mut self.b_re).zip(&mut self.b_im) {
+            scale_add(on_axis, (&s_re, &s_im), gv, cv, (y_re, y_im));
+        }
+    }
+
     /// Swaps rows `a` and `b` of every lane's matrix, `a < b`.
+    #[inline(always)]
     fn swap_whole_rows(&mut self, a: usize, b: usize) {
         let n = self.n;
         for part in [&mut self.re, &mut self.im] {
@@ -500,6 +570,7 @@ impl LaneBlock {
     }
 
     /// Swaps rows `a` and `b` of lane `lane`'s matrix, `a < b`.
+    #[inline(always)]
     fn swap_rows(&mut self, a: usize, b: usize, lane: usize) {
         let n = self.n;
         for part in [&mut self.re, &mut self.im] {
@@ -516,6 +587,13 @@ impl LaneBlock {
     /// factored and its solution must not be read; the other lanes are
     /// unaffected.
     pub fn factor(&mut self) -> [bool; LANES] {
+        let width = self.width;
+        width.run(Factor(self))
+    }
+
+    /// [`LaneBlock::factor`]'s work.
+    #[inline(always)]
+    fn factor_lanes(&mut self) -> [bool; LANES] {
         let n = self.n;
         let mut singular = [false; LANES];
         for k in 0..n {
@@ -597,6 +675,13 @@ impl LaneBlock {
     /// [`LaneBlock::solution`] holds the solution in rows `first_row..`;
     /// rows before `first_row` hold intermediate values.
     pub fn solve(&mut self, first_row: usize) {
+        let width = self.width;
+        width.run(Solve(self, first_row));
+    }
+
+    /// [`LaneBlock::solve`]'s work.
+    #[inline(always)]
+    fn solve_lanes(&mut self, first_row: usize) {
         let n = self.n;
         for (k, rows) in self.pivots.iter().enumerate() {
             if let Some(p) = uniform(rows) {
@@ -643,6 +728,45 @@ impl LaneBlock {
             let (q_re, q_im) = (&self.pivot_inv_re[r], &self.pivot_inv_im[r]);
             (self.b_re[r], self.b_im[r]) = mul(&acc_re, &acc_im, q_re, q_im);
         }
+    }
+}
+
+/// [`LaneBlock::assign_scale_add`] as a [`Kernel`].
+struct Assemble<'a> {
+    block: &'a mut LaneBlock,
+    g: &'a CMatrix,
+    c: &'a CMatrix,
+    rhs: (&'a [Complex64], &'a [Complex64]),
+    s: &'a [Complex64; LANES],
+}
+
+impl Kernel for Assemble<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        self.block.assemble((self.g, self.c), self.rhs, self.s);
+    }
+}
+
+/// [`LaneBlock::factor`] as a [`Kernel`].
+struct Factor<'a>(&'a mut LaneBlock);
+
+impl Kernel for Factor<'_> {
+    type Output = [bool; LANES];
+    #[inline(always)]
+    fn run(self) -> [bool; LANES] {
+        self.0.factor_lanes()
+    }
+}
+
+/// [`LaneBlock::solve`] as a [`Kernel`], down to a first row.
+struct Solve<'a>(&'a mut LaneBlock, usize);
+
+impl Kernel for Solve<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run(self) {
+        self.0.solve_lanes(self.1);
     }
 }
 

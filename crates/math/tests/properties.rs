@@ -1,5 +1,6 @@
 //! Property-based tests for the numerical substrate.
 
+use artisan_math::width::Width;
 use artisan_math::{
     cholesky::Cholesky, interp::newton_interpolate, lu, CMatrix, Complex64, DMatrix, Polynomial,
 };
@@ -195,15 +196,15 @@ proptest! {
     #![proptest_config(ProptestConfig::default())]
 
     /// Every lane of a [`lu::LaneBlock`] reproduces `factor_in_place`
-    /// and `solve_factored` on its own system bit for bit: the same
-    /// singular verdict, the same factors, the same solution — also
-    /// with back substitution stopped at a row. Lanes draw from a small
-    /// set of base systems with some entries redrawn, so singular and
-    /// regular lanes, ties and exact zeros sit side by side in a block,
-    /// as the points of one sweep do.
+    /// and `solve_factored` on its own system bit for bit, at every
+    /// width the host runs: the same singular verdict, the same factors,
+    /// the same solution — also with back substitution stopped at a row.
+    /// Lanes draw from a small set of base systems with some entries
+    /// redrawn, so singular and regular lanes, ties and exact zeros sit
+    /// side by side in a block, as the points of one sweep do.
     #[test]
     fn lane_block_matches_the_scalar_lu_bit_for_bit(seed in 0u64..u64::MAX) {
-        use lu::{LaneBlock, LANES};
+        use lu::LANES;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = rng.gen_range(1..10usize);
@@ -214,9 +215,8 @@ proptest! {
         let bases: Vec<Vec<Complex64>> = (0..3)
             .map(|_| (0..n * n + n).map(|_| entry(&mut rng)).collect())
             .collect();
-        let mut block = LaneBlock::new(n);
         let mut systems = Vec::with_capacity(LANES);
-        for lane in 0..LANES {
+        for _ in 0..LANES {
             let mut values = bases[rng.gen_range(0..bases.len())].clone();
             for _ in 0..rng.gen_range(0..3) {
                 let at = rng.gen_range(0..values.len());
@@ -229,26 +229,24 @@ proptest! {
                     values[r * n + col] = Complex64::ZERO;
                 }
             }
-            for r in 0..n {
-                for c in 0..n {
-                    block.set(r, c, lane, values[r * n + c]);
-                }
-                block.set_rhs(r, lane, values[n * n + r]);
-            }
             systems.push(values);
         }
         let first_row = rng.gen_range(0..n);
-        factor_and_match_the_scalar_lu(&mut block, n, &systems, first_row);
+        for width in Width::available() {
+            let mut block = block_of(n, &systems, width);
+            factor_and_match_the_scalar_lu(&mut block, n, &systems, first_row);
+        }
     }
 
     /// Blocks whose lanes all pivot the same rows (one matrix, a
     /// right-hand side per lane) and blocks whose lanes pivot different
     /// rows (the same matrix with its rows permuted per lane) both
-    /// reproduce the scalar LU bit for bit: whole-row swaps where the
-    /// lanes agree and per-lane swaps where they do not change no bit.
+    /// reproduce the scalar LU bit for bit at every width the host
+    /// runs: whole-row swaps where the lanes agree and per-lane swaps
+    /// where they do not change no bit.
     #[test]
     fn uniform_and_mixed_pivots_match_the_scalar_lu(seed in 0u64..u64::MAX) {
-        use lu::{LaneBlock, LANES};
+        use lu::LANES;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = rng.gen_range(2..10usize);
@@ -262,9 +260,8 @@ proptest! {
         };
         let base: Vec<Complex64> = (0..n * n).map(|_| entry(&mut rng)).collect();
         let mixed = rng.gen_bool(0.5);
-        let mut block = LaneBlock::new(n);
         let mut systems = Vec::with_capacity(LANES);
-        for lane in 0..LANES {
+        for _ in 0..LANES {
             let mut rows: Vec<usize> = (0..n).collect();
             if mixed {
                 for i in 0..n {
@@ -276,15 +273,12 @@ proptest! {
                 .flat_map(|&r| base[r * n..(r + 1) * n].iter().copied())
                 .collect();
             values.extend((0..n).map(|_| entry(&mut rng)));
-            for r in 0..n {
-                for c in 0..n {
-                    block.set(r, c, lane, values[r * n + c]);
-                }
-                block.set_rhs(r, lane, values[n * n + r]);
-            }
             systems.push(values);
         }
-        factor_and_match_the_scalar_lu(&mut block, n, &systems, 0);
+        for width in Width::available() {
+            let mut block = block_of(n, &systems, width);
+            factor_and_match_the_scalar_lu(&mut block, n, &systems, 0);
+        }
     }
 
     /// On the imaginary axis, block assembly writes every entry's
@@ -292,7 +286,8 @@ proptest! {
     /// each lane's matrix and right-hand side carry the bits of
     /// `g + s * c` on `Complex64`, with `−0.0`, ±∞ and NaN in `G` and `C`,
     /// and with lanes whose `s` has a real part of `−0.0` or NaN or an
-    /// infinite or NaN imaginary part, which take the general path.
+    /// infinite or NaN imaginary part, which take the general path — at
+    /// every width the host runs.
     #[test]
     fn axis_assembly_matches_the_general_expressions(seed in 0u64..u64::MAX) {
         use lu::{LaneBlock, LANES};
@@ -319,26 +314,116 @@ proptest! {
                 _ => Complex64::ZERO,
             };
         }
-        let mut block = LaneBlock::new(n);
-        block.assign_scale_add(&g, &c, &rhs_g, &rhs_c, &s).unwrap();
-        for (lane, &s) in s.iter().enumerate() {
-            for r in 0..n {
-                for col in 0..n {
-                    let want = g[(r, col)] + s * c[(r, col)];
+        for width in Width::available() {
+            let mut block = LaneBlock::with_width(n, width);
+            block.assign_scale_add(&g, &c, &rhs_g, &rhs_c, &s).unwrap();
+            for (lane, &s) in s.iter().enumerate() {
+                for r in 0..n {
+                    for col in 0..n {
+                        let want = g[(r, col)] + s * c[(r, col)];
+                        prop_assert!(
+                            same_bits(block.get(r, col, lane), want),
+                            "{:?} lane {} ({}, {}): g {:?} c {:?} s {:?}: {:?} vs {:?}",
+                            width, lane, r, col, g[(r, col)], c[(r, col)], s,
+                            block.get(r, col, lane), want
+                        );
+                    }
+                    let want = rhs_g[r] + s * rhs_c[r];
                     prop_assert!(
-                        same_bits(block.get(r, col, lane), want),
-                        "lane {} ({}, {}): g {:?} c {:?} s {:?}: {:?} vs {:?}",
-                        lane, r, col, g[(r, col)], c[(r, col)], s, block.get(r, col, lane), want
+                        same_bits(block.rhs(r, lane), want),
+                        "{:?} lane {} rhs {}: {:?} vs {:?}", width, lane, r, block.rhs(r, lane), want
                     );
                 }
-                let want = rhs_g[r] + s * rhs_c[r];
-                prop_assert!(
-                    same_bits(block.rhs(r, lane), want),
-                    "lane {} rhs {}: {:?} vs {:?}", lane, r, block.rhs(r, lane), want
-                );
             }
         }
     }
+
+    /// A block at every width the host runs agrees with the portable
+    /// block lane for lane, by bits, through assembly, factoring and
+    /// solving: on awkward entries (`−0.0`, ±∞, NaN, extreme magnitudes
+    /// that take both branches of Smith's reciprocal), with singular
+    /// lanes, and with lanes that pivot alike or differently. Each lane
+    /// assembles at its own point, on or off the imaginary axis.
+    #[test]
+    fn wide_blocks_match_the_portable_block_lane_for_lane(seed in 0u64..u64::MAX) {
+        use lu::{LaneBlock, LANES};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..10usize);
+        let matrix = |rng: &mut rand::rngs::StdRng| {
+            let mut data: Vec<Complex64> = (0..n * n).map(|_| awkward_entry(rng)).collect();
+            if rng.gen_bool(0.2) {
+                // An exactly zero column in `G` and `C`: a singular lane
+                // wherever `s` leaves it zero.
+                let col = rng.gen_range(0..n);
+                for r in 0..n {
+                    data[r * n + col] = Complex64::ZERO;
+                }
+            }
+            CMatrix::from_rows(n, n, &data).unwrap()
+        };
+        let (g, c) = (matrix(&mut rng), matrix(&mut rng));
+        let rhs_g: Vec<Complex64> = (0..n).map(|_| awkward_entry(&mut rng)).collect();
+        let rhs_c: Vec<Complex64> = (0..n).map(|_| awkward_entry(&mut rng)).collect();
+        let s: [Complex64; LANES] = std::array::from_fn(|_| match rng.gen_range(0..6) {
+            0 => Complex64::ZERO,
+            1 => awkward_entry(&mut rng),
+            _ => Complex64::jomega(10f64.powf(rng.gen_range(-2.0..12.0))),
+        });
+        let first_row = rng.gen_range(0..n);
+        let run = |width: Width| {
+            let mut block = LaneBlock::with_width(n, width);
+            block.assign_scale_add(&g, &c, &rhs_g, &rhs_c, &s).unwrap();
+            let assembled = block.clone();
+            let singular = block.factor();
+            block.solve(first_row);
+            (assembled, singular, block)
+        };
+        let (want_assembled, want_singular, want) = run(Width::Portable);
+        for width in Width::available() {
+            let (assembled, singular, got) = run(width);
+            prop_assert_eq!(singular, want_singular, "{:?}", width);
+            for lane in 0..LANES {
+                for r in 0..n {
+                    for col in 0..n {
+                        prop_assert!(
+                            same_bits(assembled.get(r, col, lane), want_assembled.get(r, col, lane)),
+                            "{:?} lane {} assembled ({}, {})", width, lane, r, col
+                        );
+                        prop_assert!(
+                            same_bits(got.get(r, col, lane), want.get(r, col, lane)),
+                            "{:?} lane {} factor ({}, {})", width, lane, r, col
+                        );
+                    }
+                    prop_assert!(
+                        same_bits(assembled.rhs(r, lane), want_assembled.rhs(r, lane)),
+                        "{:?} lane {} rhs {}", width, lane, r
+                    );
+                    if !want_singular[lane] && r >= first_row {
+                        prop_assert!(
+                            same_bits(got.solution(r, lane), want.solution(r, lane)),
+                            "{:?} lane {} x[{}]", width, lane, r
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A block at `width` holding `systems[lane]` in each lane: the matrix
+/// row-major, then the right-hand side.
+fn block_of(n: usize, systems: &[Vec<Complex64>], width: Width) -> lu::LaneBlock {
+    let mut block = lu::LaneBlock::with_width(n, width);
+    for (lane, values) in systems.iter().enumerate() {
+        for r in 0..n {
+            for c in 0..n {
+                block.set(r, c, lane, values[r * n + c]);
+            }
+            block.set_rhs(r, lane, values[n * n + r]);
+        }
+    }
+    block
 }
 
 /// Factors the `n`-dim `block`, solves it down to `first_row`, and

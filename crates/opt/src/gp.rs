@@ -6,8 +6,10 @@
 //! matrix with the Cholesky factorization in `artisan-math`;
 //! [`GaussianProcess::predict_pool`] predicts a whole acquisition pool
 //! at once, several queries side by side, with the bits of predicting
-//! each query alone.
+//! each query alone, in 512-bit registers when the CPU has AVX-512F
+//! (`artisan_math::width`).
 
+use artisan_math::width::{Kernel, Width};
 use artisan_math::{cholesky::Cholesky, DMatrix, MathError};
 
 /// GP hyperparameters.
@@ -56,6 +58,22 @@ fn rbf(a: &[f64], b: &[f64], hp: &GpHyperParams) -> f64 {
 /// The RBF kernel at squared distance `d2`.
 fn kernel(d2: f64, hp: &GpHyperParams) -> f64 {
     hp.signal_variance * (-0.5 * d2 / (hp.lengthscale * hp.lengthscale)).exp()
+}
+
+/// [`kernel`] in every lane, each lane with its operations in the same
+/// order: the exponents first, so that their division runs across the
+/// lanes, then one `exp` call per lane.
+#[inline(always)]
+fn kernel_lanes(d2: &[f64; LANES], hp: &GpHyperParams) -> [f64; LANES] {
+    let scale = hp.lengthscale * hp.lengthscale;
+    let mut k = [0.0; LANES];
+    for (k, &d) in k.iter_mut().zip(d2) {
+        *k = -0.5 * d / scale;
+    }
+    for k in &mut k {
+        *k = hp.signal_variance * k.exp();
+    }
+    k
 }
 
 impl GaussianProcess {
@@ -154,11 +172,30 @@ impl GaussianProcess {
     /// Panics if `queries` has a different number of columns than the
     /// training inputs.
     pub fn predict_pool(&self, queries: &DMatrix) -> Vec<(f64, f64)> {
+        self.predict_pool_at(Width::detected(), queries)
+    }
+
+    /// [`GaussianProcess::predict_pool`] at `width`, with the same bits:
+    /// the tests' and benchmarks' way to run [`Width::Portable`] beside
+    /// the detected width. A width the host lacks runs portably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries` has a different number of columns than the
+    /// training inputs.
+    pub fn predict_pool_at(&self, width: Width, queries: &DMatrix) -> Vec<(f64, f64)> {
         assert_eq!(
             queries.cols(),
             self.x.cols(),
             "query dimension differs from the training inputs"
         );
+        width.run(Pool { gp: self, queries })
+    }
+
+    /// [`GaussianProcess::predict_pool`]'s work, once the shapes are
+    /// checked.
+    #[inline(always)]
+    fn predict_lanes(&self, queries: &DMatrix) -> Vec<(f64, f64)> {
         let l = self.chol.factor();
         // Scratch sized once per pool: the block's queries stored
         // coordinate by coordinate, and L⁻¹k* per training point.
@@ -182,10 +219,9 @@ impl GaussianProcess {
                         *acc += (p - q) * (p - q);
                     }
                 }
-                let mut vi = [0.0; LANES];
-                for ((t, m), &d) in vi.iter_mut().zip(&mut mean).zip(&d2) {
-                    *t = kernel(d, &self.hp);
-                    *m += *t * alpha;
+                let mut vi = kernel_lanes(&d2, &self.hp);
+                for (m, &t) in mean.iter_mut().zip(&vi) {
+                    *m += t * alpha;
                 }
                 let row = l.row(i);
                 for (&lic, vc) in row.iter().zip(&v[..i]) {
@@ -209,6 +245,20 @@ impl GaussianProcess {
             }));
         }
         out
+    }
+}
+
+/// [`GaussianProcess::predict_pool`] as a [`Kernel`].
+struct Pool<'a> {
+    gp: &'a GaussianProcess,
+    queries: &'a DMatrix,
+}
+
+impl Kernel for Pool<'_> {
+    type Output = Vec<(f64, f64)>;
+    #[inline(always)]
+    fn run(self) -> Vec<(f64, f64)> {
+        self.gp.predict_lanes(self.queries)
     }
 }
 
@@ -307,13 +357,18 @@ pub(crate) mod tests {
         (x, y)
     }
 
-    /// Every `predict_pool` result, and `predict` on the first query,
-    /// has the oracle's bits.
+    /// Every `predict_pool` result, at every width the host runs, and
+    /// `predict` on the first query, has the oracle's bits.
     fn assert_pool_matches_oracle(gp: &GaussianProcess, pool: &DMatrix) {
-        let got = gp.predict_pool(pool);
-        assert_eq!(got.len(), pool.rows());
-        for (r, &pred) in got.iter().enumerate() {
-            assert_same_bits(pred, oracle_predict(gp, pool.row(r)), r);
+        let want: Vec<(f64, f64)> = (0..pool.rows())
+            .map(|r| oracle_predict(gp, pool.row(r)))
+            .collect();
+        for width in Width::available() {
+            let got = gp.predict_pool_at(width, pool);
+            assert_eq!(got.len(), pool.rows(), "{width:?}");
+            for (r, (&pred, &want)) in got.iter().zip(&want).enumerate() {
+                assert_same_bits(pred, want, r);
+            }
         }
         if pool.rows() > 0 {
             assert_same_bits(gp.predict(pool.row(0)), oracle_predict(gp, pool.row(0)), 0);

@@ -46,6 +46,7 @@ use crate::error::SimError;
 use crate::Result;
 use artisan_circuit::{Element, Netlist, Node};
 use artisan_math::lu::{self, LaneBlock, LANES};
+use artisan_math::width::Width;
 use artisan_math::{CMatrix, Complex64, MathError};
 use std::collections::HashMap;
 use std::f64::consts::PI;
@@ -465,10 +466,18 @@ impl MnaSystem {
         Ok(self.solve_with(s, ws)?[self.out_index])
     }
 
-    /// A fresh block workspace sized for this system.
+    /// A fresh block workspace sized for this system, run at
+    /// [`Width::detected`].
     pub fn block_workspace(&self) -> MnaBlockWorkspace {
+        self.block_workspace_at(Width::detected())
+    }
+
+    /// [`MnaSystem::block_workspace`] at `width`, with the same bits: the
+    /// benchmarks' way to time [`Width::Portable`] beside the detected
+    /// width.
+    pub fn block_workspace_at(&self, width: Width) -> MnaBlockWorkspace {
         MnaBlockWorkspace {
-            block: LaneBlock::new(self.dim),
+            block: LaneBlock::with_width(self.dim, width),
         }
     }
 
