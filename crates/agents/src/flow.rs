@@ -248,8 +248,7 @@ impl ArtisanAgent {
             // collapsed into a fake phase-margin miss.
             let mut sim_note: Option<String> = None;
             // ERC diagnostics carried by a backend rejection (the
-            // in-simulator gate, or a ScreenedSim wrapper turning the
-            // candidate away pre-simulation) — surfaced as repair hints
+            // simulator's admission gate) — surfaced as repair hints
             // exactly like the agent's own pre-flight ERC pass.
             let mut backend_erc_hints: Option<String> = None;
             let (failures, report): (Vec<&str>, Option<AnalysisReport>) = if erc_hints.is_some() {
@@ -500,8 +499,8 @@ mod tests {
 
     #[test]
     fn backend_erc_rejection_surfaces_repair_hints() {
-        // A screening wrapper (or the in-simulator gate) rejecting the
-        // candidate hands its diagnostics to the feedback exchange.
+        // The simulator's admission gate rejecting the candidate hands
+        // its diagnostics to the feedback exchange.
         let island = Netlist::parse(
             "* island\nG1 out 0 in 0 1m\nR1 out 0 1k\nR2 n1 n2 1k\nC2 n1 n2 1p\nCL out 0 10p\n.end\n",
         )

@@ -4,12 +4,12 @@
 //! inline), the AC measurement's points solved one at a time and in
 //! lanes at the portable and the detected register width (bit-identical,
 //! the warmed block loop allocation-free), the GP's acquisition pool at
-//! both widths (bit-identical), the corner systems a stamp plan builds (bit-identical to systems of the
-//! scaled netlists), candidate-batch and scheduler session throughput
-//! per worker count (each the median of nine alternating rounds, with
-//! its speedup over one worker; a candidate-batch leg runs for at least
-//! 100 ms, 25 ms with `--quick`), and the cache, warm start,
-//! single-flight, screening and journal contracts.
+//! both widths (bit-identical), the corner systems a stamp plan builds
+//! (bit-identical to systems of the scaled netlists), candidate-batch
+//! throughput per worker count (the median of nine alternating rounds,
+//! with its speedup over one worker; a leg runs for at least 100 ms,
+//! 25 ms with `--quick`), and the cache, warm start, single-flight and
+//! journal contracts.
 //!
 //! Run with:
 //!   `cargo run --release -p artisan-bench --bin bench_report [--reps 40] [--sessions 8] [--out BENCH_sim.json]`
@@ -21,16 +21,17 @@
 // Experiment driver: aborting on a failed setup step is the idiom here.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use artisan_agents::AgentConfig;
 use artisan_bench::{arg_or, quick_mode, MeasureCase};
-use artisan_circuit::sample::{mutate_netlist, sample_topology, SampleRanges};
-use artisan_circuit::{Netlist, Topology};
-use artisan_lint::Linter;
+use artisan_circuit::sample::{sample_topology, SampleRanges};
+use artisan_circuit::Topology;
 use artisan_math::lu::LANES;
 use artisan_math::width::Width;
 use artisan_math::{Complex64, DMatrix, ThreadPool};
 use artisan_opt::gp::{GaussianProcess, GpHyperParams};
 use artisan_resilience::{
-    FaultPlan, FaultySim, JournalRecord, Scheduler, SessionJournal, Supervisor,
+    faulted_plan_fingerprint, session_file_name, FaultPlan, FaultySim, JournalLoad, JournalRecord,
+    SessionJournal, SessionReport, Supervisor,
 };
 use artisan_sim::ac::SweepConfig;
 use artisan_sim::cache::persist::{snapshot_dir_from_env, SNAPSHOT_FILE};
@@ -38,9 +39,7 @@ use artisan_sim::corners::CornerGrid;
 use artisan_sim::cost::CostModel;
 use artisan_sim::fingerprint::config_salt;
 use artisan_sim::mna::{MnaSystem, MnaWorkspace, StampPlan};
-use artisan_sim::{
-    AnalysisConfig, CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator, Spec,
-};
+use artisan_sim::{AnalysisConfig, CachedSim, SimBackend, SimCache, SimError, Simulator, Spec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -329,35 +328,15 @@ fn main() {
         }
     }
 
-    // --- scheduler batch and candidate batch, per worker count ---
+    // --- batched analyze_batch fan-out, per worker count ---
+    // The worker counts alternate over nine rounds, as the measure
+    // rows' legs do.
     let worker_counts: Vec<usize> = {
         let mut w = vec![1, 2, 4, host_parallelism];
         w.sort_unstable();
         w.dedup();
         w
     };
-
-    // Each row's worker counts alternate over nine rounds, as the
-    // measure rows' legs do.
-    let session_reps = (reps / 8).max(1);
-    let schedulers: Vec<Scheduler> = worker_counts
-        .iter()
-        .map(|&workers| {
-            Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(workers))
-        })
-        .collect();
-    let session_medians = median_rounds(&schedulers, |scheduler| {
-        rate(session_reps, n_sessions, || {
-            let backends: Vec<Simulator> = (0..n_sessions).map(|_| Simulator::new()).collect();
-            let sessions = scheduler.run_batch(&Spec::g1(), backends, 2024);
-            assert!(sessions.iter().all(|s| s.report.success));
-            black_box(sessions);
-        })
-    });
-    let scheduler_rates: Vec<(usize, f64)> =
-        worker_counts.iter().copied().zip(session_medians).collect();
-
-    // --- batched analyze_batch fan-out, per worker count ---
     // Distinct candidates, the sibling-scoring / optimizer-DoE shape:
     // the two recipe examples plus sampled random topologies.
     let batch_topos: Vec<Topology> = {
@@ -599,130 +578,93 @@ fn main() {
         "served count off: {sf_stats}"
     );
 
-    // --- ERC screening: doomed candidates at screen cost, not sim cost ---
-    // A mixed candidate corpus, the join-phase shape: the legal recipe
-    // examples and sampled legal topologies, each base followed by
-    // randomly mutated (often structurally broken) neighbours, plus two
-    // hand-written doomed netlists (a reference-free island and a
-    // severed signal path) the screen is guaranteed to catch. The same
-    // corpus runs through the bare simulator and through the screened
-    // stack; every surviving report must be identical, and the billed
-    // testbed seconds must come out strictly lower.
-    let screen_corpus: Vec<Netlist> = {
-        let mut rng = StdRng::seed_from_u64(11);
-        let ranges = SampleRanges::default();
-        let mut legal: Vec<Netlist> = vec![
-            Topology::nmc_example().elaborate().expect("valid"),
-            Topology::dfc_example().elaborate().expect("valid"),
-        ];
-        legal.extend((0..6).map(|_| {
-            sample_topology(&mut rng, &ranges, 10e-12)
-                .elaborate()
-                .expect("legal sample elaborates")
-        }));
-        let mut corpus = Vec::new();
-        for base in &legal {
-            corpus.push(base.clone());
-            for _ in 0..3 {
-                corpus.push(mutate_netlist(&mut rng, base));
-            }
-        }
-        corpus.push(
-            Netlist::parse(
-                "* island\nG1 out 0 in 0 1m\nR1 out 0 1k\nR2 n1 n2 1k\nC2 n1 n2 1p\nCL out 0 10p\n.end\n",
-            )
-            .expect("island netlist parses"),
-        );
-        corpus.push(
-            Netlist::parse(
-                "* severed\nR1 in 0 1k\nG1 out 0 n1 0 1m\nR2 out 0 1k\nR3 n1 0 1k\nCL out 0 10p\n.end\n",
-            )
-            .expect("severed netlist parses"),
-        );
-        corpus
-    };
-
-    let linter = Linter::errors_only();
-    let lint_rate = rate(reps, screen_corpus.len(), || {
-        for n in &screen_corpus {
-            black_box(linter.lint(n));
-        }
-    });
-
-    let cost_model = CostModel::default();
-    let mut bare_sim = Simulator::new();
-    let bare_decisions: Vec<Option<artisan_sim::Performance>> = screen_corpus
-        .iter()
-        .map(|n| bare_sim.analyze_netlist(n).ok().map(|r| r.performance))
-        .collect();
-    let unscreened_seconds = bare_sim.ledger().testbed_seconds(&cost_model);
-
-    let verdict_cache = SimCache::shared(4096);
-    let mut screened_sim = ScreenedSim::new(Simulator::new()).with_cache(verdict_cache);
-    let screened_decisions: Vec<Option<artisan_sim::Performance>> = screen_corpus
-        .iter()
-        .map(|n| screened_sim.analyze_netlist(n).ok().map(|r| r.performance))
-        .collect();
-    let screened_seconds = screened_sim.ledger().testbed_seconds(&cost_model);
-    assert_eq!(
-        screened_decisions, bare_decisions,
-        "screening changed a surviving report"
-    );
-    let screened_out = screened_sim.screened_out();
-    assert!(
-        screened_out >= 2,
-        "the hand-written doomed candidates were not screened"
-    );
-    assert!(
-        screened_seconds < unscreened_seconds,
-        "screening did not reduce billed seconds: {screened_seconds} !< {unscreened_seconds}"
-    );
-    let screened_out_rate = screened_out as f64 / screen_corpus.len() as f64;
-
     // --- durable session journals: append overhead + crash resume ---
-    // The same batch of flaky supervised sessions three ways: detached
-    // (no journal, the reference), journaled from scratch (measures the
-    // write-ahead append overhead), and journaled again after one
-    // session's journal is cut back to its first attempt record — the
-    // exact on-disk state a crash mid-session leaves behind (every
-    // append is an atomic whole-file rewrite, so a crash always leaves
-    // a clean record prefix). The resumed leg must reproduce every
-    // report field-for-field while billing strictly fewer fresh testbed
-    // seconds than the clean leg.
+    // The same flaky supervised sessions three ways, one after another:
+    // detached (no journal, the reference), journaled from scratch
+    // (measures the write-ahead append overhead), and journaled again
+    // after one session's journal is cut back to its first attempt
+    // record — the exact on-disk state a crash mid-session leaves
+    // behind (every append is an atomic whole-file rewrite, so a crash
+    // always leaves a clean record prefix). The resumed leg must
+    // reproduce every report field-for-field while billing strictly
+    // fewer fresh testbed seconds than the clean leg.
+    let cost_model = CostModel::default();
     let journal_dir =
         std::env::temp_dir().join(format!("artisan-bench-journal-{}", std::process::id()));
     std::fs::remove_dir_all(&journal_dir).ok();
     std::fs::create_dir_all(&journal_dir).expect("journal dir");
     let j_sessions = n_sessions.clamp(2, 4);
-    let j_scheduler = Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(2));
-    let j_backends = || -> Vec<FaultySim<Simulator>> {
+    let j_supervisor = Supervisor::default();
+    let j_seed = |k: usize| 4242 + k as u64;
+    let j_plan = |k: usize| FaultPlan::flaky(1000 + k as u64, 0.3);
+    let j_fingerprint = |k: usize| {
+        let config = AgentConfig::noiseless();
+        faulted_plan_fingerprint(&Spec::g1(), &j_supervisor, &config, Some(&j_plan(k)))
+    };
+    let j_path = |k: usize| journal_dir.join(session_file_name(j_fingerprint(k), j_seed(k)));
+    // Session `k` against `journal`: its report and the testbed seconds
+    // its backend billed.
+    let j_run = |k: usize, journal: &mut SessionJournal| {
+        let mut sim = FaultySim::new(Simulator::new(), j_plan(k));
+        let report =
+            j_supervisor.run_journaled_default_agent(&Spec::g1(), &mut sim, j_seed(k), journal);
+        (report, sim.ledger().testbed_seconds(&cost_model))
+    };
+    struct JournaledRun {
+        report: SessionReport,
+        load: JournalLoad,
+        journal: SessionJournal,
+        billed: f64,
+    }
+    // Every session journaled under the directory, each reopening the
+    // file an earlier leg left there.
+    let j_leg = || -> Vec<JournaledRun> {
         (0..j_sessions)
-            .map(|k| FaultySim::new(Simulator::new(), FaultPlan::flaky(1000 + k as u64, 0.3)))
+            .map(|k| {
+                let (mut journal, load) =
+                    SessionJournal::open(&j_path(k), j_fingerprint(k), j_seed(k));
+                let (report, billed) = j_run(k, &mut journal);
+                JournaledRun {
+                    report,
+                    load,
+                    journal,
+                    billed,
+                }
+            })
             .collect()
     };
+    // Every journal warning (rejected or truncated files) and swallowed
+    // disk error of a leg, with the session it belongs to.
+    let j_warnings = |leg: &[JournaledRun]| -> Vec<String> {
+        let mut out = Vec::new();
+        for (k, run) in leg.iter().enumerate() {
+            if let Some(w) = &run.load.warning {
+                out.push(format!("session {k}: {w}"));
+            }
+            for e in run.journal.io_errors() {
+                out.push(format!("session {k}: journal write failed: {e}"));
+            }
+        }
+        out
+    };
     let t_plain = Instant::now();
-    let j_plain = j_scheduler.run_batch(&Spec::g1(), j_backends(), 4242);
+    let j_plain: Vec<(SessionReport, f64)> = (0..j_sessions)
+        .map(|k| j_run(k, &mut SessionJournal::detached()))
+        .collect();
     let plain_wall = t_plain.elapsed().as_secs_f64();
-    let clean_billed: f64 = j_plain
-        .iter()
-        .map(|s| s.backend.ledger().testbed_seconds(&cost_model))
-        .sum();
+    let clean_billed: f64 = j_plain.iter().map(|(_, billed)| billed).sum();
     let t_journaled = Instant::now();
-    let j_first = j_scheduler.run_batch_journaled(&Spec::g1(), j_backends(), 4242, &journal_dir, 0);
+    let j_first = j_leg();
     let journaled_wall = t_journaled.elapsed().as_secs_f64();
-    for (k, w) in j_first.warnings() {
-        eprintln!("journal warning (session {k}): {w}");
+    for w in j_warnings(&j_first) {
+        eprintln!("journal warning ({w})");
     }
-    for (a, b) in j_first.sessions.iter().zip(&j_plain) {
-        assert_eq!(
-            a.report, b.report,
-            "journaling changed session {}",
-            a.session
-        );
+    for (k, (a, (b, _))) in j_first.iter().zip(&j_plain).enumerate() {
+        assert_eq!(a.report, *b, "journaling changed session {k}");
     }
-    let journal_appends: u64 = j_first.journals.iter().map(|j| j.appends).sum();
-    let journal_bytes: u64 = j_first.journals.iter().map(|j| j.bytes_written).sum();
-    let journal_attempts: usize = j_first.sessions.iter().map(|s| s.report.attempts).sum();
+    let journal_appends: u64 = j_first.iter().map(|r| r.journal.appends()).sum();
+    let journal_bytes: u64 = j_first.iter().map(|r| r.journal.bytes_written()).sum();
+    let journal_attempts: usize = j_first.iter().map(|r| r.report.attempts).sum();
     let append_overhead_secs =
         (journaled_wall - plain_wall).max(0.0) / (journal_appends.max(1) as f64);
 
@@ -731,16 +673,14 @@ fn main() {
     // leaves), so the resume leg both restores attempts and re-runs a
     // genuine tail.
     let victim = j_first
-        .sessions
         .iter()
         .enumerate()
-        .max_by_key(|(_, s)| s.report.attempts)
+        .max_by_key(|(_, r)| r.report.attempts)
         .map(|(k, _)| k)
         .expect("batch is non-empty");
-    let victim_path = j_first.journals[victim].path.clone();
-    let victim_seed = j_first.sessions[victim].seed;
+    let victim_path = j_path(victim);
     let (full, full_load) =
-        SessionJournal::open(&victim_path, j_first.plan_fingerprint, victim_seed);
+        SessionJournal::open(&victim_path, j_fingerprint(victim), j_seed(victim));
     assert!(
         full_load.terminal,
         "finished session's journal lost its verdict"
@@ -751,38 +691,31 @@ fn main() {
         .expect("finished session journaled at least one attempt")
         .clone();
     std::fs::remove_file(&victim_path).expect("removes victim journal");
-    let (mut cut, _) = SessionJournal::open(&victim_path, j_first.plan_fingerprint, victim_seed);
+    let (mut cut, _) = SessionJournal::open(&victim_path, j_fingerprint(victim), j_seed(victim));
     cut.append(JournalRecord::Attempt(kept))
         .expect("rewrites the crash-state journal");
 
-    let j_resumed =
-        j_scheduler.run_batch_journaled(&Spec::g1(), j_backends(), 4242, &journal_dir, 0);
-    for (k, w) in j_resumed.warnings() {
-        eprintln!("journal warning (resume, session {k}): {w}");
+    let j_resumed = j_leg();
+    let resume_warnings = j_warnings(&j_resumed);
+    for w in &resume_warnings {
+        eprintln!("journal warning (resume, {w})");
     }
-    assert!(
-        j_resumed.warnings().is_empty(),
-        "resume leg rejected a journal"
-    );
-    for (a, b) in j_resumed.sessions.iter().zip(&j_plain) {
+    assert!(resume_warnings.is_empty(), "resume leg rejected a journal");
+    for (k, (a, (b, _))) in j_resumed.iter().zip(&j_plain).enumerate() {
         assert_eq!(
-            a.report, b.report,
-            "resumed session {} diverged from the clean reference",
-            a.session
+            a.report, *b,
+            "resumed session {k} diverged from the clean reference"
         );
     }
+    let resumed_terminal = j_resumed.iter().filter(|r| r.load.terminal).count();
     assert_eq!(
-        j_resumed.resumed_terminal(),
+        resumed_terminal,
         j_sessions - 1,
         "only the crashed session should re-run"
     );
-    let attempts_restored = j_resumed.attempts_restored();
+    let attempts_restored: usize = j_resumed.iter().map(|r| r.load.attempts_loaded).sum();
     assert!(attempts_restored >= 1, "resume restored no attempts");
-    let resumed_billed: f64 = j_resumed
-        .sessions
-        .iter()
-        .map(|s| s.backend.ledger().testbed_seconds(&cost_model))
-        .sum();
+    let resumed_billed: f64 = j_resumed.iter().map(|r| r.billed).sum();
     assert!(
         resumed_billed < clean_billed,
         "resume was not cheaper: {resumed_billed} !< {clean_billed}"
@@ -804,7 +737,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {}, \"lane_width\": \"{}\" }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"gp_pool\": {{\n    \"training_points\": {}, \"queries\": {}, \"dim\": {}, \"portable_queries_per_sec\": {:.1}, \"wide_queries_per_sec\": {:.1}, \"wide_speedup\": {:.3}, \"wide_bits_identical\": true\n  }},\n  \"corner_plan\": {{\n    \"systems\": {},\n    \"corners\": {},\n    \"corner_plan_bits_identical\": true\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"scheduler_sessions\": {n_sessions},\n  \"scheduler_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }},\n  \"screening\": {{\n    \"corpus_netlists\": {},\n    \"lint_throughput_netlists_per_sec\": {lint_rate:.1},\n    \"screened_out\": {screened_out},\n    \"screened_out_rate\": {screened_out_rate:.3},\n    \"billed_testbed_seconds_unscreened\": {unscreened_seconds:.1},\n    \"billed_testbed_seconds_screened\": {screened_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"surviving_reports_identical\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"parallel simulation engine (NMC example, default sweep grid)\",\n  \"host\": {{ \"available_parallelism\": {host_parallelism}, \"artisan_threads_env\": {}, \"lane_width\": \"{}\" }},\n  \"sweep_points\": {n_points},\n  \"reps\": {reps},\n  \"assembly\": {{\n    \"cached_points_per_sec\": {asm_cached:.1}\n  }},\n  \"solve\": {{\n    \"cached_workspace_points_per_sec\": {solve_cached:.1},\n    \"hot_loop_allocations\": {hot_loop_allocations}\n  }},\n  \"measure\": {{\n    \"lanes\": {LANES},\n    \"block_hot_loop_allocations\": {block_hot_loop_allocations},\n    \"systems\": [\n{}\n    ]\n  }},\n  \"gp_pool\": {{\n    \"training_points\": {}, \"queries\": {}, \"dim\": {}, \"portable_queries_per_sec\": {:.1}, \"wide_queries_per_sec\": {:.1}, \"wide_speedup\": {:.3}, \"wide_bits_identical\": true\n  }},\n  \"corner_plan\": {{\n    \"systems\": {},\n    \"corners\": {},\n    \"corner_plan_bits_identical\": true\n  }},\n  \"batch_candidates\": {},\n  \"batch_threads\": [\n{}\n  ],\n  \"sim_cache\": {{\n    \"workload\": \"{n_sessions} identical supervised G-1 sessions, one shared cache\",\n    \"billed_testbed_seconds_uncached\": {uncached_seconds:.1},\n    \"billed_testbed_seconds_cached\": {cached_seconds:.1},\n    \"billed_seconds_saved\": {:.1},\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.3},\n    \"reports_identical\": true\n  }},\n  \"warm_start\": {{\n    \"preloaded_entries\": {preloaded_entries},\n    \"snapshot_entries\": {},\n    \"snapshot_bytes\": {},\n    \"round_trip_identical\": true,\n    \"billed_testbed_seconds_cold\": {cold_seconds:.1},\n    \"billed_testbed_seconds_warm\": {warm_seconds:.1},\n    \"warm_hit_rate\": {warm_hit_rate:.3},\n    \"reports_identical\": true\n  }},\n  \"single_flight\": {{\n    \"threads\": {sf_threads},\n    \"inner_simulations\": {},\n    \"served_without_simulating\": {}\n  }},\n  \"journal\": {{\n    \"workload\": \"{j_sessions} flaky supervised G-1 sessions, crash-cut to one attempt then resumed\",\n    \"sessions\": {j_sessions},\n    \"attempts\": {journal_attempts},\n    \"appends\": {journal_appends},\n    \"bytes_per_append\": {:.1},\n    \"append_overhead_seconds_per_append\": {append_overhead_secs:.6},\n    \"billed_testbed_seconds_clean\": {clean_billed:.1},\n    \"billed_testbed_seconds_resumed\": {resumed_billed:.1},\n    \"attempts_restored\": {attempts_restored},\n    \"resumed_terminal\": {resumed_terminal},\n    \"resume_strictly_cheaper\": true,\n    \"reports_identical\": true\n  }}\n}}\n",
         threads_env.map_or("null".to_string(), |v| format!("\"{v}\"")),
         lane_width.name(),
         measure_rows.join(",\n"),
@@ -818,7 +751,6 @@ fn main() {
         corners.len(),
         batch_topos.len(),
         fmt_scaling(&batch_rates, "batched_analyses_per_sec"),
-        fmt_scaling(&scheduler_rates, "sessions_per_sec"),
         uncached_seconds - cached_seconds,
         cache_stats.hits,
         cache_stats.misses,
@@ -828,9 +760,6 @@ fn main() {
         sf_stats.misses,
         sf_stats.hits + sf_stats.coalesced,
         journal_bytes as f64 / journal_appends.max(1) as f64,
-        j_resumed.resumed_terminal(),
-        screen_corpus.len(),
-        unscreened_seconds - screened_seconds,
     );
 
     std::fs::write(&out_path, &json).expect("writes report");

@@ -33,8 +33,9 @@ use artisan_sim::cost::CostModel;
 use artisan_sim::{SimBackend, Simulator, Spec};
 use std::path::PathBuf;
 
-/// The scheduler's golden-ratio seed stride, reused so every phase
-/// derives identical per-session seeds from the base seed.
+/// Session `k`'s seed: the base seed mixed with `k` times the 64-bit
+/// golden-ratio constant, so every phase derives identical, distinct
+/// per-session seeds from the base seed.
 fn session_seed(base: u64, k: usize) -> u64 {
     base ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

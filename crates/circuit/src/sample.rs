@@ -142,7 +142,7 @@ pub fn sample_params<R: Rng + ?Sized>(
 /// topologies are legal by construction, while mutated netlists roam the
 /// broken neighbourhood around them — floating nodes, reference-free
 /// islands, severed signal paths — which is exactly the population a
-/// static screening tier has to classify correctly.
+/// static ERC gate has to classify correctly.
 pub fn mutate_netlist<R: Rng + ?Sized>(rng: &mut R, netlist: &Netlist) -> Netlist {
     let mut elements: Vec<Element> = netlist.elements().to_vec();
     let mutations = rng.gen_range(1..=3);

@@ -259,17 +259,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// The same configuration with journaled Artisan trials under
-    /// `dir` (implies supervision, as [`ExperimentConfig::with_faults`]).
-    #[must_use]
-    pub fn with_journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        if self.supervision.is_none() {
-            self.supervision = Some(Supervisor::default());
-        }
-        self
-    }
-
     /// The same configuration with PVT corner verdicts attached to
     /// every report (see [`ExperimentConfig::corners`]).
     #[must_use]
@@ -1022,9 +1011,8 @@ mod tests {
             std::env::temp_dir().join(format!("artisan-table3-journal-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("{e}"));
-        let config = ExperimentConfig::smoke(1)
-            .with_supervision(Supervisor::default())
-            .with_journal_dir(&dir);
+        let mut config = ExperimentConfig::smoke(1).with_supervision(Supervisor::default());
+        config.journal_dir = Some(dir.clone());
         let first = Table3::run(&config);
         assert!(first.journaled());
         assert_eq!(first.journal_terminal_resumes(), 0);

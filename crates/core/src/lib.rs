@@ -34,6 +34,6 @@ pub use experiment::{
 pub use workflow::{Artisan, ArtisanOptions, ArtisanOutcome};
 
 // The content-addressed simulation cache, re-exported so façade users
-// can share one cache across `Artisan::design_batch` sessions without
-// depending on `artisan-sim` directly.
+// can share one cache across `Artisan` sessions without depending on
+// `artisan-sim` directly.
 pub use artisan_sim::{CacheStats, CachedSim, SimCache};

@@ -6,11 +6,9 @@
 use artisan_agents::{AgentConfig, ArtisanAgent, DesignOutcome};
 use artisan_dataset::{DatasetConfig, OpampDataset};
 use artisan_gmid::{map_topology, LookupTable};
-use artisan_resilience::{
-    JournaledBatch, ScheduledSession, Scheduler, SessionJournal, SessionReport, Supervisor,
-};
+use artisan_resilience::{SessionJournal, SessionReport, Supervisor};
 use artisan_sim::cost::{CostLedger, CostModel};
-use artisan_sim::{ParallelSimBackend, SimBackend, Simulator, Spec};
+use artisan_sim::{SimBackend, Simulator, Spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -155,22 +153,6 @@ impl Artisan {
         supervisor.run_with_agent(&mut self.agent, spec, sim, seed)
     }
 
-    /// Runs one supervised session per backend concurrently, each with
-    /// a clone of the framework's (possibly trained) agent, its own
-    /// isolated ledger, and a seed derived from `base_seed` and the
-    /// session index. The scheduler's thread pool sets the concurrency
-    /// (`ARTISAN_THREADS` for [`Scheduler::new`]); results are identical
-    /// for every worker count and come back in backend order.
-    pub fn design_batch<B: ParallelSimBackend>(
-        &self,
-        spec: &Spec,
-        backends: Vec<B>,
-        scheduler: &Scheduler,
-        base_seed: u64,
-    ) -> Vec<ScheduledSession<B>> {
-        scheduler.run_batch_with_agent(&self.agent, spec, backends, base_seed)
-    }
-
     /// [`Artisan::design_supervised`] with crash-safe checkpointing:
     /// every attempt boundary is appended to `journal`, and a journal
     /// holding prior attempts fast-forwards past them (see
@@ -184,32 +166,6 @@ impl Artisan {
         journal: &mut SessionJournal,
     ) -> SessionReport {
         supervisor.run_journaled(&mut self.agent, spec, sim, seed, journal)
-    }
-
-    /// [`Artisan::design_batch`] with a per-session write-ahead journal
-    /// under `dir`: re-running the same batch against the same
-    /// directory after a crash resumes every session instead of
-    /// re-buying its completed attempts (see
-    /// [`Scheduler::run_batch_journaled`]). `extra_salt` folds any
-    /// extra behaviour-changing context (e.g. a fault-plan fingerprint)
-    /// into the journal-file identity.
-    pub fn design_batch_journaled<B: ParallelSimBackend>(
-        &self,
-        spec: &Spec,
-        backends: Vec<B>,
-        scheduler: &Scheduler,
-        base_seed: u64,
-        dir: &std::path::Path,
-        extra_salt: u64,
-    ) -> JournaledBatch<B> {
-        scheduler.run_batch_journaled_with_agent(
-            &self.agent,
-            spec,
-            backends,
-            base_seed,
-            dir,
-            extra_salt,
-        )
     }
 }
 
@@ -279,157 +235,107 @@ mod tests {
         assert!(report.llm_steps <= supervisor.budget.max_llm_steps);
     }
 
-    #[test]
-    fn batch_design_matches_serial_supervised_sessions() {
-        use artisan_math::ThreadPool;
-        let artisan = Artisan::new(ArtisanOptions::fast());
-        let supervisor = Supervisor::default();
-        let scheduler = Scheduler::with_pool(supervisor, ThreadPool::with_workers(3));
-        let backends: Vec<Simulator> = (0..4).map(|_| Simulator::new()).collect();
-        let sessions = artisan.design_batch(&Spec::g1(), backends, &scheduler, 17);
-        assert_eq!(sessions.len(), 4);
-        for s in &sessions {
-            // Each concurrent session equals the serial supervised run
-            // with the same seed on a fresh backend and agent clone.
-            let mut solo = Artisan::new(ArtisanOptions::fast());
-            let mut sim = Simulator::new();
-            let serial = solo.design_supervised(&Spec::g1(), &mut sim, &supervisor, s.seed);
-            assert_eq!(s.report.success, serial.success, "session {}", s.session);
-            assert_eq!(s.report.attempts, serial.attempts);
-            assert_eq!(s.report.events, serial.events);
-            assert_eq!(s.report.simulations, serial.simulations);
-        }
+    /// One supervised G-1 session with a fresh fast agent.
+    fn session<B: SimBackend>(sim: &mut B, seed: u64) -> SessionReport {
+        Artisan::new(ArtisanOptions::fast()).design_supervised(
+            &Spec::g1(),
+            sim,
+            &Supervisor::default(),
+            seed,
+        )
     }
 
     #[test]
-    fn batch_design_with_a_shared_cache_is_cheaper_and_identical() {
-        use artisan_math::ThreadPool;
+    fn sessions_sharing_a_cache_are_cheaper_and_identical() {
         use artisan_sim::{CachedSim, SimCache};
-        // One worker pins session order so the hit/miss ledger split is
-        // deterministic; the cache spans all four sessions.
-        let artisan = Artisan::new(ArtisanOptions::fast());
-        let supervisor = Supervisor::default();
-        let scheduler = Scheduler::with_pool(supervisor, ThreadPool::with_workers(1));
-        let plain: Vec<Simulator> = (0..4).map(|_| Simulator::new()).collect();
-        let baseline = artisan.design_batch(&Spec::g1(), plain, &scheduler, 23);
-        let cache = SimCache::shared(512);
-        let cached_backends: Vec<CachedSim<Simulator>> = (0..4)
-            .map(|_| CachedSim::new(Simulator::new(), std::sync::Arc::clone(&cache)))
+        // The sessions run one after another, so the hit/miss ledger
+        // split is deterministic; the cache spans all four sessions.
+        let baseline: Vec<SessionReport> = (23..27)
+            .map(|seed| session(&mut Simulator::new(), seed))
             .collect();
-        let cached = artisan.design_batch(&Spec::g1(), cached_backends, &scheduler, 23);
-        for (a, b) in cached.iter().zip(&baseline) {
-            assert_eq!(a.report.success, b.report.success, "session {}", a.session);
-            assert_eq!(a.report.events, b.report.events, "session {}", a.session);
-        }
-        assert!(cache.stats().hits > 0, "{}", cache.stats());
-        let cold: f64 = baseline.iter().map(|s| s.report.testbed_seconds).sum();
-        let warm: f64 = cached.iter().map(|s| s.report.testbed_seconds).sum();
-        assert!(warm < cold, "warm {warm}s >= cold {cold}s");
-    }
-
-    #[test]
-    fn batch_design_through_the_screened_stack_is_identical() {
-        use artisan_math::ThreadPool;
-        use artisan_sim::{CachedSim, ScreenedSim, SimCache};
-        // The production screening stack — screen outside the shared
-        // cache — slots into design_batch like any other backend. The
-        // agent's candidates are all structurally legal, so the screen
-        // must admit every one: same decisions and event traces as the
-        // plain batch, zero screen rejects, and the cache still saves.
-        let artisan = Artisan::new(ArtisanOptions::fast());
-        let supervisor = Supervisor::default();
-        let scheduler = Scheduler::with_pool(supervisor, ThreadPool::with_workers(1));
-        let plain: Vec<Simulator> = (0..3).map(|_| Simulator::new()).collect();
-        let baseline = artisan.design_batch(&Spec::g1(), plain, &scheduler, 29);
         let cache = SimCache::shared(512);
-        let screened_backends: Vec<ScreenedSim<CachedSim<Simulator>>> = (0..3)
-            .map(|_| {
-                ScreenedSim::new(CachedSim::new(
-                    Simulator::new(),
-                    std::sync::Arc::clone(&cache),
-                ))
-                .with_cache(std::sync::Arc::clone(&cache))
+        let cached: Vec<SessionReport> = (23..27)
+            .map(|seed| {
+                let mut sim = CachedSim::new(Simulator::new(), std::sync::Arc::clone(&cache));
+                session(&mut sim, seed)
             })
             .collect();
-        let screened = artisan.design_batch(&Spec::g1(), screened_backends, &scheduler, 29);
-        for (a, b) in screened.iter().zip(&baseline) {
-            assert_eq!(a.report.success, b.report.success, "session {}", a.session);
-            assert_eq!(a.report.events, b.report.events, "session {}", a.session);
+        for (k, (a, b)) in cached.iter().zip(&baseline).enumerate() {
+            assert_eq!(a.success, b.success, "session {k}");
+            assert_eq!(a.events, b.events, "session {k}");
         }
-        let rejects: u64 = screened.iter().map(|s| s.backend.screened_out()).sum();
-        assert_eq!(rejects, 0, "a legal candidate was screened out");
         assert!(cache.stats().hits > 0, "{}", cache.stats());
-        let cold: f64 = baseline.iter().map(|s| s.report.testbed_seconds).sum();
-        let warm: f64 = screened.iter().map(|s| s.report.testbed_seconds).sum();
+        let cold: f64 = baseline.iter().map(|r| r.testbed_seconds).sum();
+        let warm: f64 = cached.iter().map(|r| r.testbed_seconds).sum();
         assert!(warm < cold, "warm {warm}s >= cold {cold}s");
     }
 
     #[test]
-    fn batch_design_through_the_cornered_stack_attaches_verdicts() {
-        use artisan_math::ThreadPool;
+    fn sessions_through_the_cornered_stack_attach_verdicts() {
         use artisan_sim::{CachedSim, CornerGrid, CornerSim, SimCache};
         // The corner stack — CornerSim outside the shared report cache —
-        // slots into design_batch like any other backend. A nominal-only
-        // grid cannot change any validation decision (its worst case IS
-        // the nominal point), so decisions and event traces must match
-        // the plain batch while every surviving report carries a
-        // worst-case verdict.
-        let artisan = Artisan::new(ArtisanOptions::fast());
-        let supervisor = Supervisor::default();
-        let scheduler = Scheduler::with_pool(supervisor, ThreadPool::with_workers(1));
-        let plain: Vec<Simulator> = (0..3).map(|_| Simulator::new()).collect();
-        let baseline = artisan.design_batch(&Spec::g1(), plain, &scheduler, 31);
+        // slots into a supervised session like any other backend. A
+        // nominal-only grid cannot change any validation decision (its
+        // worst case IS the nominal point), so decisions and event
+        // traces must match the plain sessions while every surviving
+        // report carries a worst-case verdict.
         let cache = SimCache::shared(512);
-        let cornered_backends: Vec<CornerSim<CachedSim<Simulator>>> = (0..3)
-            .map(|_| {
-                CornerSim::new(
-                    CachedSim::new(Simulator::new(), std::sync::Arc::clone(&cache)),
-                    CornerGrid::nominal(),
-                )
-                .with_cache(std::sync::Arc::clone(&cache))
-            })
-            .collect();
-        let cornered = artisan.design_batch(&Spec::g1(), cornered_backends, &scheduler, 31);
-        for (a, b) in cornered.iter().zip(&baseline) {
-            assert_eq!(a.report.success, b.report.success, "session {}", a.session);
-            assert_eq!(a.report.events, b.report.events, "session {}", a.session);
-        }
-        for s in &cornered {
-            assert!(s.backend.grids_evaluated() + s.backend.ledger().cache_hits() > 0);
-            let report = s
-                .report
+        for seed in 31..34 {
+            let baseline = session(&mut Simulator::new(), seed);
+            let mut sim = CornerSim::new(
+                CachedSim::new(Simulator::new(), std::sync::Arc::clone(&cache)),
+                CornerGrid::nominal(),
+            )
+            .with_cache(std::sync::Arc::clone(&cache));
+            let report = session(&mut sim, seed);
+            assert_eq!(report.success, baseline.success, "seed {seed}");
+            assert_eq!(report.events, baseline.events, "seed {seed}");
+            assert!(sim.grids_evaluated() + sim.ledger().cache_hits() > 0);
+            let analysis = report
                 .outcome
                 .as_ref()
                 .and_then(|o| o.report.as_ref())
-                .unwrap_or_else(|| panic!("session {} lost its report", s.session));
-            let wc = report
+                .unwrap_or_else(|| panic!("seed {seed} lost its report"));
+            let wc = analysis
                 .worst_case
-                .unwrap_or_else(|| panic!("session {} has no corner verdict", s.session));
+                .unwrap_or_else(|| panic!("seed {seed} has no corner verdict"));
             assert_eq!(wc.corners, 1, "nominal-only grid");
             assert_eq!(wc.failing, 0);
         }
     }
 
     #[test]
-    fn journaled_batch_design_resumes_terminal_sessions_for_free() {
-        use artisan_math::ThreadPool;
+    fn journaled_sessions_resume_terminal_sessions_for_free() {
+        use artisan_resilience::{faulted_plan_fingerprint, session_file_name};
         let dir = std::env::temp_dir().join(format!("artisan-core-journal-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("{e}"));
-        let artisan = Artisan::new(ArtisanOptions::fast());
-        let scheduler = Scheduler::with_pool(Supervisor::default(), ThreadPool::with_workers(2));
-        let make_backends = || -> Vec<Simulator> { (0..3).map(|_| Simulator::new()).collect() };
-        let plain = artisan.design_batch(&Spec::g1(), make_backends(), &scheduler, 13);
-        let first =
-            artisan.design_batch_journaled(&Spec::g1(), make_backends(), &scheduler, 13, &dir, 0);
-        assert_eq!(first.resumed_terminal(), 0);
-        let second =
-            artisan.design_batch_journaled(&Spec::g1(), make_backends(), &scheduler, 13, &dir, 0);
-        assert_eq!(second.resumed_terminal(), 3);
-        for ((a, b), p) in first.sessions.iter().zip(&second.sessions).zip(&plain) {
-            assert_eq!(a.report, b.report, "session {}", a.session);
-            assert_eq!(a.report.events, p.report.events, "session {}", a.session);
-            assert_eq!(b.report.simulations, p.report.simulations);
+        let supervisor = Supervisor::default();
+        let journaled = |seed: u64| {
+            let mut artisan = Artisan::new(ArtisanOptions::fast());
+            let fingerprint =
+                faulted_plan_fingerprint(&Spec::g1(), &supervisor, &artisan.agent().config(), None);
+            let path = dir.join(session_file_name(fingerprint, seed));
+            let (mut journal, load) = SessionJournal::open(&path, fingerprint, seed);
+            let mut sim = Simulator::new();
+            let report = artisan.design_supervised_journaled(
+                &Spec::g1(),
+                &mut sim,
+                &supervisor,
+                seed,
+                &mut journal,
+            );
+            (report, load.terminal)
+        };
+        for seed in 13..16 {
+            let plain = session(&mut Simulator::new(), seed);
+            let (first, first_resumed) = journaled(seed);
+            assert!(!first_resumed, "seed {seed}");
+            let (second, second_resumed) = journaled(seed);
+            assert!(second_resumed, "seed {seed}");
+            assert_eq!(first, second, "seed {seed}");
+            assert_eq!(first.events, plain.events, "seed {seed}");
+            assert_eq!(second.simulations, plain.simulations);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -13,8 +13,8 @@
 //! The graph is also the foundation of the ERC100+ *screening* family:
 //! [`CircuitGraph::singular_islands`] predicts `SingularMatrix` failures
 //! before any LU factorization runs (see the left-null-vector argument on
-//! that method), which is what lets the simulation stack reject doomed
-//! candidates for a screening cost instead of a full testbench run.
+//! that method), which is what lets the simulator's admission gate
+//! reject doomed candidates before any solve.
 
 use artisan_circuit::{Element, Netlist, Node};
 use std::collections::BTreeMap;

@@ -19,9 +19,8 @@
 //!   otherwise, with the same bits either way,
 //! - [`ThreadPool`] — a std-only scoped-thread pool for order-preserving
 //!   parallel maps across independent analyses (the candidates of a
-//!   batch, the units of a corner grid, the resilience scheduler's
-//!   sessions), sized by `available_parallelism` and overridable with
-//!   `ARTISAN_THREADS`.
+//!   batch, the units of a corner grid), sized by
+//!   `available_parallelism` and overridable with `ARTISAN_THREADS`.
 //!
 //! Everything is implemented from first principles; the only dependency is
 //! `rand` for the root-finder's seed perturbations and test helpers.

@@ -1,9 +1,9 @@
 //! A from-scratch scoped-thread worker pool (std-only, no rayon).
 //!
 //! Parallelism in this workspace lives across independent analyses:
-//! the candidates of a batch, the (candidate × corner) units of a PVT
-//! grid, and the scheduler's supervised sessions. Each is an
-//! embarrassingly parallel map, and this module provides exactly that
+//! the candidates of a batch and the (candidate × corner) units of a
+//! PVT grid. Each is an embarrassingly parallel map, and this module
+//! provides exactly that
 //! shape: [`ThreadPool::par_map_indexed`] fans a slice out over
 //! `std::thread::scope` workers and returns results in input order, so
 //! callers stay deterministic regardless of thread count.
@@ -16,7 +16,7 @@
 //!
 //! Work is distributed dynamically: workers pull the next index from a
 //! shared atomic counter, so a slow item (an ill-conditioned solve, a
-//! long session) never stalls the items behind it on the same worker.
+//! large candidate) never stalls the items behind it on the same worker.
 //!
 //! # Example
 //!

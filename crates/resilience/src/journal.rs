@@ -90,8 +90,9 @@ const MAGIC: &[u8; 8] = b"ARTSNJL1";
 /// Current journal format version. Bump on any layout change: version
 /// mismatches load fresh, never as garbage. Version 2 grew the ledger
 /// wire layout by the corner-sims counter; version 3 moved the header
-/// identity into the shared `wire` frame.
-pub const FORMAT_VERSION: u32 = 3;
+/// identity into the shared `wire` frame; version 4 dropped the ledger's
+/// screen-rejects counter.
+pub const FORMAT_VERSION: u32 = 4;
 
 const RECORD_ATTEMPT: u8 = 1;
 const RECORD_TERMINAL: u8 = 2;
@@ -150,7 +151,6 @@ pub fn plan_fingerprint(spec: &Spec, supervisor: &Supervisor, extra_salt: u64) -
     wire::push_f64(&mut bytes, supervisor.cost_model.seconds_per_llm_step);
     wire::push_f64(&mut bytes, supervisor.cost_model.seconds_per_optimizer_step);
     wire::push_f64(&mut bytes, supervisor.cost_model.seconds_per_cache_hit);
-    wire::push_f64(&mut bytes, supervisor.cost_model.seconds_per_screen);
     wire::push_u64(&mut bytes, extra_salt);
     wire::fnv1a64(&bytes)
 }
@@ -228,26 +228,6 @@ pub struct JournalScan {
     pub seed: u64,
     /// How the file loaded under its own header identity.
     pub load: JournalLoad,
-}
-
-/// What one journaled session's journal did, for recovery reporting
-/// and overhead accounting (`bench_report`'s `journal` section).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalOutcome {
-    /// The backing journal file.
-    pub path: PathBuf,
-    /// How the file loaded when the session opened it.
-    pub load: JournalLoad,
-    /// Durable appends this run performed (0 when the session was
-    /// already terminal).
-    pub appends: u64,
-    /// Total bytes written to disk by this run's appends.
-    pub bytes_written: u64,
-    /// Final encoded journal size (header + frames).
-    pub encoded_len: usize,
-    /// Disk errors swallowed during the run (journaling never perturbs
-    /// the session).
-    pub io_errors: Vec<String>,
 }
 
 /// Result of one durable append.
@@ -1230,22 +1210,32 @@ mod tests {
     }
 
     #[test]
-    fn version_2_journal_starts_fresh_naming_its_version() {
-        let dir = scratch_dir("v2");
+    fn older_journals_start_fresh_naming_their_version() {
+        let dir = scratch_dir("old-versions");
         let path = dir.join(session_file_name(1, 2));
         // The version-2 header, byte by byte: magic, version, plan
         // fingerprint, seed, then FNV-1a of those 28 bytes.
-        let mut bytes = b"ARTSNJL1".to_vec();
-        wire::push_u32(&mut bytes, 2);
-        wire::push_u64(&mut bytes, 1);
-        wire::push_u64(&mut bytes, 2);
-        let checksum = wire::fnv1a64(&bytes);
-        wire::push_u64(&mut bytes, checksum);
-        fs::write(&path, &bytes).unwrap_or_else(|e| panic!("{e}"));
-        let (journal, load) = SessionJournal::open(&path, 1, 2);
-        assert!(journal.records().is_empty());
-        let warning = load.warning.unwrap_or_else(|| panic!("no warning"));
-        assert!(warning.contains("version 2"), "{warning}");
+        let mut v2 = b"ARTSNJL1".to_vec();
+        wire::push_u32(&mut v2, 2);
+        wire::push_u64(&mut v2, 1);
+        wire::push_u64(&mut v2, 2);
+        let checksum = wire::fnv1a64(&v2);
+        wire::push_u64(&mut v2, checksum);
+        // The version-3 header: the same identity in the shared frame,
+        // ahead of ledgers that still carried the screen-rejects count.
+        let mut identity = Vec::new();
+        wire::push_u64(&mut identity, 1);
+        wire::push_u64(&mut identity, 2);
+        let v3 = wire::framed(MAGIC, 3, &identity);
+        for (version, bytes) in [(2, v2), (3, v3)] {
+            fs::write(&path, &bytes).unwrap_or_else(|e| panic!("{e}"));
+            let (journal, load) = SessionJournal::open(&path, 1, 2);
+            assert!(journal.records().is_empty(), "version {version}");
+            let warning = load
+                .warning
+                .unwrap_or_else(|| panic!("version {version}: no warning"));
+            assert!(warning.contains(&format!("version {version}")), "{warning}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

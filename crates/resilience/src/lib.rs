@@ -22,11 +22,6 @@
 //!   write-ahead journal, and a restarted process fast-forwards past
 //!   completed attempts instead of re-buying them (see
 //!   [`Supervisor::run_journaled`]).
-//! - [`Scheduler`] fans batches of supervised sessions out over a
-//!   std-only thread pool ([`artisan_math::ThreadPool`], sized by
-//!   `ARTISAN_THREADS`). Each session owns its backend and seed, so
-//!   ledgers stay isolated and a batch produces identical
-//!   [`SessionReport`]s for every worker count.
 //!
 //! Backoff and injected latency are billed as *testbed-equivalent
 //! seconds* on the [`artisan_sim::cost::CostLedger`], never slept on
@@ -52,14 +47,12 @@
 
 pub mod fault;
 pub mod journal;
-pub mod scheduler;
 pub mod supervisor;
 
 pub use fault::{FaultKind, FaultPlan, FaultRecord, FaultySim};
 pub use journal::{
     agent_config_salt, expire_terminal, faulted_plan_fingerprint, journal_dir_from_env,
     plan_fingerprint, scan_dir, session_file_name, AppendOutcome, AttemptRecord, ExpireOutcome,
-    JournalLoad, JournalOutcome, JournalRecord, JournalScan, SessionJournal, JOURNAL_DIR_ENV,
+    JournalLoad, JournalRecord, JournalScan, SessionJournal, JOURNAL_DIR_ENV,
 };
-pub use scheduler::{JournaledBatch, ScheduledSession, Scheduler};
 pub use supervisor::{RetryPolicy, SessionBudget, SessionEvent, SessionReport, Supervisor};

@@ -614,6 +614,68 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_shared_cache_sessions_conserve_accounting() {
+        // Sessions on their own threads share one cache: the hit/miss/
+        // coalesced split across sessions is timing-dependent, but the
+        // conservation laws are not — designs match the uncached
+        // baseline, every session ledger line sums to the cache's global
+        // counters, and the sessions never bill more than the cold
+        // baseline.
+        use artisan_sim::{CachedSim, SimCache};
+        const SESSIONS: u64 = 6;
+        let supervisor = Supervisor::default();
+        let baseline: Vec<SessionReport> = (0..SESSIONS)
+            .map(|k| supervisor.run(&Spec::g1(), &mut Simulator::new(), 23 + k))
+            .collect();
+        let cache = SimCache::shared(512);
+        let cached: Vec<SessionReport> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..SESSIONS)
+                .map(|k| {
+                    let cache = std::sync::Arc::clone(&cache);
+                    scope.spawn(move || {
+                        let mut sim = CachedSim::new(Simulator::new(), cache);
+                        supervisor.run(&Spec::g1(), &mut sim, 23 + k)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|_| panic!("session panicked")))
+                .collect()
+        });
+        let perf = |r: &SessionReport| {
+            r.outcome
+                .as_ref()
+                .and_then(|o| o.report.as_ref())
+                .map(|rep| rep.performance)
+        };
+        for (k, (a, b)) in cached.iter().zip(&baseline).enumerate() {
+            assert_eq!(a.success, b.success, "session {k}");
+            assert_eq!(perf(a), perf(b), "session {k}");
+        }
+        let stats = cache.stats();
+        let total_hits: u64 = cached.iter().map(|r| r.cache_hits as u64).sum();
+        let total_waits: u64 = cached.iter().map(|r| r.coalesced_waits as u64).sum();
+        // Session-billed hits include coalesced waits; the cache splits
+        // them into `hits` and `coalesced`.
+        assert_eq!(total_hits, stats.hits + stats.coalesced);
+        assert_eq!(total_waits, stats.coalesced);
+        // Every analysis request is served exactly once per session:
+        // simulated or billed as a (possibly coalesced) hit. The cached
+        // run's designs match the baseline, so the request sequences
+        // match too.
+        for (k, (a, b)) in cached.iter().zip(&baseline).enumerate() {
+            assert_eq!(a.simulations + a.cache_hits, b.simulations, "session {k}");
+        }
+        let cold: f64 = baseline.iter().map(|r| r.testbed_seconds).sum();
+        let warm: f64 = cached.iter().map(|r| r.testbed_seconds).sum();
+        assert!(
+            warm < cold,
+            "warm sessions {warm}s >= cold sessions {cold}s"
+        );
+    }
+
+    #[test]
     fn display_summarizes_the_session() {
         let mut sim = Simulator::new();
         let report = Supervisor::default().run(&Spec::g1(), &mut sim, 0);

@@ -14,10 +14,7 @@
 //! job raises it and sweeps `CHAOS_SEED_OFFSET` so each matrix leg
 //! exercises a disjoint window of fault-plan seeds.
 
-use artisan_math::ThreadPool;
-use artisan_resilience::{
-    FaultPlan, FaultySim, RetryPolicy, Scheduler, SessionBudget, SessionReport, Supervisor,
-};
+use artisan_resilience::{FaultPlan, FaultySim, RetryPolicy, SessionBudget, Supervisor};
 use artisan_sim::{CachedSim, SimCache, Simulator, Spec};
 use proptest::prelude::*;
 
@@ -117,59 +114,6 @@ proptest! {
         prop_assert!(report.attempts <= sup.retry.max_attempts);
         if from == 0 {
             prop_assert!(!report.success, "no call ever succeeded, yet: {report}");
-        }
-    }
-
-    /// The scheduler is a pure fan-out: a batch of flaky supervised
-    /// sessions produces field-identical [`SessionReport`]s at every
-    /// worker count (the `ARTISAN_THREADS` contract), and each session
-    /// matches a solo [`Supervisor::run`] with the same derived seed
-    /// against an identically-faulted backend.
-    #[test]
-    fn scheduled_batches_are_identical_for_any_worker_count(
-        seed in 0u64..1_000_000,
-        rate in 0.0f64..0.5,
-        n_sessions in 1usize..5,
-    ) {
-        let seed = offset(seed);
-        let backends = |n: usize| -> Vec<FaultySim<Simulator>> {
-            (0..n)
-                .map(|k| {
-                    let plan = FaultPlan::flaky(seed.wrapping_add(k as u64), rate);
-                    FaultySim::new(Simulator::new(), plan)
-                })
-                .collect()
-        };
-        let batch = |workers: usize| {
-            Scheduler::with_pool(supervisor(), ThreadPool::with_workers(workers))
-                .run_batch(&Spec::g1(), backends(n_sessions), seed)
-        };
-        let same = |a: &SessionReport, b: &SessionReport| -> bool {
-            a.success == b.success
-                && a.degraded == b.degraded
-                && a.attempts == b.attempts
-                && a.simulations == b.simulations
-                && a.llm_steps == b.llm_steps
-                && a.faults_observed == b.faults_observed
-                && a.events == b.events
-                && a.testbed_seconds == b.testbed_seconds
-        };
-        let solo = batch(1);
-        for workers in [2usize, 4, 8] {
-            let many = batch(workers);
-            prop_assert_eq!(many.len(), solo.len());
-            for (a, b) in solo.iter().zip(&many) {
-                prop_assert_eq!(a.session, b.session);
-                prop_assert_eq!(a.seed, b.seed);
-                prop_assert!(same(&a.report, &b.report), "workers = {}, session = {}", workers, a.session);
-            }
-        }
-        // Cross-check against solo supervised runs with the derived seeds.
-        for (k, (scheduled, mut backend)) in solo.iter().zip(backends(n_sessions)).enumerate() {
-            let session_seed = Scheduler::session_seed(seed, k);
-            prop_assert_eq!(scheduled.seed, session_seed);
-            let reference = supervisor().run(&Spec::g1(), &mut backend, session_seed);
-            prop_assert!(same(&scheduled.report, &reference), "session = {}", k);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! This crate puts a long-running serving front on the seams the rest
 //! of the workspace already provides — the object-safe `SimBackend`,
-//! the `Supervisor`/`Scheduler` session stack, the shared `SimCache`
+//! the `Supervisor` session stack, the shared `SimCache`
 //! with snapshot persistence, and the durable session journal:
 //!
 //! - [`proto`] — the versioned, length-prefixed, FNV-checksummed JSON

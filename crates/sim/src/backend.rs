@@ -108,18 +108,6 @@ impl SimBackend for Simulator {
     }
 }
 
-/// A [`SimBackend`] that may cross thread boundaries.
-///
-/// The multi-session scheduler in `artisan-resilience` hands each
-/// supervised session its own backend and fans the sessions out over a
-/// thread pool, which requires `Send`. The blanket impl makes every
-/// `Send` backend (the plain [`Simulator`], fault-injecting wrappers
-/// around it, …) a `ParallelSimBackend` automatically — single-threaded
-/// consumers keep using [`SimBackend`] and nothing changes for them.
-pub trait ParallelSimBackend: SimBackend + Send {}
-
-impl<B: SimBackend + Send + ?Sized> ParallelSimBackend for B {}
-
 /// Implements [`SimBackend`] for deref-style wrappers (`&mut B`,
 /// `Box<B>`, …) by forwarding the *complete* method set to `(**self)`.
 ///

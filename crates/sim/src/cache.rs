@@ -40,11 +40,12 @@
 //! # Sharing across sessions
 //!
 //! The cache is shared by cloning an `Arc<SimCache>` into each
-//! session's wrapper (see `artisan_resilience::Scheduler`). Report
-//! *values* stay deterministic — a cached report is identical to the
-//! recomputed one — but which session pays the miss depends on
+//! session's wrapper. Report *values* stay deterministic — a cached
+//! report is identical to the recomputed one — but when sessions run
+//! on several threads, which session pays the miss depends on
 //! cross-session timing, so per-session ledger splits are only
-//! deterministic with per-session caches (or one worker).
+//! deterministic with per-session caches or with sessions run one
+//! after another.
 //!
 //! To run without the cache, do not stack the wrapper.
 //!
@@ -107,15 +108,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// shards keep contention negligible for any realistic session fan-out.
 const SHARD_COUNT: usize = 16;
 
-/// Bound on the memoized lint-verdict map. Verdicts are tiny (an enum
-/// tag plus, for rejects, one diagnostic report), so a flat cap with
-/// wholesale clearing on overflow is cheaper than LRU bookkeeping and
-/// still keeps the hot screening loop allocation-free.
-const LINT_VERDICT_CAPACITY: usize = 4096;
-
-/// Bound on the memoized corner-verdict map — same flat-cap/clear
-/// policy as the lint map; a [`crate::corners::CornerSummary`] is a
-/// fixed-size value, so the map stays small.
+/// Bound on the memoized corner-verdict map. A
+/// [`crate::corners::CornerSummary`] is a fixed-size value, so a flat
+/// cap with wholesale clearing on overflow is cheaper than LRU
+/// bookkeeping and keeps the map small.
 const CORNER_VERDICT_CAPACITY: usize = 4096;
 
 #[derive(Debug, Clone)]
@@ -303,15 +299,11 @@ pub struct SimCache {
     waiting: AtomicU64,
     evictions: AtomicU64,
     insertions: AtomicU64,
-    /// Memoized static-screening verdicts, keyed by lint-salted
-    /// fingerprints (see [`crate::screen`]). Kept apart from the report
-    /// shards: verdicts are not [`AnalysisReport`]s and must never
-    /// collide with them, and the lint namespace salt guarantees the key
-    /// spaces are disjoint anyway.
-    lint_verdicts: Mutex<HashMap<NetlistFingerprint, crate::screen::LintVerdict>>,
     /// Memoized corner-grid verdicts, keyed by corner-salted
-    /// fingerprints (see [`crate::corners`]). Same separation rationale
-    /// as the lint map.
+    /// fingerprints (see [`crate::corners`]). Kept apart from the report
+    /// shards: verdicts are not [`AnalysisReport`]s and must never
+    /// collide with them, and the corner namespace salt guarantees the
+    /// key spaces are disjoint anyway.
     corner_verdicts: Mutex<HashMap<NetlistFingerprint, crate::corners::CornerSummary>>,
 }
 
@@ -341,29 +333,8 @@ impl SimCache {
             waiting: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
-            lint_verdicts: Mutex::new(HashMap::new()),
             corner_verdicts: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The memoized screening verdict for `key`, if one is stored.
-    /// Keys must already carry the lint namespace salt (the
-    /// [`crate::screen::ScreenedSim`] wrapper applies it); this method
-    /// does no salting of its own.
-    pub fn lint_verdict(&self, key: NetlistFingerprint) -> Option<crate::screen::LintVerdict> {
-        lock(&self.lint_verdicts).get(&key).cloned()
-    }
-
-    /// Memoizes a screening verdict. Unlike analysis reports, *both*
-    /// outcomes are cacheable: a lint verdict is a pure function of the
-    /// netlist text, so a `Rejected` verdict can never be a transient
-    /// fault. When the bounded map is full it is cleared wholesale.
-    pub fn store_lint_verdict(&self, key: NetlistFingerprint, verdict: crate::screen::LintVerdict) {
-        let mut map = lock(&self.lint_verdicts);
-        if map.len() >= LINT_VERDICT_CAPACITY && !map.contains_key(&key) {
-            map.clear();
-        }
-        map.insert(key, verdict);
     }
 
     /// The memoized corner-grid verdict for `key`, if one is stored.
@@ -374,11 +345,11 @@ impl SimCache {
         lock(&self.corner_verdicts).get(&key).copied()
     }
 
-    /// Memoizes a corner-grid verdict. Like lint verdicts, a corner
-    /// summary is a pure function of the (netlist, grid, configuration)
-    /// triple — fault injection lives outside the corner layer — so
-    /// *every* outcome is cacheable, failing corners included. When the
-    /// bounded map is full it is cleared wholesale.
+    /// Memoizes a corner-grid verdict. Unlike analysis reports, a
+    /// corner summary is a pure function of the netlist and the grid —
+    /// fault injection lives outside the corner layer — so *every*
+    /// outcome is cacheable, failing corners included. When the bounded
+    /// map is full it is cleared wholesale.
     pub fn store_corner_verdict(
         &self,
         key: NetlistFingerprint,

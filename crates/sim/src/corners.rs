@@ -36,7 +36,9 @@
 //! [`crate::Simulator`] pipeline calls; pole/zero extraction and the
 //! ERC admission gate run once on the nominal netlist only (a positive
 //! value-only scaling changes neither the lint verdict nor which
-//! analysis the corner needs). Multiplication by `1.0` is bit-exact in
+//! analysis the corner needs). Corners run at the default
+//! [`AnalysisConfig`], the configuration of [`crate::Simulator::new`]
+//! and of the serve engine. Multiplication by `1.0` is bit-exact in
 //! IEEE-754, so the nominal corner's metrics are the plain analysis's
 //! by construction (still property-pinned in
 //! `crates/sim/tests/properties.rs`).
@@ -45,9 +47,10 @@
 //!
 //! [`CornerSim<B>`] memoizes whole-grid verdicts ([`CornerSummary`]) in
 //! a shared [`SimCache`] side map under [`CORNER_NAMESPACE_SALT`], keyed
-//! by the nominal fingerprint salted with the grid and the analysis
-//! configuration — a repeated candidate pays one cache hit for its
-//! entire grid. Fresh grids bill
+//! by the nominal fingerprint salted with the grid and the default
+//! analysis configuration — a repeated candidate pays one cache hit for
+//! its entire grid. The side map lives in memory only; cache snapshots
+//! hold nominal reports. Fresh grids bill
 //! [`crate::cost::CostLedger::record_corner_sims`], a distinct account
 //! cheaper than full simulations because the admission gate and the
 //! pole/zero extraction run once per grid, not once per corner.
@@ -84,9 +87,9 @@ use artisan_math::ThreadPool;
 use std::sync::Arc;
 
 /// Fingerprint salt separating memoized corner verdicts from memoized
-/// [`AnalysisReport`]s and lint verdicts inside a shared [`SimCache`].
-/// Applied *on top of* the grid/config salt, so a corner key can never
-/// collide with a report or lint key.
+/// [`AnalysisReport`]s inside a shared [`SimCache`]. Applied *on top
+/// of* the grid/config salt, so a corner key can never collide with a
+/// report key.
 pub const CORNER_NAMESPACE_SALT: u64 = 0x434f_524e_4752_4944; // "CORNGRID"
 
 /// One corner: three value-only scale factors (see the
@@ -413,49 +416,31 @@ pub fn summarize(corners: &[CornerPoint], outcomes: &[Result<Performance>]) -> C
 pub struct CornerSim<B> {
     inner: B,
     grid: CornerGrid,
-    config: AnalysisConfig,
     cache: Option<Arc<SimCache>>,
-    salt: u64,
     grids_evaluated: u64,
 }
 
 impl<B: SimBackend> CornerSim<B> {
-    /// Wraps `inner` with the default [`AnalysisConfig`] (matching
-    /// [`crate::Simulator::new`]) and no verdict memoization.
+    /// Wraps `inner` with no verdict memoization. Corners run at the
+    /// default [`AnalysisConfig`], the configuration of
+    /// [`crate::Simulator::new`], so the inner backend must analyse at
+    /// that configuration for the nominal corner to keep the inner
+    /// report's bits.
     pub fn new(inner: B, grid: CornerGrid) -> Self {
         CornerSim {
             inner,
             grid,
-            config: AnalysisConfig::default(),
             cache: None,
-            salt: 0,
             grids_evaluated: 0,
         }
     }
 
-    /// Overrides the analysis configuration used for corner sweeps.
-    /// Must match the inner backend's configuration for the nominal
-    /// corner to be bit-identical to the inner report.
-    #[must_use]
-    pub fn with_config(mut self, config: AnalysisConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Memoizes grid verdicts in `cache` under the corner namespace
-    /// (shareable with [`crate::CachedSim`] / [`crate::ScreenedSim`] —
-    /// the key spaces are disjoint by construction).
+    /// (shareable with [`crate::CachedSim`] — the key spaces are
+    /// disjoint by construction).
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<SimCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Adds `salt` to the verdict keys on top of the automatic
-    /// grid/config salt, mirroring [`crate::CachedSim::with_salt`].
-    #[must_use]
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
         self
     }
 
@@ -482,8 +467,7 @@ impl<B: SimBackend> CornerSim<B> {
 
     fn verdict_key(&self, fp: NetlistFingerprint) -> NetlistFingerprint {
         fp.with_salt(CORNER_NAMESPACE_SALT)
-            .with_salt(self.grid.salt() ^ config_salt(&self.config))
-            .with_salt(self.salt)
+            .with_salt(self.grid.salt() ^ config_salt(&AnalysisConfig::default()))
     }
 
     /// Grid verdicts for `candidates`, in order. Each is served from the
@@ -492,8 +476,8 @@ impl<B: SimBackend> CornerSim<B> {
     /// planned once, and its grid runs as part of one flattened
     /// (candidate × corner) work list over the pool, so even a single
     /// candidate keeps every worker busy. Corner verdicts are pure
-    /// functions of the (netlist, grid, config) triple, so — like lint
-    /// verdicts — every outcome is cacheable.
+    /// functions of the netlist and the grid, so every outcome is
+    /// cacheable.
     fn verdicts(&mut self, candidates: &[Candidate]) -> Vec<CornerSummary> {
         let mut summaries: Vec<Option<CornerSummary>> = candidates
             .iter()
@@ -519,7 +503,7 @@ impl<B: SimBackend> CornerSim<B> {
         let units: Vec<(usize, CornerPoint)> = (0..fresh.len())
             .flat_map(|k| corners.iter().map(move |&corner| (k, corner)))
             .collect();
-        let grid = SweepGrid::new(&self.config.sweep);
+        let grid = SweepGrid::new(&AnalysisConfig::default().sweep);
         let outcomes = ThreadPool::from_env().par_map_indexed(&units, |_, &(k, corner)| {
             let c = &candidates[fresh[k]];
             let plan = plans[k].as_ref().map_err(Clone::clone)?;

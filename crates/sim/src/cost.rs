@@ -29,13 +29,6 @@ pub struct CostModel {
     /// cache account is that a hit is billed at retrieval cost, not at
     /// full testbed cost.
     pub seconds_per_cache_hit: f64,
-    /// One static screening pass that rejects a candidate before any
-    /// Spectre run: netlist parse plus graph-based ERC. On the testbed
-    /// this is a lint invocation, orders of magnitude below
-    /// [`CostModel::seconds_per_simulation`] — the whole point of the
-    /// screening tier is that a doomed candidate costs a screen, not a
-    /// full simulation.
-    pub seconds_per_screen: f64,
     /// One PVT corner re-evaluation within a grid. Far below
     /// [`CostModel::seconds_per_simulation`]: netlisting, the ERC gate
     /// and pole extraction are all paid once by the nominal analysis,
@@ -52,7 +45,6 @@ impl Default for CostModel {
             seconds_per_llm_step: 40.0,
             seconds_per_optimizer_step: 1.5,
             seconds_per_cache_hit: 0.5,
-            seconds_per_screen: 0.2,
             seconds_per_corner_sim: 4.0,
         }
     }
@@ -79,7 +71,6 @@ pub struct CostLedger {
     cache_hits: u64,
     coalesced_waits: u64,
     batched_solves: u64,
-    screen_rejects: u64,
     corner_sims: u64,
     penalty_seconds: f64,
 }
@@ -129,16 +120,6 @@ impl CostLedger {
     /// it lets reports distinguish fanned-out work from serial loops.
     pub fn record_batched_solves(&mut self, n: u64) {
         self.batched_solves += n;
-    }
-
-    /// Bills one candidate rejected by the static screening tier before
-    /// any simulation ran. A screen reject costs
-    /// [`CostModel::seconds_per_screen`], not
-    /// [`CostModel::seconds_per_simulation`] — the separate account is
-    /// what lets `bench_report` quantify the billed seconds the tier
-    /// saves.
-    pub fn record_screen_reject(&mut self) {
-        self.screen_rejects += 1;
     }
 
     /// Bills `n` PVT corner re-evaluations (one whole grid at a time).
@@ -195,11 +176,6 @@ impl CostLedger {
         self.batched_solves
     }
 
-    /// Number of candidates rejected by the screening tier.
-    pub fn screen_rejects(&self) -> u64 {
-        self.screen_rejects
-    }
-
     /// Number of PVT corner re-evaluations billed.
     pub fn corner_sims(&self) -> u64 {
         self.corner_sims
@@ -216,17 +192,16 @@ impl CostLedger {
             + self.llm_steps as f64 * model.seconds_per_llm_step
             + self.optimizer_steps as f64 * model.seconds_per_optimizer_step
             + self.cache_hits as f64 * model.seconds_per_cache_hit
-            + self.screen_rejects as f64 * model.seconds_per_screen
             + self.corner_sims as f64 * model.seconds_per_corner_sim
             + self.penalty_seconds
     }
 
-    /// Appends the ledger in the shared [`wire`] format: eight `u64`
+    /// Appends the ledger in the shared [`wire`] format: seven `u64`
     /// counters followed by the penalty-seconds `f64` bit pattern.
     /// Bit-exact across a round trip, so a journaled ledger snapshot
     /// resumes billing precisely where the crashed process stopped.
-    /// (The corner-sims counter made the layout grow; the journal
-    /// format version gates old snapshots out.)
+    /// (The journal format version gates snapshots of older layouts
+    /// out.)
     pub fn encode_wire(&self, out: &mut Vec<u8>) {
         wire::push_u64(out, self.simulations);
         wire::push_u64(out, self.llm_steps);
@@ -234,7 +209,6 @@ impl CostLedger {
         wire::push_u64(out, self.cache_hits);
         wire::push_u64(out, self.coalesced_waits);
         wire::push_u64(out, self.batched_solves);
-        wire::push_u64(out, self.screen_rejects);
         wire::push_u64(out, self.corner_sims);
         wire::push_f64(out, self.penalty_seconds);
     }
@@ -253,7 +227,6 @@ impl CostLedger {
             cache_hits: reader.u64()?,
             coalesced_waits: reader.u64()?,
             batched_solves: reader.u64()?,
-            screen_rejects: reader.u64()?,
             corner_sims: reader.u64()?,
             penalty_seconds: reader.f64()?,
         };
@@ -274,7 +247,6 @@ impl CostLedger {
         self.cache_hits += other.cache_hits;
         self.coalesced_waits += other.coalesced_waits;
         self.batched_solves += other.batched_solves;
-        self.screen_rejects += other.screen_rejects;
         self.corner_sims += other.corner_sims;
         self.penalty_seconds += other.penalty_seconds;
     }
@@ -295,9 +267,6 @@ impl fmt::Display for CostLedger {
         }
         if self.batched_solves > 0 {
             write!(f, ", {} batched solves", self.batched_solves)?;
-        }
-        if self.screen_rejects > 0 {
-            write!(f, ", {} screened out", self.screen_rejects)?;
         }
         if self.corner_sims > 0 {
             write!(f, ", {} corner sims", self.corner_sims)?;
@@ -431,23 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn screen_rejects_bill_screening_not_simulation_cost() {
-        let model = CostModel::default();
-        let mut l = CostLedger::new();
-        l.record_screen_reject();
-        assert_eq!(l.screen_rejects(), 1);
-        assert_eq!(l.simulations(), 0);
-        let t = l.testbed_seconds(&model);
-        assert!((t - model.seconds_per_screen).abs() < 1e-12, "{t}");
-        assert!(t < model.seconds_per_simulation / 100.0, "{t}");
-        assert!(l.to_string().contains("1 screened out"), "{l}");
-        let mut other = CostLedger::new();
-        other.record_screen_reject();
-        l.absorb(&other);
-        assert_eq!(l.screen_rejects(), 2);
-    }
-
-    #[test]
     fn coalesced_waits_are_informational_and_absorbed() {
         let model = CostModel::default();
         let mut l = CostLedger::new();
@@ -474,7 +426,6 @@ mod tests {
         l.record_cache_hit();
         l.record_coalesced_wait();
         l.record_batched_solves(3);
-        l.record_screen_reject();
         l.record_corner_sims(27);
         l.record_penalty_seconds(2.625);
         let mut bytes = Vec::new();

@@ -40,8 +40,7 @@
 use crate::simulator::AnalysisConfig;
 use artisan_circuit::{Element, Netlist, Node, Topology};
 
-/// SplitMix64 increment — the same odd constant the scheduler uses to
-/// decorrelate session seeds.
+/// SplitMix64 increment: the odd 64-bit golden-ratio constant.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.

@@ -23,8 +23,6 @@
 //!   of netlists/topologies (content-addressed simulation identity),
 //! - [`cache`] — the sharded LRU [`SimCache`] and the memoizing
 //!   [`CachedSim`] backend wrapper that bills hits at retrieval cost,
-//! - [`screen`] — the [`ScreenedSim`] wrapper that rejects statically
-//!   doomed candidates at lint cost before they bill a simulation,
 //! - [`corners`] — PVT corner grids: value-only netlist variants, each
 //!   re-measured on its own MNA system, with worst-case verdicts
 //!   attached to reports by the [`CornerSim`] wrapper and memoized per
@@ -60,12 +58,11 @@ pub mod fingerprint;
 pub mod metrics;
 pub mod mna;
 pub mod poles;
-pub mod screen;
 pub mod spec;
 pub mod variation;
 pub mod wire;
 
-pub use backend::{ParallelSimBackend, SimBackend};
+pub use backend::SimBackend;
 pub use cache::persist::{LoadOutcome, SaveOutcome};
 pub use cache::{CacheStats, CachedSim, SimCache};
 pub use corners::{CornerGrid, CornerPoint, CornerSim, CornerSummary, WorstCase};
@@ -73,7 +70,6 @@ pub use error::{BadNetlistReport, SimError};
 pub use fingerprint::NetlistFingerprint;
 pub use metrics::{Performance, PowerModel};
 pub use mna::{MnaBlockWorkspace, MnaSystem, MnaWorkspace};
-pub use screen::{LintVerdict, ScreenedSim};
 pub use simulator::{
     admit_netlist, admit_topology, bill_batch, elaborate_for_analysis, load_capacitance,
     AnalysisConfig, AnalysisReport, Simulator,

@@ -7,7 +7,7 @@ use artisan_math::{CMatrix, Complex64, MathError, ThreadPool};
 use artisan_sim::ac::{sweep, unity_crossing, SweepConfig};
 use artisan_sim::mna::MnaSystem;
 use artisan_sim::poles::{pole_zero, PoleZeroConfig};
-use artisan_sim::{CachedSim, ScreenedSim, SimBackend, SimCache, SimError, Simulator};
+use artisan_sim::{CachedSim, SimBackend, SimCache, SimError, Simulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -585,11 +585,11 @@ proptest! {
     }
 }
 
-// Case count for the screening-soundness block follows the
+// Case count for the ERC-soundness block follows the
 // `PROPTEST_CASES` environment default (256), so the CI chaos matrix
 // can raise it without a code change.
 proptest! {
-    /// Screening soundness, forward direction: a netlist the
+    /// ERC soundness, forward direction: a netlist the
     /// errors-only linter passes never hits an exactly singular LU —
     /// the static gate admits nothing the factorization chokes on.
     /// Exercised over the broken neighbourhood, where clean and doomed
@@ -617,7 +617,7 @@ proptest! {
         }
     }
 
-    /// Screening soundness, reverse direction: every `ERC100`
+    /// ERC soundness, reverse direction: every `ERC100`
     /// singularity prediction is real. The bare simulator rejects the
     /// netlist, and — non-circularly — the flagged island's rows sum to
     /// a (numerically) zero row of `G + sC` at every tested frequency:
@@ -708,34 +708,6 @@ proptest! {
                 res / scale,
                 netlist.to_text()
             );
-        }
-    }
-
-    /// The screening wrapper is decision-equivalent to the bare
-    /// simulator over the broken neighbourhood: identical reports,
-    /// identical errors — only the bill differs, and only on rejects.
-    #[test]
-    fn screened_backend_is_decision_equivalent_to_bare(seed in 0u64..4000) {
-        let netlist = broken_neighbourhood(seed);
-        let mut bare = Simulator::new();
-        let expected = SimBackend::analyze_netlist(&mut bare, &netlist);
-        let mut screened = ScreenedSim::new(Simulator::new());
-        let got = screened.analyze_netlist(&netlist);
-        prop_assert_eq!(&got, &expected, "netlist:\n{}", netlist.to_text());
-        if screened.screened_out() == 1 {
-            // A reject is billed as one screen and zero simulations,
-            // while the bare simulator paid for a full run before its
-            // own gate rejected.
-            prop_assert!(matches!(got, Err(SimError::BadNetlist(_))));
-            prop_assert_eq!(screened.ledger().simulations(), 0);
-            prop_assert_eq!(screened.ledger().screen_rejects(), 1);
-            prop_assert_eq!(bare.ledger().simulations(), 1);
-        } else {
-            prop_assert_eq!(
-                screened.ledger().simulations(),
-                bare.ledger().simulations()
-            );
-            prop_assert_eq!(screened.ledger().screen_rejects(), 0);
         }
     }
 }

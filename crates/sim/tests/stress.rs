@@ -21,7 +21,7 @@ use artisan_circuit::sample::{sample_topology, SampleRanges};
 use artisan_circuit::Topology;
 use artisan_math::ThreadPool;
 use artisan_sim::cost::CostLedger;
-use artisan_sim::{AnalysisReport, CachedSim, ScreenedSim, SimBackend, SimCache, Simulator};
+use artisan_sim::{AnalysisReport, CachedSim, SimBackend, SimCache, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,65 +170,6 @@ fn repeated_races_conserve_the_miss_and_hit_ledger() {
         assert_eq!(cache.waiting(), 0, "iter {iter}: waiter gauge leaked");
         assert_eq!(cache.in_flight_keys(), 0, "iter {iter}: flight cell leaked");
         assert_eq!(cache.len(), 2, "iter {iter}: cache holds both reports");
-    }
-}
-
-#[test]
-fn screened_stack_races_stay_conservative() {
-    // The full production stack — screen outside cache — under the same
-    // unchoreographed race: clean candidates must coalesce exactly as
-    // before (the screen adds lint verdict memoization, never extra
-    // simulations).
-    let iters = stress_iters().min(10);
-    for iter in 0..iters {
-        let cache = SimCache::shared(64);
-        let calls = Arc::new(AtomicU64::new(0));
-        let topos = contended_pair(1_000 + iter);
-        let start = Arc::new(Barrier::new(SESSIONS));
-
-        let ledgers: Vec<CostLedger> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..SESSIONS)
-                .map(|s| {
-                    let cache = Arc::clone(&cache);
-                    let calls = Arc::clone(&calls);
-                    let start = Arc::clone(&start);
-                    let topos = topos.clone();
-                    scope.spawn(move || {
-                        let cached = CachedSim::new(
-                            CountingSim {
-                                inner: Simulator::new(),
-                                calls,
-                            },
-                            Arc::clone(&cache),
-                        );
-                        let mut sim = ScreenedSim::new(cached).with_cache(cache);
-                        start.wait();
-                        let order: [usize; 2] = if s % 2 == 0 { [0, 1] } else { [1, 0] };
-                        for &k in &order {
-                            sim.analyze_topology(&topos[k])
-                                .unwrap_or_else(|e| panic!("iter {iter}: session failed: {e}"));
-                        }
-                        assert_eq!(sim.screened_out(), 0, "clean candidates were screened");
-                        *sim.ledger()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| panic!("iter {iter}: session panicked"))
-                })
-                .collect()
-        });
-
-        assert_eq!(calls.load(Ordering::SeqCst), 2, "iter {iter}");
-        let sims: u64 = ledgers.iter().map(CostLedger::simulations).sum();
-        let rejects: u64 = ledgers.iter().map(CostLedger::screen_rejects).sum();
-        assert_eq!(sims, 2, "iter {iter}");
-        assert_eq!(rejects, 0, "iter {iter}");
-        assert_eq!(cache.waiting(), 0, "iter {iter}");
-        assert_eq!(cache.in_flight_keys(), 0, "iter {iter}");
     }
 }
 

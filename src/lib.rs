@@ -66,12 +66,9 @@ pub mod prelude {
     pub use artisan_dataset::{DatasetConfig, OpampDataset, Table1};
     pub use artisan_lint::{LintReport, Linter};
     pub use artisan_math::ThreadPool;
-    pub use artisan_resilience::{
-        FaultPlan, FaultySim, ScheduledSession, Scheduler, SessionReport, Supervisor,
-    };
+    pub use artisan_resilience::{FaultPlan, FaultySim, SessionReport, Supervisor};
     pub use artisan_sim::{
-        CacheStats, CachedSim, CornerGrid, CornerSim, ParallelSimBackend, ScreenedSim, SimBackend,
-        SimCache, Simulator, Spec,
+        CacheStats, CachedSim, CornerGrid, CornerSim, SimBackend, SimCache, Simulator, Spec,
     };
 }
 
